@@ -31,7 +31,7 @@ from .loopmass import (
     theorem_residual_boundary,
     theorem_residual_closed,
 )
-from .surfaces import parse_surface
+from .surfaces import EnumerationBudgetError, parse_surface
 from .zeta import log_det_zeta
 
 log = logging.getLogger("loopzeta")
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
         resolved["workers"] = worker_count(args.workers)
         log.info("resolved config: %s", json.dumps(resolved, default=str))
         return args.fn(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, EnumerationBudgetError) as exc:
         print("loopzeta: error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

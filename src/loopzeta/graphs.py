@@ -8,6 +8,7 @@ graphs of interest stay well under a few thousand vertices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -223,52 +224,102 @@ def canonical_rotation(loop):
     return best + (best[0],)
 
 
+def _cdf(w: np.ndarray) -> np.ndarray:
+    """The normalized cumulative distribution that Generator.choice(p=w/w.sum())
+    searches, with its ValueError on weights that do not normalize."""
+    total = w.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError("probabilities contain NaN")
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index Generator.choice draws from cdf, with the same one uniform."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+# Each cached model holds (max_len + 1) * n^2 floats of matrix powers, so the
+# cache keeps only a few graphs: enough for the graphs a run draws from
+# repeatedly, while one-off graphs age out.
+_SOUP_MODEL_CACHE_SIZE = 8
+
+
+class _SoupModel:
+    """What every soup draw on (g, max_len) shares: the killed transition
+    matrix, the interior map, the powers P^0..P^max_len, their traces, the
+    root distribution of each loop length with nonzero trace, and the
+    truncation flag."""
+
+    def __init__(self, g: Graph, max_len: int):
+        p = transition_matrix(g)
+        n = len(p)
+        self.p = p
+        self.interior = g.interior
+        self.n = n
+        if n == 0:
+            return
+        powers = [np.eye(n)]
+        for _ in range(max_len):
+            powers.append(powers[-1] @ p)
+        self.powers = powers
+        self.traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
+        # odd k on a bipartite graph has a zero diagonal: no root distribution
+        self.root_cdfs = {k: _cdf(np.diag(powers[k]).copy())
+                          for k in range(1, max_len + 1) if self.traces[k] > 0}
+
+        rho = spectral_radius_bound(p)
+        total = -_slogdet(np.eye(n) - p) if rho < 1.0 - 1e-12 else math.inf
+        truncated = sum(self.traces[k] / k for k in range(1, max_len + 1))
+        self.tail_warning = bool(total - truncated > 1e-6 * max(total, 1e-300))
+
+
+_soup_model = functools.lru_cache(maxsize=_SOUP_MODEL_CACHE_SIZE)(_SoupModel)
+
+
 def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSample:
     """Poissonian soup of rooted discrete loops at intensity c.
 
     Loop counts of length k are Poisson(c tr(P^k)/k); conditioned on length,
     the root is drawn proportional to (P^k)_{xx} and the path is a Markov
     bridge back to the root.
+
+    The transition matrix, its powers, their traces and the truncation flag
+    are built once per (graph, max_len) and cached for the 8 most recently
+    used pairs; each entry holds (max_len + 1) n^2 floats for n interior
+    vertices, e.g. 26 KB for a 16-vertex interior at max_len 12. A draw only
+    consumes the Philox stream of its seed.
     """
-    if c <= 0:
-        raise ValueError("intensity must be positive")
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    if not 0.0 < c < math.inf:
+        raise ValueError("intensity must be positive and finite")
     if not g.is_killed:
         raise ValueError("loop soup requires a killed graph")
-    p = transition_matrix(g)
-    interior = g.interior
-    n = len(p)
+    model = _soup_model(g, max_len)
     rng = np.random.Generator(np.random.Philox(seed))
-    if n == 0:
+    if model.n == 0:
         return LoopSoupSample((), c, max_len)
-
-    powers = [np.eye(n)]
-    for _ in range(max_len):
-        powers.append(powers[-1] @ p)
-    traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
-
-    rho = spectral_radius_bound(p)
-    total = -_slogdet(np.eye(n) - p) if rho < 1.0 - 1e-12 else math.inf
-    truncated = sum(traces[k] / k for k in range(1, max_len + 1))
-    tail_warning = bool(total - truncated > 1e-6 * max(total, 1e-300))
+    p, powers, interior = model.p, model.powers, model.interior
 
     loops = []
     for k in range(1, max_len + 1):
-        mean = c * traces[k] / k
+        mean = c * model.traces[k] / k
         if mean <= 0:
             continue
         for _ in range(rng.poisson(mean)):
-            diag = np.diag(powers[k]).copy()
-            root = rng.choice(n, p=diag / diag.sum())
+            root = _draw(model.root_cdfs[k], rng)
             path = [root]
             cur = root
             for j in range(k - 1):
                 # bridge step: weight by the remaining return probability
                 w = p[cur] * powers[k - 1 - j][:, root]
                 w = np.maximum(w, 0.0)
-                cur = rng.choice(n, p=w / w.sum())
+                cur = _draw(_cdf(w), rng)
                 path.append(cur)
             loops.append(tuple(interior[v] for v in path) + (interior[root],))
-    return LoopSoupSample(tuple(loops), c, max_len, tail_warning)
+    return LoopSoupSample(tuple(loops), c, max_len, model.tail_warning)
 
 
 def read_edge_list(text: str) -> Graph:

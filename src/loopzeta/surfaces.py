@@ -82,10 +82,16 @@ class ModelSurface:
         raise NotImplementedError
 
     def spectral_gap(self) -> float:
-        """Smallest nonzero eigenvalue."""
-        stream = self.eigen_stream(self._gap_cutoff())
-        lam = stream.eigenvalues
-        return float(lam[lam > 1e-14][0])
+        """Smallest nonzero eigenvalue. The search cutoff doubles until it
+        reaches one: on small surfaces the gap lies far above the default."""
+        cutoff = self._gap_cutoff()
+        while math.isfinite(cutoff):
+            lam = self.eigen_stream(cutoff).eigenvalues
+            nonzero = lam[lam > 1e-14]
+            if nonzero.size:
+                return float(nonzero[0])
+            cutoff *= 2.0
+        raise ValueError("no nonzero eigenvalue below any finite cutoff")
 
     def _gap_cutoff(self) -> float:
         return 200.0

@@ -141,6 +141,32 @@ def test_invalid_parameters_exit_one(tmp_path, capsys):
     assert run(["graph-loops", "--graph", str(tmp_path / "missing.txt")]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--max-len", "0"], ["--max-len", "-3"], ["--intensity", "nan"],
+    ["--intensity", "inf"], ["--intensity", "-1"],
+])
+def test_soup_sample_bad_parameters_exit_one(graph_file, tmp_path, capsys, flags):
+    out = tmp_path / "soup.csv"
+    assert run(["soup-sample", "--graph", graph_file, "--out", str(out)] + flags) == 1
+    assert "loopzeta: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_loop_mass_small_sphere(tmp_path):
+    # the sphere of radius 0.05 has its first nonzero eigenvalue at 800
+    out = tmp_path / "mass.json"
+    assert run(["loop-mass", "--surface", "sphere:0.05", "--qv-low", "0.01",
+                "--kappa", "1", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_enumeration_budget_is_a_clean_error(capsys):
+    assert run(["zeta-det", "--surface", "torus:200x200", "--delta", "1e-5"]) == 1
+    err = capsys.readouterr().err
+    assert "loopzeta: error: spectral enumeration needs ~" in err
+    assert "budget is 5000000" in err
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("LOOPZETA_WORKERS", raising=False)
     assert cli.worker_count() == 1

@@ -158,10 +158,107 @@ def test_soup_count_statistics():
 
 
 def test_soup_guards():
+    before = graphs._soup_model.cache_info()
     with pytest.raises(ValueError):
         graphs.sample_loop_soup(path_graph(), 0.0, 5, 1)
     with pytest.raises(ValueError):
         graphs.sample_loop_soup(cycle_graph(3), 1.0, 5, 1)
+    for c in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="intensity"):
+            graphs.sample_loop_soup(path_graph(), c, 5, 1)
+    for max_len in (0, -3):
+        with pytest.raises(ValueError, match="max_len"):
+            graphs.sample_loop_soup(path_graph(), 1.0, max_len, 1)
+    # the guards run before any model is built or looked up
+    assert graphs._soup_model.cache_info() == before
+
+
+def reference_soup(g, c, max_len, seed):
+    """The soup draw as it was before the per-graph model: everything is
+    rebuilt per call and every root and bridge step uses Generator.choice."""
+    p = graphs.transition_matrix(g)
+    interior = g.interior
+    n = len(p)
+    rng = np.random.Generator(np.random.Philox(seed))
+    if n == 0:
+        return (), False
+    powers = [np.eye(n)]
+    for _ in range(max_len):
+        powers.append(powers[-1] @ p)
+    traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
+    rho = graphs.spectral_radius_bound(p)
+    total = -graphs._slogdet(np.eye(n) - p) if rho < 1.0 - 1e-12 else math.inf
+    truncated = sum(traces[k] / k for k in range(1, max_len + 1))
+    tail_warning = bool(total - truncated > 1e-6 * max(total, 1e-300))
+    loops = []
+    for k in range(1, max_len + 1):
+        mean = c * traces[k] / k
+        if mean <= 0:
+            continue
+        for _ in range(rng.poisson(mean)):
+            diag = np.diag(powers[k]).copy()
+            root = rng.choice(n, p=diag / diag.sum())
+            path = [root]
+            cur = root
+            for j in range(k - 1):
+                w = p[cur] * powers[k - 1 - j][:, root]
+                w = np.maximum(w, 0.0)
+                cur = rng.choice(n, p=w / w.sum())
+                path.append(cur)
+            loops.append(tuple(interior[v] for v in path) + (interior[root],))
+    return tuple(loops), tail_warning
+
+
+def random_killed_graph(rng):
+    while True:
+        n = int(rng.integers(3, 9))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.5]
+        k = int(rng.integers(1, n - 1))
+        g = Graph(n, edges, [int(b) for b in rng.choice(n, size=k, replace=False)])
+        if all(g.degrees[v] > 0 for v in g.interior):
+            return g
+
+
+def assert_soups_match(g, c, max_len, seeds):
+    for seed in seeds:
+        soup = graphs.sample_loop_soup(g, c, max_len, seed)
+        assert (soup.loops, soup.tail_warning) == reference_soup(g, c, max_len, seed)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_soup_matches_reference_on_path_graph(c):
+    assert_soups_match(path_graph(), c, 12, range(300))
+
+
+def test_soup_matches_reference_on_grid():
+    assert_soups_match(graphs.grid_graph(4), 10.0, 12, range(1000, 1300))
+
+
+def test_soup_matches_reference_on_random_graphs():
+    rng = np.random.default_rng(2005)
+    tail_warnings = set()
+    for i in range(20):
+        g = random_killed_graph(rng)
+        max_len = int(rng.integers(1, 16))
+        c = float(rng.uniform(0.2, 5.0))
+        assert_soups_match(g, c, max_len, range(100 * i, 100 * i + 30))
+        tail_warnings.add(graphs.sample_loop_soup(g, c, max_len, 0).tail_warning)
+    assert tail_warnings == {False, True}
+
+
+def test_soup_model_is_reused_for_an_equal_graph():
+    graphs.sample_loop_soup(graphs.grid_graph(3), 1.0, 7, 1)
+    hits = graphs._soup_model.cache_info().hits
+    graphs.sample_loop_soup(graphs.grid_graph(3), 2.0, 7, 2)
+    assert graphs._soup_model.cache_info().hits == hits + 1
+
+
+def test_soup_failures_are_not_cached():
+    g = Graph(3, [(1, 2)], [2])  # interior vertex 0 is isolated
+    for seed in range(3):
+        with pytest.raises(ValueError, match="undefined transition"):
+            graphs.sample_loop_soup(g, 1.0, 5, seed)
 
 
 def test_edge_list_round_trip():

@@ -136,6 +136,8 @@ def test_spectral_gap():
     assert FlatTorus(1.0, 1.0).spectral_gap() == pytest.approx(4 * math.pi**2)
     assert RoundSphere(1.0).spectral_gap() == pytest.approx(2.0)
     assert IntervalDirichlet(1.0).spectral_gap() == pytest.approx(math.pi**2)
+    # the gap 2/r^2 = 800 lies above the first search cutoff of 200
+    assert RoundSphere(0.05).spectral_gap() == pytest.approx(2 / 0.05**2, rel=1e-12)
 
 
 def test_validation():
