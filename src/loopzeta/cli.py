@@ -16,7 +16,6 @@ import configparser
 import json
 import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -59,24 +58,11 @@ def _csv(rows) -> str:
     return "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
 
 
-def worker_count(requested=None) -> int:
-    """Worker count: flag value, else LOOPZETA_WORKERS, else 1."""
-    if requested:
-        return max(1, int(requested))
-    env = os.environ.get("LOOPZETA_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
-def parallel_map(fn, items, workers: int):
-    """Map over independent items on a thread pool; results are aggregated
-    in submission order so output never depends on scheduling."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _json(payload: dict, **kwargs) -> str:
+    """Strict JSON of a flat dict: non-finite floats are written as null."""
+    payload = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in payload.items()}
+    return json.dumps(payload, allow_nan=False, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +111,7 @@ def cmd_soup_sample(args) -> int:
 def cmd_zeta_det(args) -> int:
     surf = parse_surface(args.surface)
     report = log_det_zeta(surf, args.delta)
-    _write_text(args.out, json.dumps({
+    _write_text(args.out, _json({
         "surface": args.surface,
         "log_det": report.log_det,
         "delta_split": report.delta_split,
@@ -143,7 +129,7 @@ def cmd_loop_mass(args) -> int:
     query = LoopMassQuery(surf, args.qv_low, args.qv_high, args.kappa)
     eigen = loop_mass(query)
     quad = loop_mass_quadrature(query)
-    _write_text(args.out, json.dumps({
+    _write_text(args.out, _json({
         "surface": args.surface,
         "qv_low": args.qv_low,
         "qv_high": args.qv_high,
@@ -170,7 +156,7 @@ def cmd_verify_theorem(args) -> int:
         slope = fit_log_slope(deltas, res)
     except ValueError:
         slope = None
-    _write_text(args.json_out, json.dumps(
+    _write_text(args.json_out, _json(
         {"case": args.case, "surface": args.surface, "slope": slope}) + "\n")
     return EXIT_OK
 
@@ -185,7 +171,7 @@ def cmd_lattice_torus(args) -> int:
                      lattice.torus_constant(spec)))
     _write_text(args.out, _csv(rows))
     result = lattice.constant_term(specs)
-    _write_text(args.json_out, json.dumps({
+    _write_text(args.json_out, _json({
         "aspect": args.aspect,
         "limit": result.limit,
         "cauchy_gap": result.cauchy_gap,
@@ -228,7 +214,7 @@ def cmd_reweight_test(args) -> int:
     rep = reweight.reweighting_experiment(
         args.size, args.epsilon, args.charge, args.delta_charge,
         args.samples, args.seed)
-    _write_text(args.json_out, json.dumps({
+    _write_text(args.json_out, _json({
         "count_chi2": rep.count_chi2, "count_p": rep.count_p,
         "level_chi2": rep.level_chi2, "level_p": rep.level_p,
         "slice_chi2": rep.slice_chi2, "slice_p": rep.slice_p,
@@ -260,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="loopzeta",
         description="loop measures, zeta determinants and square subdivisions")
     parser.add_argument("--config", help="INI config file ([loopzeta] section)")
-    parser.add_argument("--workers", type=int,
-                        help="worker threads (default: LOOPZETA_WORKERS or 1)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -378,8 +362,7 @@ def main(argv=None) -> int:
         args = _merge_config(parser, args, argv)
         resolved = {k: v for k, v in sorted(vars(args).items())
                     if k not in ("fn",) and v is not None}
-        resolved["workers"] = worker_count(args.workers)
-        log.info("resolved config: %s", json.dumps(resolved, default=str))
+        log.info("resolved config: %s", _json(resolved, default=str))
         return args.fn(args)
     except (ValueError, OSError, ArithmeticError, EnumerationBudgetError) as exc:
         print("loopzeta: error: %s" % exc, file=sys.stderr)

@@ -22,17 +22,17 @@ _MAGIC = b"LZGF"
 
 def _check_size(size: int) -> int:
     k = int(size).bit_length() - 1
-    if size != 1 << k or not 4 <= k <= 13:
+    if not 4 <= k <= 13 or size != 1 << k:
         raise ValueError("size must be 2^k with k in [4, 13]")
     return k
 
 
 def _mode_eigenvalues(n: int) -> np.ndarray:
-    """Eigenvalues of the Dirichlet five-point Laplacian on the (n-1)^2
-    interior sites of an n x n cell grid."""
+    """Eigenvalues 4 sin^2(pi m / 2n), m = 1..n-1, of the Dirichlet second
+    difference on the n-1 interior sites of n cells. The five-point
+    Laplacian's eigenvalue of sine mode (j, k) is lam[j] + lam[k]."""
     m = np.arange(1, n)
-    lam1 = 4.0 * np.sin(np.pi * m / (2 * n)) ** 2
-    return lam1[:, None] + lam1[None, :]
+    return 4.0 * np.sin(np.pi * m / (2 * n)) ** 2
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def sample_dgff(size: int, seed: int) -> GridField:
     _check_size(size)
     rng = np.random.Generator(np.random.Philox(seed))
     coeff = rng.standard_normal((size - 1, size - 1))
-    m = np.arange(1, size)
-    lam1 = 4.0 * np.sin(np.pi * m / (2 * size)) ** 2
+    lam1 = _mode_eigenvalues(size)
     for r in range(size - 1):
         coeff[r] *= np.sqrt(TWO_PI / (lam1[r] + lam1))
     values = sfft.dstn(coeff, type=1, norm="ortho", overwrite_x=True)
@@ -101,20 +100,24 @@ def field_from_values(values: np.ndarray, seed: int = -1) -> GridField:
     return _build(n, seed, values)
 
 
-def square_average(field: GridField, level: int, i: int, j: int) -> float:
-    """Mean of the field over the dyadic square [i,i+1]x[j,j+1] / 2^level,
-    computed from prefix sums over grid cells."""
+def _square_averages(field: GridField, level: int, ii: np.ndarray,
+                     jj: np.ndarray) -> np.ndarray:
+    """Vectorized averages over the squares (level, ii, jj) from the prefix
+    sums over grid cells."""
     k = field.level
     if level > k:
         raise ValueError("resolution exhausted: square finer than the grid")
+    w = 1 << (k - level)
+    p = field.prefix
+    r0, c0 = ii * w, jj * w
+    return (p[r0 + w, c0 + w] - p[r0, c0 + w] - p[r0 + w, c0] + p[r0, c0]) / (w * w)
+
+
+def square_average(field: GridField, level: int, i: int, j: int) -> float:
+    """Mean of the field over the dyadic square [i,i+1]x[j,j+1] / 2^level."""
     if not (0 <= i < 1 << level and 0 <= j < 1 << level):
         raise ValueError("square outside the unit square")
-    w = 1 << (k - level)
-    r0, c0 = i * w, j * w
-    r1, c1 = r0 + w, c0 + w
-    p = field.prefix
-    total = p[r1, c1] - p[r0, c1] - p[r1, c0] + p[r0, c0]
-    return float(total / (w * w))
+    return float(_square_averages(field, level, np.array([i]), np.array([j]))[0])
 
 
 def dirichlet_energy(field: GridField) -> float:
@@ -147,9 +150,9 @@ def green_oracle(size: int) -> np.ndarray:
 def poisson_solve(size: int, rhs: np.ndarray) -> np.ndarray:
     """Solve (grid Laplacian) u = rhs on the interior via DST-I
     diagonalization."""
-    lam = _mode_eigenvalues(size)
+    lam1 = _mode_eigenvalues(size)
     coeff = sfft.dstn(rhs, type=1, norm="ortho")
-    return sfft.dstn(coeff / lam, type=1, norm="ortho")
+    return sfft.dstn(coeff / (lam1[:, None] + lam1[None, :]), type=1, norm="ortho")
 
 
 def write_field(field: GridField, path) -> None:
@@ -162,11 +165,20 @@ def write_field(field: GridField, path) -> None:
 
 
 def read_field(path) -> GridField:
+    """Load a field written by `write_field`; a malformed file raises
+    ValueError naming what is wrong."""
     with open(path, "rb") as fh:
         header = fh.read(16)
-        if header[:4] != _MAGIC:
-            raise ValueError("bad field file magic")
-        k, seed = struct.unpack("<iq", header[4:16])
-        n = 1 << k
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(n - 1, n - 1)
+        payload = fh.read()
+    if len(header) < 16:
+        raise ValueError("field file header is %d bytes, expected 16" % len(header))
+    if header[:4] != _MAGIC:
+        raise ValueError("bad field file magic")
+    k, seed = struct.unpack("<iq", header[4:16])
+    n = 1 << k if 0 <= k < 64 else 0  # bound the shift before checking
+    _check_size(n)
+    if len(payload) != 8 * (n - 1) ** 2:
+        raise ValueError("field file payload is %d bytes, expected %d for size %d"
+                         % (len(payload), 8 * (n - 1) ** 2, n))
+    values = np.frombuffer(payload, dtype="<f8").reshape(n - 1, n - 1)
     return _build(n, int(seed), values.copy())

@@ -35,10 +35,10 @@ class LoopMassQuery:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.qv_low < self.qv_high:
-            raise ValueError("require 0 < qv_low < qv_high")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        if not (math.isfinite(self.qv_low) and 0.0 < self.qv_low < self.qv_high):
+            raise ValueError("require finite qv_low with 0 < qv_low < qv_high")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError("kappa must be finite and >= 0")
         if (
             self.surface.is_closed
             and math.isinf(self.qv_high)

@@ -4,6 +4,12 @@ The projection of a field onto a square partition is the minimal-Dirichlet-
 energy interpolant of its square averages; its normalized coefficient energy
 Sigma x_S^2 drives the determinant weight e^{(c'/12) Sigma x^2}, under which
 the charge-c ensemble becomes the charge-(c + c') ensemble.
+
+The projection is solved in the sine-mode basis that diagonalizes the
+Dirichlet five-point Laplacian (orthonormal DST-I). A square's average is a
+separable functional of the sites, so its mode coefficients are an outer
+product of two 1-D transforms, and the Schur complement over the squares is
+one matrix product; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import stats
 
 from . import gff
@@ -40,81 +47,56 @@ class WeightReport:
             raise ValueError("inconsistent Q_new")
 
 
-_weight_cache: dict = {}
-_basis_cache: dict = {}
-_schur_cache: dict = {}
+def _window_profiles(size: int, starts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One row per square: the 1-D factor of its square-average functional
+    on the interior sites, 1, 2, ..., 2, 1 over the window, scaled by 0.5/w.
 
-
-def _constraint_weights(size: int, square) -> np.ndarray:
-    """Interior-site weight array realizing the square-average functional
-    (cells valued by corner averages, averaged over the square)."""
-    key = (size, square.level, square.i, square.j)
-    cached = _weight_cache.get(key)
-    if cached is not None:
-        return cached
-    w = size >> square.level
-    if w < 1:
-        raise ValueError("resolution exhausted: square finer than the grid")
-    r0, c0 = square.i * w, square.j * w
-    counts = np.ones(w + 1)
-    counts[1:-1] = 2.0
-    full = np.zeros((size + 1, size + 1))
-    full[r0:r0 + w + 1, c0:c0 + w + 1] = np.outer(counts, counts) * (0.25 / w**2)
-    result = full[1:-1, 1:-1]
-    if len(_weight_cache) < 4096:
-        _weight_cache[key] = result
-    return result
-
-
-def _harmonic_basis(size: int, square) -> np.ndarray:
-    """Poisson solve with the square's constraint functional as source;
-    cached because it is sample-independent."""
-    key = (size, square.level, square.i, square.j)
-    cached = _basis_cache.get(key)
-    if cached is not None:
-        return cached
-    result = gff.poisson_solve(size, _constraint_weights(size, square))
-    if len(_basis_cache) < 4096:
-        _basis_cache[key] = result
-    return result
-
-
-def _schur_entry(size: int, sa, sb) -> float:
-    key = (size, sa.level, sa.i, sa.j, sb.level, sb.i, sb.j)
-    cached = _schur_cache.get(key)
-    if cached is not None:
-        return cached
-    result = float(np.sum(_constraint_weights(size, sa) * _harmonic_basis(size, sb)))
-    if len(_schur_cache) < 1 << 20:
-        _schur_cache[key] = result
-    return result
+    Cells are valued by the mean of their corner sites and averaged over the
+    square, so the functional's site weights are the outer product of the
+    row and the column factor.
+    """
+    offset = np.arange(size + 1) - starts[:, None]
+    width = w[:, None]
+    in_window = (offset >= 0) & (offset <= width)
+    inside = (offset > 0) & (offset < width)
+    counts = 1.0 * in_window + inside  # 1 at the window's ends, 2 between
+    return (counts * (0.5 / width))[:, 1:-1]  # drop the boundary sites
 
 
 def project_onto_partition(field: GridField, partition: DyadicPartition,
                            q: float) -> ProjectionResult:
     """Minimal-Dirichlet-energy field with the same square averages.
 
-    Lagrange system: Lap u = sum_S mu_S W_S with W u = v, solved by one grid
-    Poisson solve per square and a dense Schur complement over the squares.
+    Lagrange system: Lap u = sum_S mu_S W_S with <W_S, u> = v_S. Each W_S is
+    the outer product r_S (x) c_S of two 1-D window profiles, so its
+    orthonormal DST-I coefficients are the outer product of two 1-D
+    transforms; with X_S = (r^_S (x) c^_S) / sqrt(lambda), the Schur
+    complement <W_a, Lap^-1 W_b> is X X^T and the solution is one inverse
+    DST of mu^T X / sqrt(lambda).
     """
-    squares = sorted(partition.squares)
-    n = len(squares)
     size = field.size
-    weights = [_constraint_weights(size, s) for s in squares]
-    basis = [_harmonic_basis(size, s) for s in squares]
-    schur = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            schur[a, b] = schur[b, a] = _schur_entry(size, squares[a], squares[b])
-    targets = np.array([float(np.sum(w * field.values)) for w in weights])
+    levels = partition._levels.astype(np.int64)
+    w = size >> levels
+    if np.any(w < 1):
+        raise ValueError("resolution exhausted: square finer than the grid")
+    rows = _window_profiles(size, partition._rows * w, w)
+    cols = _window_profiles(size, partition._cols * w, w)
+    lam1 = gff._mode_eigenvalues(size)
+    inv_root = 1.0 / np.sqrt(lam1[:, None] + lam1[None, :])
+    rows_hat = sfft.dst(rows, type=1, norm="ortho", axis=1)
+    cols_hat = sfft.dst(cols, type=1, norm="ortho", axis=1)
+    x = np.einsum("sj,sk->sjk", rows_hat, cols_hat)
+    x *= inv_root
+    x = x.reshape(len(w), -1)
+    schur = x @ x.T
+    targets = np.einsum("sk,sk->s", rows @ field.values, cols)
     try:
         mu = np.linalg.solve(schur, targets)
     except np.linalg.LinAlgError as exc:
         raise ValueError("degenerate partition: singular Schur complement") from exc
-    projected = np.zeros_like(field.values)
-    for coef, b in zip(mu, basis):
-        projected += coef * b
-    achieved = np.array([float(np.sum(w * projected)) for w in weights])
+    coeff = (mu @ x).reshape(inv_root.shape) * inv_root
+    projected = sfft.dstn(coeff, type=1, norm="ortho")
+    achieved = np.einsum("sk,sk->s", rows @ projected, cols)
     residual = float(np.max(np.abs(achieved - targets)))
     energy = float(mu @ targets) / TWO_PI  # u^T Lap u = mu . v
     return ProjectionResult(
@@ -204,12 +186,14 @@ def reweighting_experiment(grid_size: int, epsilon: float, c: float,
     ensemble on subdivision statistics."""
     if n_samples < 1000:
         raise ValueError("need at least 10^3 samples")
+    if n_samples > 500_000:
+        raise ValueError("at most 5*10^5 samples: protocol A and B seeds would overlap")
     if c > 1.0 or c + c_prime > 1.0:
         raise ValueError("both charges must be <= 1 for finite subdivisions")
     params = charge_to_params(c)
     params_new = charge_to_params(c + c_prime)
 
-    max_level = gff.sample_dgff(grid_size, 0).level
+    max_level = gff._check_size(grid_size)
     direct_counts = {}
     direct_levels = np.zeros(max_level + 1)
     rows_a = []  # (count, level-vector)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gff import GridField
+from .gff import GridField, _square_averages
 from .graphs import Graph
 
 
@@ -34,6 +34,8 @@ class ChargeParams:
 
 
 def charge_to_params(c: float) -> ChargeParams:
+    if not math.isfinite(c):
+        raise ValueError("central charge must be finite")
     if c >= 25.0:
         raise ValueError("Q undefined for c >= 25")
     q = math.sqrt((25.0 - c) / 6.0)
@@ -112,39 +114,11 @@ class DyadicPartition:
         return total == 4**top
 
 
-def _averages(field: GridField, level: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Vectorized square averages at one level from the prefix sums."""
-    k = field.level
-    if level > k:
-        raise ValueError("resolution exhausted: square finer than the grid")
-    w = 1 << (k - level)
-    p = field.prefix
-    r0, c0 = ii * w, jj * w
-    return (p[r0 + w, c0 + w] - p[r0, c0 + w] - p[r0 + w, c0] + p[r0, c0]) / (w * w)
-
-
 def quantum_size(field: GridField, q: float, square: DyadicSquare) -> float:
     """A_h(S) = e^{h_S/Q} times the side length of S."""
-    avg = _averages(field, square.level,
-                    np.array([square.i]), np.array([square.j]))[0]
+    avg = _square_averages(field, square.level,
+                           np.array([square.i]), np.array([square.j]))[0]
     return math.exp(avg / q) * square.side
-
-
-def protocol_epsilon(field: GridField, params: ChargeParams,
-                     ratio: float = 2.0**-12) -> float:
-    """Threshold targeting pieces holding about `ratio` of the root's
-    quantum area.
-
-    For c <= 1 the quantum area of a square is A_h(S)^{gamma Q}, so the
-    quantum-size threshold is ratio^(1/gamma Q) times A_h of the unit square.
-    For c in (1, 25) the area exponent is undefined (gamma is complex) and
-    only the quantum size itself remains meaningful, so the ratio is applied
-    to A_h directly.
-    """
-    root = quantum_size(field, params.Q, DyadicSquare(0, 0, 0))
-    if params.gamma is not None:
-        return ratio ** (1.0 / (params.gamma * params.Q)) * root
-    return ratio * root
 
 
 def regime_protocol(field: GridField, c: float,
@@ -181,8 +155,8 @@ def subdivide(field: GridField, q: float, epsilon: float,
     level the processing order is immaterial (the keep/refine rule is
     per-square), which the `order` switch makes testable.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError("epsilon must be finite and positive")
     if order not in ("scan", "reverse"):
         raise ValueError("order must be 'scan' or 'reverse'")
     cap = field.level if depth_cap is None else depth_cap
@@ -194,7 +168,7 @@ def subdivide(field: GridField, q: float, epsilon: float,
     jj = np.array([0], dtype=np.int32)
     level = 0
     while len(ii):
-        avg = _averages(field, level, ii, jj)
+        avg = _square_averages(field, level, ii, jj)
         a = np.exp(avg / q) * 2.0**-level
         small = a <= epsilon
         if order == "reverse":

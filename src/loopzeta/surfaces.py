@@ -115,6 +115,10 @@ class ModelSurface:
         return hc.a_coef / t + hc.b_coef / math.sqrt(t) + hc.c_coef
 
 
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def _interval_trace(t: float, length: float) -> float:
     """Dirichlet trace sum_{n>=1} exp(-t (n pi / L)^2), by theta duality at small t."""
     if t < _T_CROSSOVER * length * length:
@@ -149,8 +153,8 @@ class IntervalDirichlet(ModelSurface):
     length: float = 1.0
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not _finite_positive(self.length):
+            raise ValueError("length must be finite and positive")
 
     @property
     def volume(self) -> float:
@@ -185,8 +189,8 @@ class RectangleDirichlet(ModelSurface):
     side_b: float = 1.0
 
     def __post_init__(self):
-        if self.side_a <= 0 or self.side_b <= 0:
-            raise ValueError("sides must be positive")
+        if not (_finite_positive(self.side_a) and _finite_positive(self.side_b)):
+            raise ValueError("sides must be finite and positive")
 
     @property
     def volume(self) -> float:
@@ -232,8 +236,8 @@ class FlatTorus(ModelSurface):
     zero_modes = 1
 
     def __post_init__(self):
-        if self.side_a <= 0 or self.side_b <= 0:
-            raise ValueError("sides must be positive")
+        if not (_finite_positive(self.side_a) and _finite_positive(self.side_b)):
+            raise ValueError("sides must be finite and positive")
 
     @property
     def volume(self) -> float:
@@ -274,8 +278,8 @@ class RoundSphere(ModelSurface):
     zero_modes = 1
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not _finite_positive(self.radius):
+            raise ValueError("radius must be finite and positive")
 
     @property
     def volume(self) -> float:
@@ -350,8 +354,8 @@ class DiskDirichlet(ModelSurface):
     _trace_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not _finite_positive(self.radius):
+            raise ValueError("radius must be finite and positive")
 
     @property
     def volume(self) -> float:

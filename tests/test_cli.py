@@ -1,6 +1,6 @@
 import json
+import logging
 import math
-import os
 
 import pytest
 
@@ -167,18 +167,47 @@ def test_enumeration_budget_is_a_clean_error(capsys):
     assert "budget is 5000000" in err
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("LOOPZETA_WORKERS", raising=False)
-    assert cli.worker_count() == 1
-    monkeypatch.setenv("LOOPZETA_WORKERS", "4")
-    assert cli.worker_count() == 4
-    assert cli.worker_count(2) == 2
+@pytest.mark.parametrize("argv", [
+    ["zeta-det", "--surface", "disk:nan"],
+    ["loop-mass", "--surface", "sphere:inf", "--qv-low", "0.4", "--kappa", "1"],
+    ["loop-mass", "--surface", "disk:1", "--qv-low", "0.4", "--kappa", "nan"],
+    ["loop-mass", "--surface", "disk:1", "--qv-low", "nan"],
+    ["subdivide", "--size", "16", "--epsilon", "nan"],
+    ["subdivide", "--size", "16", "--epsilon", "inf"],
+    ["subdivide", "--size", "16", "--charge", "nan"],
+    ["reweight-test", "--size", "16", "--charge", "nan", "--samples", "1000"],
+])
+def test_non_finite_inputs_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "loopzeta: error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_parallel_map_preserves_order():
-    items = list(range(20))
-    assert cli.parallel_map(lambda x: x * x, items, 4) == [x * x for x in items]
-    assert cli.parallel_map(lambda x: x + 1, items, 1) == [x + 1 for x in items]
+def test_malformed_field_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"LZGF\0\0\0\0")
+    assert run(["subdivide", "--field", str(path), "--epsilon", "0.4"]) == 1
+    assert "loopzeta: error: field file header" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise AssertionError("non-finite JSON constant %s" % name)
+
+
+def test_json_is_strict(tmp_path, caplog):
+    out = tmp_path / "mass.json"
+    with caplog.at_level(logging.INFO, logger="loopzeta"):
+        assert run(["loop-mass", "--surface", "disk:1.0", "--qv-low", "0.4",
+                    "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["qv_high"] is None
+    prefix = "resolved config: "
+    logged = [r.getMessage()[len(prefix):] for r in caplog.records
+              if r.getMessage().startswith(prefix)]
+    assert len(logged) == 1
+    config = json.loads(logged[0], parse_constant=_reject_constant)
+    assert config["qv_high"] is None and config["qv_low"] == 0.4
 
 
 def test_acceptance_subset(capsys):

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopzeta import gff
 
@@ -102,6 +105,40 @@ def test_field_io_round_trip(tmp_path):
     path.write_bytes(b"XXXX" + b"\0" * 12)
     with pytest.raises(ValueError, match="magic"):
         gff.read_field(path)
+    header = b"LZGF" + struct.pack("<iq", 6, 5)
+    payload = field.values.astype("<f8").tobytes()
+    bad_files = [
+        (b"LZGF" + b"\0" * 4, "header is 8 bytes"),
+        (b"LZGF" + struct.pack("<iq", 2, 5), "size must be 2\\^k"),
+        (b"LZGF" + struct.pack("<iq", 40, 5), "size must be 2\\^k"),
+        (b"LZGF" + struct.pack("<iq", -1, 5), "size must be 2\\^k"),
+        (header + payload[:-8], "payload is 31744 bytes, expected 31752"),
+        (header + payload + b"\0", "payload is 31753 bytes"),
+    ]
+    for data, message in bad_files:
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            gff.read_field(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda k, seed, tail: b"LZGF" + struct.pack("<iq", k, seed) + tail,
+              st.integers(-2**31, 2**31 - 1), st.integers(-2**63, 2**63 - 1),
+              st.binary(max_size=64)),
+    st.builds(lambda seed, extra: b"LZGF" + struct.pack("<iq", 4, seed)
+              + bytes(8 * 225 + extra),
+              st.integers(0, 9), st.integers(-9, 9)),
+))
+def test_read_field_bytes_parse_or_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "arbitrary_field.bin"
+    path.write_bytes(data)
+    try:
+        field = gff.read_field(path)
+    except ValueError:
+        return
+    assert field.size == 16 and field.values.shape == (15, 15)
 
 
 def test_field_from_values_validation():

@@ -31,6 +31,11 @@ def test_query_validation():
         LoopMassQuery(surf, 2.0, 1.0)
     with pytest.raises(ValueError):
         LoopMassQuery(surf, 0.1, kappa=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa"):
+            LoopMassQuery(surf, 0.1, kappa=bad)
+        with pytest.raises(ValueError, match="qv_low"):
+            LoopMassQuery(surf, bad)
     # closed surface with no cap and no penalization diverges
     with pytest.raises(ValueError, match="divergent query"):
         LoopMassQuery(FlatTorus(1.0, 1.0), 0.1)

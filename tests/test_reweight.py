@@ -44,6 +44,59 @@ def test_coefficient_energy_is_scaled_dirichlet_energy(case):
         gff.dirichlet_energy(projected) / q**2, rel=1e-8)
 
 
+def reference_projection(field, partition, q):
+    """The dense route: one Poisson solve per square for its harmonic basis,
+    the Schur complement from pairwise inner products, the projection as the
+    basis sum. Returns (projected field, coefficient energy)."""
+    size = field.size
+    weights = []
+    for s in sorted(partition.squares):
+        w = size >> s.level
+        counts = np.ones(w + 1)
+        counts[1:-1] = 2.0
+        full = np.zeros((size + 1, size + 1))
+        full[s.i * w:s.i * w + w + 1, s.j * w:s.j * w + w + 1] = \
+            np.outer(counts, counts) * (0.25 / w**2)
+        weights.append(full[1:-1, 1:-1])
+    basis = [gff.poisson_solve(size, w) for w in weights]
+    schur = np.array([[np.sum(wa * b) for b in basis] for wa in weights])
+    targets = np.array([np.sum(w * field.values) for w in weights])
+    mu = np.linalg.solve(schur, targets)
+    projected = sum(m * b for m, b in zip(mu, basis))
+    return projected, float(mu @ targets) / gff.TWO_PI / q**2
+
+
+def _reference_cases(size):
+    q = charge_to_params(0.0).Q
+    for seed in range(50):
+        field = gff.sample_dgff(size, 7000 + seed)
+        for eps in (0.3, 0.45, 0.6):
+            yield field, subdivide(field, q, eps), q
+    field = gff.sample_dgff(size, 6999)
+    yield field, subdivide(field, q, 1e9), q  # the unit square alone
+    capped = subdivide(field, q, 1e-9, depth_cap=3)
+    assert capped.flagged_count == 64
+    yield field, capped, q
+
+
+@pytest.mark.parametrize("size", [16, 32, 64])
+def test_projection_matches_dense_reference(size):
+    for field, part, q in _reference_cases(size):
+        proj = reweight.project_onto_partition(field, part, q)
+        ref_field, ref_energy = reference_projection(field, part, q)
+        assert proj.solver_residual < 1e-9
+        assert proj.coefficient_energy == pytest.approx(ref_energy, rel=1e-12)
+        assert np.max(np.abs(proj.projected_field - ref_field)) < 1e-10
+
+
+def test_projection_resolution_exhausted():
+    q = charge_to_params(0.0).Q
+    fine = subdivide(gff.sample_dgff(32, 1), q, 1e-9)
+    assert max(fine.level_histogram()) == 5
+    with pytest.raises(ValueError, match="resolution exhausted"):
+        reweight.project_onto_partition(gff.sample_dgff(16, 1), fine, q)
+
+
 def test_det_weight_and_report():
     assert reweight.det_weight(3.0, -12.0) == pytest.approx(-3.0)
     report = reweight.weight_report(0.0, -12.5, 2.0)
@@ -87,6 +140,9 @@ def test_experiment_guards():
         reweight.reweighting_experiment(16, 0.5, 2.0, -1.0, 1000, 0)
     with pytest.raises(ValueError, match="<= 1"):
         reweight.reweighting_experiment(16, 0.5, 0.0, 5.0, 1000, 0)
+    # protocol A uses seeds seed*10^6 + i and protocol B seed*10^6 + 5*10^5 + i
+    with pytest.raises(ValueError, match="overlap"):
+        reweight.reweighting_experiment(16, 0.5, 0.0, -1.0, 500_001, 0)
 
 
 def test_small_experiment_consistency():

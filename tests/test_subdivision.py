@@ -19,6 +19,9 @@ def test_charge_to_params_frozen_values():
     assert p_high.gamma is None
     with pytest.raises(ValueError, match="c >= 25"):
         charge_to_params(25.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            charge_to_params(bad)
 
 
 def test_gamma_coupling_identity():
@@ -101,8 +104,9 @@ def test_depth_cap_flags(field):
     assert part.flagged == part.squares
     with pytest.raises(ValueError, match="depth cap"):
         subdivide(field, q, 0.3, depth_cap=7)
-    with pytest.raises(ValueError):
-        subdivide(field, q, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            subdivide(field, q, bad)
 
 
 def test_adjacency_matches_brute_force(field):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopzeta.surfaces import (
     DiskDirichlet,
     EnumerationBudgetError,
     FlatTorus,
     IntervalDirichlet,
+    ModelSurface,
     RectangleDirichlet,
     RoundSphere,
     parse_surface,
@@ -141,13 +144,17 @@ def test_spectral_gap():
 
 
 def test_validation():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             IntervalDirichlet(bad)
         with pytest.raises(ValueError):
             RoundSphere(bad)
         with pytest.raises(ValueError):
             RectangleDirichlet(1.0, bad)
+        with pytest.raises(ValueError):
+            FlatTorus(bad, 1.0)
+        with pytest.raises(ValueError):
+            DiskDirichlet(bad)
 
 
 def test_parse_surface():
@@ -156,6 +163,29 @@ def test_parse_surface():
     assert parse_surface("rect:0.5x0.5") == RectangleDirichlet(0.5, 0.5)
     assert parse_surface("interval:1.5") == IntervalDirichlet(1.5)
     assert parse_surface("sphere:1.0") == RoundSphere(1.0)
-    for bad in ("cone:1.0", "disk:", "torus:1.0", "disk:abc"):
+    for bad in ("cone:1.0", "disk:", "torus:1.0", "disk:abc", "disk:nan",
+                "sphere:inf", "torus:1xnan", "interval:inf", "rect:-inf x 1"):
         with pytest.raises(ValueError):
             parse_surface(bad)
+
+
+@given(st.text())
+def test_parse_surface_text_is_a_surface_or_value_error(spec):
+    try:
+        surface = parse_surface(spec)
+    except ValueError:
+        return
+    assert isinstance(surface, ModelSurface)
+
+
+@given(st.sampled_from(["disk", "sphere", "interval", "torus", "rect"]),
+       st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                max_size=2))
+def test_parse_surface_numbers(kind, sizes):
+    spec = kind + ":" + "x".join(repr(x) for x in sizes)
+    two = kind in ("torus", "rect")
+    if len(sizes) == 1 + two and all(math.isfinite(x) and x > 0 for x in sizes):
+        assert isinstance(parse_surface(spec), ModelSurface)
+    else:
+        with pytest.raises(ValueError):
+            parse_surface(spec)
