@@ -49,6 +49,11 @@ class LoopMassQuery:
             )
 
 
+def _require_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _window_exp1(x_lo: float, x_hi: float) -> float:
     """int_{x_lo}^{x_hi} v^-1 e^-v dv, window of the exponential integral."""
     lo = special.exp1(x_lo) if x_lo < 700 else 0.0
@@ -107,8 +112,7 @@ def loop_mass_quadrature(query: LoopMassQuery, panels_per_octave: int = 1) -> fl
         cap = delta + _E1_CUT / rate
 
     def integrand(t):
-        tr = np.array([surface.heat_trace(ti) for ti in np.atleast_1d(t)])
-        return np.exp(-kappa * t) * tr / t
+        return np.exp(-kappa * t) * surface.heat_trace(t) / t
 
     n = 24 * panels_per_octave
     value, _ = _geometric_quadrature(integrand, delta, cap, n=n)
@@ -122,6 +126,7 @@ def theorem_residual_boundary(
     QV > 4 delta; should be O(sqrt(delta))."""
     if surface.is_closed:
         raise ValueError("boundary-case residual needs a surface with boundary")
+    _require_positive("delta", delta)
     hc = surface.heat_coefficients()
     lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta))
     log_det = log_det_zeta(surface, delta_split).log_det
@@ -145,6 +150,8 @@ def theorem_residual_closed(
     (4 delta, 4 C); should be O(delta) + O(e^{-alpha C})."""
     if not surface.is_closed:
         raise ValueError("closed-case residual needs a closed surface")
+    _require_positive("delta", delta)
+    _require_positive("cap_c", cap_c)
     hc = surface.heat_coefficients()
     lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta, 4.0 * cap_c))
     log_det = log_det_zeta(surface, delta_split).log_det
@@ -165,8 +172,8 @@ def decay_residual(
     surface; tends to zero as kappa then delta go to zero."""
     if not surface.is_closed:
         raise ValueError("decay residual needs a closed surface")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _require_positive("delta", delta)
+    _require_positive("kappa", kappa)
     hc = surface.heat_coefficients()
     lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta, math.inf, kappa))
     log_det = log_det_zeta(surface, delta_split).log_det
@@ -182,8 +189,9 @@ def decay_residual(
 def zeta_from_weighted_loops(surface: ModelSurface, s: float) -> float:
     """zeta(s) as the loop mass with each loop weighted by QV^s / (4^s Gamma(s)).
 
-    With QV = 2u for a loop of time-length u this is the Mellin transform of
-    the heat trace, evaluated by quadrature.
+    With QV = 4t for a loop of time-length t (loop_mass maps the QV window
+    (4 delta, 4 C) to the times (delta, C)), the weight is t^s / Gamma(s), and
+    this is the Mellin transform of the heat trace, evaluated by quadrature.
     """
     if surface.is_closed:
         raise ValueError("weighted-loop zeta requires a surface with boundary")

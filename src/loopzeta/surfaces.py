@@ -7,15 +7,26 @@ constants, its spectrum below a cutoff, and how to evaluate tr(e^{-t Lap})
 with a truncation error far below 1e-13.  For the lattice-type surfaces
 (interval, rectangle, torus) the trace switches to dual theta sums at small
 t; the sphere and disk always use eigenvalue sums with adaptive cutoffs.
+
+A surface is a frozen dataclass whose constructor fields are all lengths.  It
+provides `volume`, `euler_char`, `heat_coefficients()`, `_enumerate(cutoff,
+budget)` (unsorted eigenvalues and multiplicities, which `eigen_stream`
+sorts) and `_heat_trace(t)` at one t, which `heat_trace` maps over arrays;
+the disk overrides `heat_trace` instead, so that one enumeration serves a
+whole array.  Optional overrides: `boundary_length`, an exact
+`heat_trace_residual(t)` and a closed-form `zeta_series(s)`; optional class
+constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio`,
+`head_cut_floor`, `mellin_start` and `zeta_series_cutoff`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.integrate import quad
 
 # exponent beyond which dropped terms are < 1e-22 relative
 _TAIL_EXPONENT = 50.0
@@ -61,6 +72,15 @@ class ModelSurface:
 
     #: zero-eigenvalue multiplicity (1 for closed surfaces)
     zero_modes = 0
+    #: False with corners, which violate the Polyakov-Alvarez hypothesis
+    smooth_boundary = True
+    #: head quadrature cut min(delta, max(delta * ratio, floor)); the exact
+    #: lattice residuals decay faster than any power, so it goes almost to 0
+    head_cut_ratio = 2.0**-40
+    head_cut_floor = 0.0
+    mellin_start = 1e-6
+    #: top of the band of cutoffs of the Weyl-band zeta series
+    zeta_series_cutoff = 4.0e7
 
     @property
     def volume(self) -> float:
@@ -68,7 +88,7 @@ class ModelSurface:
 
     @property
     def boundary_length(self) -> float:
-        raise NotImplementedError
+        return 0.0
 
     @property
     def euler_char(self) -> int:
@@ -84,7 +104,7 @@ class ModelSurface:
     def spectral_gap(self) -> float:
         """Smallest nonzero eigenvalue. The search cutoff doubles until it
         reaches one: on small surfaces the gap lies far above the default."""
-        cutoff = self._gap_cutoff()
+        cutoff = 200.0
         while math.isfinite(cutoff):
             lam = self.eigen_stream(cutoff).eigenvalues
             nonzero = lam[lam > 1e-14]
@@ -92,9 +112,6 @@ class ModelSurface:
                 return float(nonzero[0])
             cutoff *= 2.0
         raise ValueError("no nonzero eigenvalue below any finite cutoff")
-
-    def _gap_cutoff(self) -> float:
-        return 200.0
 
     def eigen_stream(self, cutoff: float, budget: int = 5_000_000) -> EigenStream:
         if cutoff <= 0:
@@ -106,13 +123,54 @@ class ModelSurface:
     def _enumerate(self, cutoff: float, budget: int):
         raise NotImplementedError
 
-    def heat_trace(self, t: float) -> float:
-        """tr e^{-t Lap}, including the zero mode on closed surfaces."""
+    def heat_trace(self, t):
+        """tr e^{-t Lap}, including the zero mode on closed surfaces: a float
+        at a scalar t, elementwise at an array of t."""
+        return _elementwise(self._heat_trace, t)
+
+    def _heat_trace(self, t: float) -> float:
         raise NotImplementedError
+
+    def heat_trace_residual(self, t) -> np.ndarray:
+        """r(t) = tr - a/t - b/sqrt(t) - c, elementwise; here the direct
+        difference of the trace and the expansion."""
+        t = np.asarray(t, dtype=float)
+        hc = self.heat_coefficients()
+        return self.heat_trace(t) - hc.a_coef / t - hc.b_coef / np.sqrt(t) - hc.c_coef
+
+    def zeta_series(self, s: float) -> float:
+        """Spectral zeta sum over nonzero eigenvalues, for s > 1.
+
+        Partial sum plus smoothed Weyl tail: the estimator partial(L) +
+        tail(L) is averaged over a band of cutoffs L, which cancels the
+        constant Weyl offset and damps counting oscillations.
+        """
+        hc = self.heat_coefficients()
+        cutoff = self.zeta_series_cutoff
+        stream = self.eigen_stream(cutoff)
+        lam, mult = stream.eigenvalues, stream.multiplicities
+        nz = lam > 1e-14
+        lam, mult = lam[nz], mult[nz]
+        csum = np.cumsum(mult * lam ** (-s))
+        cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
+        idx = np.searchsorted(lam, cuts, side="right")
+        partials = np.where(idx > 0, csum[np.minimum(idx, len(csum)) - 1], 0.0)
+        tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
+            hc.b_coef / math.sqrt(math.pi)
+        ) * cuts ** (0.5 - s) / (s - 0.5)
+        return float(np.mean(partials + tails))
 
     def short_time_prediction(self, t: float) -> float:
         hc = self.heat_coefficients()
         return hc.a_coef / t + hc.b_coef / math.sqrt(t) + hc.c_coef
+
+
+def _elementwise(one, t):
+    """The one-t function `one` at a scalar t, or at each entry of an array."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 0:
+        return one(float(ts))
+    return np.array([one(ti) for ti in ts.ravel().tolist()]).reshape(ts.shape)
 
 
 def _finite_positive(x: float) -> bool:
@@ -148,9 +206,34 @@ def _torus_factor(t: float, period: float) -> float:
     return float(1.0 + 2.0 * np.exp(-4.0 * math.pi**2 * t * m**2 / period**2).sum())
 
 
+def _interval_residual(t: np.ndarray, length: float) -> np.ndarray:
+    """Exact residual of the interval trace (Poisson identity), no cancellation."""
+    out = np.zeros_like(t)
+    k = 1
+    while True:
+        term = length / np.sqrt(math.pi * t) * np.exp(-(length * k) ** 2 / t)
+        out += term
+        if np.all(term < 1e-20):
+            return out
+        k += 1
+
+
+def _torus_theta_tail(t: np.ndarray, period: float) -> np.ndarray:
+    """u(t) with torus factor = period/(2 sqrt(pi t)) (1 + u); u > 0, exp small."""
+    out = np.zeros_like(t)
+    k = 1
+    while True:
+        term = 2.0 * np.exp(-(period * k) ** 2 / (4.0 * t))
+        out += term
+        if np.all(term < 1e-20):
+            return out
+        k += 1
+
+
 @dataclass(frozen=True)
 class IntervalDirichlet(ModelSurface):
     length: float = 1.0
+    smooth_boundary = False
 
     def __post_init__(self):
         if not _finite_positive(self.length):
@@ -159,10 +242,6 @@ class IntervalDirichlet(ModelSurface):
     @property
     def volume(self) -> float:
         return self.length
-
-    @property
-    def boundary_length(self) -> float:
-        return 0.0
 
     @property
     def euler_char(self) -> int:
@@ -179,14 +258,28 @@ class IntervalDirichlet(ModelSurface):
         lam = (n * math.pi / self.length) ** 2
         return lam, np.ones_like(lam)
 
-    def heat_trace(self, t: float) -> float:
+    def _heat_trace(self, t: float) -> float:
         return _interval_trace(t, self.length)
+
+    def heat_trace_residual(self, t) -> np.ndarray:
+        return _interval_residual(np.asarray(t, dtype=float), self.length)
+
+    def zeta_series(self, s: float) -> float:
+        scale = (self.length / math.pi) ** (2 * s)
+        n_max = 4000
+        n = np.arange(1, n_max + 1, dtype=float)
+        partial = float(np.sum(n ** (-2 * s)))
+        # midpoint Euler-Maclaurin tail
+        x = n_max + 0.5
+        tail = x ** (1 - 2 * s) / (2 * s - 1) - (2 * s) * x ** (-2 * s - 1) / 24.0
+        return scale * (partial + tail)
 
 
 @dataclass(frozen=True)
 class RectangleDirichlet(ModelSurface):
     side_a: float = 1.0
     side_b: float = 1.0
+    smooth_boundary = False
 
     def __post_init__(self):
         if not (_finite_positive(self.side_a) and _finite_positive(self.side_b)):
@@ -225,8 +318,16 @@ class RectangleDirichlet(ModelSurface):
         lam = lam[lam <= cutoff]
         return lam, np.ones_like(lam)
 
-    def heat_trace(self, t: float) -> float:
+    def _heat_trace(self, t: float) -> float:
         return _interval_trace(t, self.side_a) * _interval_trace(t, self.side_b)
+
+    def heat_trace_residual(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        r1 = _interval_residual(t, self.side_a)
+        r2 = _interval_residual(t, self.side_b)
+        b1 = self.side_a / (2.0 * math.sqrt(math.pi))
+        b2 = self.side_b / (2.0 * math.sqrt(math.pi))
+        return r1 * (b2 / np.sqrt(t) - 0.5) + r2 * (b1 / np.sqrt(t) - 0.5) + r1 * r2
 
 
 @dataclass(frozen=True)
@@ -242,10 +343,6 @@ class FlatTorus(ModelSurface):
     @property
     def volume(self) -> float:
         return self.side_a * self.side_b
-
-    @property
-    def boundary_length(self) -> float:
-        return 0.0
 
     @property
     def euler_char(self) -> int:
@@ -268,14 +365,23 @@ class FlatTorus(ModelSurface):
         lam = lam[lam <= cutoff]
         return lam, np.ones_like(lam)
 
-    def heat_trace(self, t: float) -> float:
+    def _heat_trace(self, t: float) -> float:
         return _torus_factor(t, self.side_a) * _torus_factor(t, self.side_b)
+
+    def heat_trace_residual(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        ua = _torus_theta_tail(t, self.side_a)
+        ub = _torus_theta_tail(t, self.side_b)
+        lead = self.side_a * self.side_b / (4.0 * math.pi * t)
+        return lead * (ua + ub + ua * ub)
 
 
 @dataclass(frozen=True)
 class RoundSphere(ModelSurface):
     radius: float = 1.0
     zero_modes = 1
+    head_cut_ratio = 2.0**-16
+    head_cut_floor = 1e-7
 
     def __post_init__(self):
         if not _finite_positive(self.radius):
@@ -284,10 +390,6 @@ class RoundSphere(ModelSurface):
     @property
     def volume(self) -> float:
         return 4.0 * math.pi * self.radius**2
-
-    @property
-    def boundary_length(self) -> float:
-        return 0.0
 
     @property
     def euler_char(self) -> int:
@@ -304,11 +406,30 @@ class RoundSphere(ModelSurface):
         ell = np.arange(0, ell_max + 1, dtype=float)
         return ell * (ell + 1) / self.radius**2, 2.0 * ell + 1.0
 
-    def heat_trace(self, t: float) -> float:
+    def _heat_trace(self, t: float) -> float:
         r2 = self.radius**2
         ell_max = int(math.ceil(math.sqrt(_TAIL_EXPONENT * r2 / t))) + 2
         ell = np.arange(0, ell_max + 1, dtype=float)
         return float(((2 * ell + 1) * np.exp(-t * ell * (ell + 1) / r2)).sum())
+
+    def zeta_series(self, s: float) -> float:
+        r2 = self.radius**2
+        ell_max = 4000
+        ell = np.arange(1, ell_max + 1, dtype=float)
+        lam = ell * (ell + 1) / r2
+        partial = float(np.sum((2 * ell + 1) * lam ** (-s)))
+        # Euler-Maclaurin in x = ell + 1/2: f(x) = 2x ((x^2 - 1/4)/r^2)^{-s}
+        def f(x):
+            return 2.0 * x * ((x * x - 0.25) / r2) ** (-s)
+
+        def fp(x):
+            lam_x = (x * x - 0.25) / r2
+            return 2.0 * lam_x ** (-s) + 2.0 * x * (-s) * lam_x ** (-s - 1) * 2 * x / r2
+
+        x0 = ell_max + 1.5  # first omitted x
+        integral, _ = quad(f, x0 - 0.5, np.inf)
+        tail = integral + fp(x0 - 0.5) / 24.0
+        return partial + tail
 
 
 class _BesselZeroCache:
@@ -351,7 +472,10 @@ _BESSEL_CACHE = _BesselZeroCache()
 @dataclass(frozen=True)
 class DiskDirichlet(ModelSurface):
     radius: float = 1.0
-    _trace_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    head_cut_ratio = 2.0**-8
+    head_cut_floor = 1e-4
+    mellin_start = 1e-4
+    zeta_series_cutoff = 2.0e6
 
     def __post_init__(self):
         if not _finite_positive(self.radius):
@@ -385,20 +509,15 @@ class DiskDirichlet(ModelSurface):
         mult = np.where(_BESSEL_CACHE.orders[sel] == 0, 1.0, 2.0)
         return lam, mult
 
-    def _spectrum_for_t(self, t: float, budget: int = 5_000_000):
-        cutoff = _TAIL_EXPONENT / t
-        key = self._trace_cache.get("cutoff", 0.0)
-        if cutoff > key:
-            lam, mult = self._enumerate(cutoff, budget)
-            self._trace_cache["cutoff"] = cutoff
-            self._trace_cache["lam"] = lam
-            self._trace_cache["mult"] = mult
-        return self._trace_cache["lam"], self._trace_cache["mult"]
+    def heat_trace(self, t):
+        # one enumeration, at the cutoff of the smallest t, serves every t
+        lam, mult = self._enumerate(_TAIL_EXPONENT / np.min(t), 5_000_000)
 
-    def heat_trace(self, t: float) -> float:
-        lam, mult = self._spectrum_for_t(t)
-        sel = lam * t < _TAIL_EXPONENT
-        return float((mult[sel] * np.exp(-t * lam[sel])).sum())
+        def one(ti):
+            sel = lam * ti < _TAIL_EXPONENT
+            return float((mult[sel] * np.exp(-ti * lam[sel])).sum())
+
+        return _elementwise(one, t)
 
 
 def parse_surface(spec: str) -> ModelSurface:

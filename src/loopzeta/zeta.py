@@ -11,19 +11,12 @@ independent of the split point, which the report's error estimate certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import special
 
-from .surfaces import (
-    DiskDirichlet,
-    FlatTorus,
-    IntervalDirichlet,
-    ModelSurface,
-    RectangleDirichlet,
-    RoundSphere,
-)
+from .surfaces import ModelSurface
 
 # Euler-Mascheroni constant, 20 digits
 EULER_GAMMA = 0.57721566490153286061
@@ -48,51 +41,10 @@ class ZetaDetReport:
 # heat-trace residual r(t) = tr(e^{-t Lap}) - a/t - b/sqrt(t) - c
 # ---------------------------------------------------------------------------
 
-def _interval_residual(t: np.ndarray, length: float) -> np.ndarray:
-    """Exact residual of the interval trace (Poisson identity), no cancellation."""
-    out = np.zeros_like(t)
-    k = 1
-    while True:
-        term = length / np.sqrt(math.pi * t) * np.exp(-(length * k) ** 2 / t)
-        out += term
-        if np.all(term < 1e-20):
-            return out
-        k += 1
-
-
-def _torus_theta_tail(t: np.ndarray, period: float) -> np.ndarray:
-    """u(t) with torus factor = period/(2 sqrt(pi t)) (1 + u); u > 0, exp small."""
-    out = np.zeros_like(t)
-    k = 1
-    while True:
-        term = 2.0 * np.exp(-(period * k) ** 2 / (4.0 * t))
-        out += term
-        if np.all(term < 1e-20):
-            return out
-        k += 1
-
-
 def heat_trace_residual(surface: ModelSurface, t: np.ndarray) -> np.ndarray:
     """r(t) = tr - a/t - b/sqrt(t) - c, computed without catastrophic cancellation
     for the lattice-type surfaces (where the Poisson identities are exact)."""
-    t = np.asarray(t, dtype=float)
-    hc = surface.heat_coefficients()
-    if isinstance(surface, IntervalDirichlet):
-        return _interval_residual(t, surface.length)
-    if isinstance(surface, RectangleDirichlet):
-        r1 = _interval_residual(t, surface.side_a)
-        r2 = _interval_residual(t, surface.side_b)
-        b1 = surface.side_a / (2.0 * math.sqrt(math.pi))
-        b2 = surface.side_b / (2.0 * math.sqrt(math.pi))
-        return r1 * (b2 / np.sqrt(t) - 0.5) + r2 * (b1 / np.sqrt(t) - 0.5) + r1 * r2
-    if isinstance(surface, FlatTorus):
-        ua = _torus_theta_tail(t, surface.side_a)
-        ub = _torus_theta_tail(t, surface.side_b)
-        lead = surface.side_a * surface.side_b / (4.0 * math.pi * t)
-        return lead * (ua + ub + ua * ub)
-    # sphere / disk: direct difference of the eigen-sum and the expansion
-    vals = np.array([surface.heat_trace(ti) for ti in np.atleast_1d(t)])
-    return vals - hc.a_coef / t - hc.b_coef / np.sqrt(t) - hc.c_coef
+    return surface.heat_trace_residual(t)
 
 
 # ---------------------------------------------------------------------------
@@ -128,37 +80,21 @@ def _geometric_quadrature(f, lo: float, hi: float, n: int = 24):
     return total_fine, abs(total_fine - total)
 
 
-def _head_fit_powers(surface: ModelSurface):
-    # leading powers of r(t) as t -> 0: sqrt(t) with boundary, t when closed
-    if surface.boundary_length > 0 or isinstance(surface, IntervalDirichlet):
-        return (0.5, 1.0, 1.5)
-    return (1.0, 2.0, 3.0)
-
-
-def _head_cut(surface: ModelSurface, delta: float) -> float:
-    if isinstance(surface, DiskDirichlet):
-        return min(delta, max(delta / 256.0, 1e-4))
-    if isinstance(surface, RoundSphere):
-        return min(delta, max(delta / 65536.0, 1e-7))
-    # lattice surfaces: residual is exactly computable and decays faster than
-    # any power, so the cut can go essentially to zero
-    return min(delta, delta * 2.0**-40)
-
-
 def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
     """int_0^delta t^{s-1} r(t) dt with r the subtracted trace residual.
 
     Returns (value, error_estimate).  Below a surface-dependent cut the residual
     is extrapolated by a fitted leading-power expansion.
     """
-    t_lo = _head_cut(surface, delta)
+    t_lo = min(delta, max(delta * surface.head_cut_ratio, surface.head_cut_floor))
 
     def integrand(t):
         return t ** (s - 1.0) * heat_trace_residual(surface, t)
 
     body, body_err = _geometric_quadrature(integrand, t_lo, delta)
-    # stub below t_lo via power fit of the residual
-    powers = _head_fit_powers(surface)
+    # stub below t_lo via a fit of the residual's leading powers as t -> 0:
+    # sqrt(t) with boundary, t when closed
+    powers = (1.0, 2.0, 3.0) if surface.is_closed else (0.5, 1.0, 1.5)
     t_fit = np.geomspace(t_lo, min(4.0 * t_lo, delta), 8)
     r_fit = heat_trace_residual(surface, t_fit)
     design = np.vstack([t_fit**p for p in powers]).T
@@ -180,55 +116,7 @@ def zeta(surface: ModelSurface, s: float) -> float:
     """Spectral zeta sum over nonzero eigenvalues, for s in the series region."""
     if s <= 1.0 + 1e-3:
         raise ValueError("outside series domain; use log_det path")
-    hc = surface.heat_coefficients()
-
-    if isinstance(surface, IntervalDirichlet):
-        scale = (surface.length / math.pi) ** (2 * s)
-        n_max = 4000
-        n = np.arange(1, n_max + 1, dtype=float)
-        partial = float(np.sum(n ** (-2 * s)))
-        # midpoint Euler-Maclaurin tail
-        x = n_max + 0.5
-        tail = x ** (1 - 2 * s) / (2 * s - 1) - (2 * s) * x ** (-2 * s - 1) / 24.0
-        return scale * (partial + tail)
-
-    if isinstance(surface, RoundSphere):
-        r2 = surface.radius**2
-        ell_max = 4000
-        ell = np.arange(1, ell_max + 1, dtype=float)
-        lam = ell * (ell + 1) / r2
-        partial = float(np.sum((2 * ell + 1) * lam ** (-s)))
-        # Euler-Maclaurin in x = ell + 1/2: f(x) = 2x ((x^2 - 1/4)/r^2)^{-s}
-        def f(x):
-            return 2.0 * x * ((x * x - 0.25) / r2) ** (-s)
-
-        def fp(x):
-            lam_x = (x * x - 0.25) / r2
-            return 2.0 * lam_x ** (-s) + 2.0 * x * (-s) * lam_x ** (-s - 1) * 2 * x / r2
-
-        x0 = ell_max + 1.5  # first omitted x
-        from scipy.integrate import quad
-
-        integral, _ = quad(f, x0 - 0.5, np.inf)
-        tail = integral + fp(x0 - 0.5) / 24.0
-        return partial + tail
-
-    # 2-D lattice surfaces and the disk: partial sum + smoothed Weyl tail.
-    # The estimator partial(L) + tail(L) is averaged over a band of cutoffs L,
-    # which cancels the constant Weyl offset and damps counting oscillations.
-    cutoff = 4.0e7 if not isinstance(surface, DiskDirichlet) else 2.0e6
-    stream = surface.eigen_stream(cutoff)
-    lam, mult = stream.eigenvalues, stream.multiplicities
-    nz = lam > 1e-14
-    lam, mult = lam[nz], mult[nz]
-    csum = np.cumsum(mult * lam ** (-s))
-    cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
-    idx = np.searchsorted(lam, cuts, side="right")
-    partials = np.where(idx > 0, csum[np.minimum(idx, len(csum)) - 1], 0.0)
-    tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
-        hc.b_coef / math.sqrt(math.pi)
-    ) * cuts ** (0.5 - s) / (s - 0.5)
-    return float(np.mean(partials + tails))
+    return surface.zeta_series(s)
 
 
 def mellin_zeta(surface: ModelSurface, s: float) -> float:
@@ -237,7 +125,7 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
         raise ValueError("outside series domain; use log_det path")
     hc = surface.heat_coefficients()
     n = surface.zero_modes
-    t0 = 1e-4 if isinstance(surface, DiskDirichlet) else 1e-6
+    t0 = surface.mellin_start
     # analytic contribution of a/t + b/sqrt(t) + (c - n) on (0, t0]
     head = (
         hc.a_coef * t0 ** (s - 1) / (s - 1)
@@ -250,8 +138,7 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     t_max = _E1_CUT / gap
 
     def integrand(t):
-        vals = np.array([surface.heat_trace(ti) for ti in np.atleast_1d(t)])
-        return t ** (s - 1.0) * (vals - n)
+        return t ** (s - 1.0) * (surface.heat_trace(t) - n)
 
     body, _ = _geometric_quadrature(integrand, t0, t_max)
     return (head + head_resid + body) / special.gamma(s)
@@ -277,13 +164,9 @@ def zeta_continued(surface: ModelSurface, s: float, delta: float = 0.05) -> floa
     )
 
 
-def zeta_at_zero(surface: ModelSurface, richardson_check: bool = False):
+def zeta_at_zero(surface: ModelSurface) -> float:
     """zeta(0) = c_coef - n (constant heat coefficient minus zero modes)."""
-    hc = surface.heat_coefficients()
-    value = hc.c_coef - surface.zero_modes
-    if not richardson_check:
-        return value
-    return value, richardson_zeta_at_zero(surface)
+    return surface.heat_coefficients().c_coef - surface.zero_modes
 
 
 def richardson_zeta_at_zero(surface: ModelSurface, s0: float = 0.1, levels: int = 5):
@@ -352,7 +235,7 @@ def polyakov_alvarez(
     written out, the closed case reads log_det_g0 - sigma chi / 3 + 2 sigma and
     the smooth-boundary case log_det_g0 - sigma chi / 3.
     """
-    if isinstance(surface_g0, (RectangleDirichlet, IntervalDirichlet)):
+    if not surface_g0.smooth_boundary:
         raise ValueError("corners violate smooth-boundary hypothesis (disk only)")
     return log_det_g0 - 2.0 * sigma_const * zeta_at_zero(surface_g0)
 
@@ -360,14 +243,5 @@ def polyakov_alvarez(
 def scaled_surface(surface: ModelSurface, sigma_const: float) -> ModelSurface:
     """The surface with all lengths multiplied by e^sigma."""
     f = math.exp(sigma_const)
-    if isinstance(surface, IntervalDirichlet):
-        return IntervalDirichlet(f * surface.length)
-    if isinstance(surface, RectangleDirichlet):
-        return RectangleDirichlet(f * surface.side_a, f * surface.side_b)
-    if isinstance(surface, FlatTorus):
-        return FlatTorus(f * surface.side_a, f * surface.side_b)
-    if isinstance(surface, RoundSphere):
-        return RoundSphere(f * surface.radius)
-    if isinstance(surface, DiskDirichlet):
-        return DiskDirichlet(f * surface.radius)
-    raise TypeError(f"unknown surface {surface!r}")
+    return replace(surface, **{fd.name: f * getattr(surface, fd.name)
+                               for fd in fields(surface)})

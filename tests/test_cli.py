@@ -176,6 +176,8 @@ def test_enumeration_budget_is_a_clean_error(capsys):
     ["subdivide", "--size", "16", "--epsilon", "inf"],
     ["subdivide", "--size", "16", "--charge", "nan"],
     ["reweight-test", "--size", "16", "--charge", "nan", "--samples", "1000"],
+    ["verify-theorem", "--case", "closed", "--surface", "torus:1x1",
+     "--deltas", "nan,0.02"],
 ])
 def test_non_finite_inputs_exit_one(tmp_path, capsys, argv):
     out = tmp_path / "out"

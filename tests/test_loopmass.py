@@ -110,6 +110,20 @@ def test_residual_case_guards():
         decay_residual(FlatTorus(1.0, 1.0), 0.01, 0.0)
 
 
+def test_residual_delta_guards():
+    rect, torus = RectangleDirichlet(1.0, 1.0), FlatTorus(1.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -0.01):
+        with pytest.raises(ValueError, match="delta"):
+            theorem_residual_boundary(rect, bad)
+        with pytest.raises(ValueError, match="delta"):
+            theorem_residual_closed(torus, bad, 50.0)
+        with pytest.raises(ValueError, match="delta"):
+            decay_residual(torus, bad, 0.1)
+    for bad in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="cap_c"):
+            theorem_residual_closed(torus, 0.02, bad)
+
+
 def test_decay_residual_linear_in_kappa():
     surf = FlatTorus(1.0, 1.0)
     r3 = decay_residual(surf, 0.01, 1e-3)

@@ -106,6 +106,9 @@ def test_det_weight_and_report():
     assert report.log_weight == pytest.approx(-12.5 / 12.0 * 2.0)
     with pytest.raises(ValueError):
         reweight.weight_report(0.0, 26.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            reweight.weight_report(0.0, bad, 1.0)
     with pytest.raises(ValueError):
         reweight.WeightReport(c=0.0, c_prime=-12.5, c_new=-12.5,
                               Q_new=1.0, log_weight=0.0)
@@ -122,6 +125,9 @@ def test_density_ratio_constant_value():
         assert val == pytest.approx(dim * math.log(q / q_new), abs=1e-11)
     with pytest.raises(ValueError):
         reweight.density_ratio_check(0.0, 26.0, np.ones(3))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            reweight.density_ratio_check(0.0, bad, np.ones(3))
 
 
 def test_pooled_chi_square_basics():

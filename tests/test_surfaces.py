@@ -92,6 +92,19 @@ def test_theta_crossover_continuity():
             assert surface.heat_trace(t) == pytest.approx(brute, abs=1e-12)
 
 
+@pytest.mark.parametrize("surface", ALL, ids=lambda s: type(s).__name__)
+def test_heat_trace_array_equals_scalar_calls(surface):
+    # both sides of each theta crossover 0.05 L^2 (L = 1, 1.5, 2) and of the
+    # disk's head cut 1e-4
+    ts = np.array([9e-5, 1.1e-4, 0.049, 0.051, 0.11, 0.115, 0.19, 0.21, 0.5])
+    scalar = [surface.heat_trace(float(t)) for t in ts]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(surface.heat_trace(ts), scalar)
+    grid = surface.heat_trace(ts[::-1].reshape(3, 3))
+    assert grid.shape == (3, 3)
+    assert np.array_equal(grid.ravel(), scalar[::-1])
+
+
 def test_interval_spectrum_exact():
     stream = IntervalDirichlet(2.0).eigen_stream(100.0)
     n = np.arange(1, len(stream.eigenvalues) + 1)

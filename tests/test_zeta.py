@@ -138,6 +138,12 @@ def test_scaled_surface():
     assert s == RectangleDirichlet(2.0, 4.0)
     assert scaled_surface(DiskDirichlet(1.0), 0.0) == DiskDirichlet(1.0)
     assert scaled_surface(RoundSphere(1.0), 1.0).radius == pytest.approx(math.e)
+    for surface, power in ((FlatTorus(1.0, 2.0), 2), (IntervalDirichlet(1.5), 1),
+                           (DiskDirichlet(0.8), 2), (RoundSphere(2.0), 2)):
+        scaled = scaled_surface(surface, 0.3)
+        assert type(scaled) is type(surface)
+        assert scaled.volume == pytest.approx(math.exp(0.3 * power) * surface.volume,
+                                              rel=1e-14)
 
 
 def test_euler_gamma_constant():
