@@ -10,9 +10,19 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _integer(x) -> int:
+    """A vertex id or count: any integer type; a float, even an integral
+    one, is refused rather than truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError("vertex ids and counts must be integers, got %r" % (x,)) from None
 
 
 @dataclass(frozen=True)
@@ -27,20 +37,21 @@ class Graph:
     boundary: frozenset = frozenset()
 
     def __init__(self, vertex_count, edges, boundary=()):
+        vertex_count = _integer(vertex_count)
         if vertex_count <= 0:
             raise ValueError("vertex_count must be positive")
         norm = []
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = _integer(u), _integer(v)
             if u == v:
                 raise ValueError("self-loops are not allowed")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError("edge endpoint out of range")
             norm.append((min(u, v), max(u, v)))
-        bset = frozenset(int(b) for b in boundary)
+        bset = frozenset(_integer(b) for b in boundary)
         if any(not 0 <= b < vertex_count for b in bset):
             raise ValueError("boundary vertex out of range")
-        object.__setattr__(self, "vertex_count", int(vertex_count))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "boundary", bset)
 

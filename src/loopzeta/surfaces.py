@@ -21,17 +21,24 @@ constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio`,
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
+log = logging.getLogger("loopzeta")
+
 # exponent beyond which dropped terms are < 1e-22 relative
 _TAIL_EXPONENT = 50.0
 # crossover between eigen-sum and theta-dual evaluation for lattice surfaces
 _T_CROSSOVER = 0.05
+# hard cap on the Halley steps per Bessel zero; 3 or 4 suffice from the
+# asymptotic guesses
+_BESSEL_MAX_STEPS = 20
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -143,11 +150,19 @@ class ModelSurface:
 
         Partial sum plus smoothed Weyl tail: the estimator partial(L) +
         tail(L) is averaged over a band of cutoffs L, which cancels the
-        constant Weyl offset and damps counting oscillations.
+        constant Weyl offset and damps counting oscillations.  Where the band
+        would need more eigenvalues than the enumeration budget, its top is
+        lowered until they fit: the eigenvalue count, not the cutoff, sets
+        the estimator's accuracy, since scaling a surface scales its spectrum.
         """
         hc = self.heat_coefficients()
         cutoff = self.zeta_series_cutoff
-        stream = self.eigen_stream(cutoff)
+        while True:
+            try:
+                stream = self.eigen_stream(cutoff)
+                break
+            except EnumerationBudgetError as exc:
+                cutoff *= 0.85 * exc.budget / exc.required
         lam, mult = stream.eigenvalues, stream.multiplicities
         nz = lam > 1e-14
         lam, mult = lam[nz], mult[nz]
@@ -432,8 +447,93 @@ class RoundSphere(ModelSurface):
         return partial + tail
 
 
+def _bessel_zero_guess(nu: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Asymptotic j_{nu,k}: McMahon's expansion for nu = 0 or k > 2 nu,
+    otherwise the leading uniform term nu z(zeta) with zeta = nu^(-2/3) a_k,
+    a_k the k-th zero of Ai (DLMF 10.21(vii), 10.21(viii))."""
+    guess = np.empty(nu.size)
+    mcmahon = (nu == 0) | (k > 2 * nu)
+    mu = 4.0 * nu[mcmahon] ** 2
+    b8 = 8.0 * math.pi * (k[mcmahon] + 0.5 * nu[mcmahon] - 0.25)
+    guess[mcmahon] = (
+        b8 / 8.0
+        - (mu - 1) / b8
+        - 4 * (mu - 1) * (7 * mu - 31) / (3 * b8**3)
+        - 32 * (mu - 1) * (83 * mu**2 - 982 * mu + 3779) / (15 * b8**5)
+    )
+    uniform = ~mcmahon
+    if uniform.any():
+        v, ku = nu[uniform], k[uniform]
+        airy = special.ai_zeros(int(ku.max()))[0]
+        w = 2.0 / 3.0 * (-airy[ku - 1] / v ** (2.0 / 3.0)) ** 1.5
+        # z > 1 solves sqrt(z^2 - 1) - arcsec z = w; that side is increasing
+        # and convex, and z = w + pi/2 lies right of the root, so Newton
+        # descends monotonically onto it; each z stops on its own step
+        z = w + math.pi / 2
+        todo = np.arange(z.size)
+        while todo.size:
+            zi = z[todo]
+            root = np.sqrt(zi * zi - 1.0)
+            step = (root - np.arccos(1.0 / zi) - w[todo]) * zi / root
+            z[todo] = zi - step
+            todo = todo[step > 1e-12 * zi]
+        guess[uniform] = v * z
+    return guess
+
+
+def _refine_bessel_zeros(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Halley steps on J_nu until each relative step is <= 1e-14; each zero is
+    iterated on its own, so its value does not depend on the batch."""
+    x = x.copy()
+    todo = np.arange(x.size)
+    for _ in range(_BESSEL_MAX_STEPS):
+        v, xi = nu[todo], x[todo]
+        f = special.jv(v, xi)
+        fp = special.jv(v - 1.0, xi) - v * f / xi
+        # J'' from Bessel's equation
+        fpp = -fp / xi - (1.0 - (v / xi) ** 2) * f
+        step = f / fp / (1.0 - f * fpp / (2.0 * fp * fp))
+        x[todo] = xi - step
+        todo = todo[~(np.abs(step) <= 1e-14 * np.abs(x[todo]))]
+        if todo.size == 0:
+            return x
+    raise RuntimeError(
+        "Bessel zeros: %d zeros not converged after %d Halley steps"
+        % (todo.size, _BESSEL_MAX_STEPS)
+    )
+
+
+def _interlaced(zeros: np.ndarray, orders: np.ndarray) -> bool:
+    """Zeros grouped by order, each order strictly increasing with no gap, and
+    j_{nu,k} < j_{nu+1,k} < j_{nu,k+1} wherever both sides are held."""
+    counts = np.bincount(orders)
+    k = np.arange(zeros.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    grid = np.full((counts.size + 1, counts.max() + 1), np.inf)
+    grid[orders, k] = zeros
+    held = np.isfinite(grid)
+    return bool(
+        np.all((grid[:, :-1] < grid[:, 1:]) | ~held[:, 1:])
+        and np.all((grid[:-1] < grid[1:]) | ~held[:-1])
+        and np.all((grid[1:, :-1] < grid[:-1, 1:]) | ~held[1:, :-1])
+    )
+
+
 class _BesselZeroCache:
-    """Zeros of J_nu shared across disk instances; grown on demand."""
+    """All zeros j_{nu,k} <= j_max of J_nu, nu = 0, 1, ..., shared across disk
+    instances: `zeros` grouped by order and increasing within it, `orders`
+    the matching nu.
+
+    `ensure` grows the cache by the band (old j_max, new j_max] only.  For each
+    order nu < j_max it takes the indices k after those held, up to the
+    uniform count estimate + 3, starts each from its asymptotic value and
+    refines all of them at once by Halley steps on `special.jv`.  The band is
+    certified before it is merged: strictly increasing per order, its lowest
+    zero above the old j_max and its highest above the new one, so that no
+    zero is cut off; the merged cache must interlace across orders.  Any
+    violation raises RuntimeError: a lost zero would shift every disk
+    determinant.  Held zeros are never recomputed, and a zero's value depends
+    only on (nu, k), so a grown cache equals a cold build.
+    """
 
     def __init__(self):
         self.j_max = 0.0
@@ -443,27 +543,47 @@ class _BesselZeroCache:
     def ensure(self, j_max: float, budget: int):
         if j_max <= self.j_max:
             return
+        start = time.perf_counter()
         j_max = max(j_max * 1.05, 25.0)
         est = int(j_max * j_max / 8.0) + 100
         if est > budget:
             raise EnumerationBudgetError(est, budget)
-        zeros, orders = [], []
-        nu = 0
-        while nu < j_max:
-            # zeros of J_nu below J number ~ (sqrt(J^2-nu^2) - nu arccos(nu/J))/pi
-            x = min(nu / j_max, 1.0)
-            uniform = (j_max * math.sqrt(1 - x * x) - nu * math.acos(x)) / math.pi
-            nt = max(1, int(uniform) + 3)
-            z = special.jn_zeros(nu, nt)
-            z = z[z <= j_max]
-            if z.size == 0 and nu > 0:
-                break
-            zeros.append(z)
-            orders.append(np.full(z.size, nu))
-            nu += 1
-        self.zeros = np.concatenate(zeros)
-        self.orders = np.concatenate(orders)
-        self.j_max = j_max
+        nu = np.arange(math.ceil(j_max))
+        held = np.bincount(self.orders, minlength=nu.size)
+        # zeros of J_nu below J number ~ (sqrt(J^2-nu^2) - nu arccos(nu/J))/pi
+        x = nu / j_max
+        uniform = (j_max * np.sqrt(1 - x * x) - nu * np.arccos(x)) / math.pi
+        count = np.maximum(uniform.astype(int) + 3, held + 1) - held
+        first = np.cumsum(count) - count
+        band_nu = np.repeat(nu, count)
+        band_k = held[band_nu] + 1 + np.arange(band_nu.size) - np.repeat(first, count)
+        band = _refine_bessel_zeros(
+            band_nu.astype(float), _bessel_zero_guess(band_nu, band_k)
+        )
+        same_order = band_nu[1:] == band_nu[:-1]
+        if not (
+            np.all(np.diff(band)[same_order] > 0)
+            and np.all(band[first] > self.j_max)
+            and np.all(band[first + count - 1] > j_max)
+        ):
+            raise RuntimeError(
+                "Bessel zeros: the band up to j_max = %g is not certified" % j_max
+            )
+        keep = band <= j_max
+        orders = np.concatenate([self.orders, band_nu[keep]])
+        merge = np.argsort(orders, kind="stable")
+        zeros = np.concatenate([self.zeros, band[keep]])[merge]
+        orders = orders[merge]
+        if not _interlaced(zeros, orders):
+            raise RuntimeError(
+                "Bessel zeros up to j_max = %g do not interlace" % j_max
+            )
+        log.debug(
+            "Bessel zero cache: j_max %.6g -> %.6g, %d zeros added, %d held, %.3f s",
+            self.j_max, j_max, zeros.size - self.zeros.size, zeros.size,
+            time.perf_counter() - start,
+        )
+        self.zeros, self.orders, self.j_max = zeros, orders, j_max
 
 
 _BESSEL_CACHE = _BesselZeroCache()

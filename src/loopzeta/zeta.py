@@ -145,9 +145,18 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
 
 
 def zeta_continued(surface: ModelSurface, s: float, delta: float = 0.05) -> float:
-    """The analytically continued zeta, valid in particular for 0 < s < 1."""
+    """The analytically continued zeta, valid in particular for 0 < s < 1.
+
+    Its poles are s = 1 when a != 0 and s = 1/2 when b != 0, where it raises
+    ValueError; a term whose coefficient is 0 is skipped, since at its pole
+    it would read 0/0.
+    """
     hc = surface.heat_coefficients()
     n = surface.zero_modes
+    poles = ((hc.a_coef, 1.0), (hc.b_coef, 0.5))
+    for coef, pole in poles:
+        if coef != 0 and s == pole:
+            raise ValueError("zeta has a pole at s = %g" % pole)
     stream = surface.eigen_stream(_E1_CUT / delta)
     lam, mult = stream.eigenvalues, stream.multiplicities
     nz = lam > 1e-14
@@ -155,13 +164,11 @@ def zeta_continued(surface: ModelSurface, s: float, delta: float = 0.05) -> floa
     tail_sum = float(np.sum(mult * lam ** (-s) * special.gammaincc(s, lam * delta)))
     head_resid, _ = head_integral(surface, delta, s=s)
     g = special.gamma(s)
-    return (
-        tail_sum
-        + head_resid / g
-        + hc.a_coef * delta ** (s - 1) / ((s - 1) * g)
-        + hc.b_coef * delta ** (s - 0.5) / ((s - 0.5) * g)
-        + (hc.c_coef - n) * delta**s / special.gamma(s + 1)
-    )
+    value = tail_sum + head_resid / g
+    for coef, pole in poles:
+        if coef != 0:
+            value += coef * delta ** (s - pole) / ((s - pole) * g)
+    return value + (hc.c_coef - n) * delta**s / special.gamma(s + 1)
 
 
 def zeta_at_zero(surface: ModelSurface) -> float:

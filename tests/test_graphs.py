@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopzeta import graphs
 from loopzeta.graphs import Graph
@@ -25,6 +27,16 @@ def test_graph_validation():
         Graph(2, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 1)], [7])
+
+
+def test_graph_vertex_ids_are_integers():
+    # a float, integral or not, is refused rather than truncated, and an
+    # infinite one is a ValueError, not an OverflowError
+    for args in ((3, [(0, 1.5)]), (3, [(0, math.inf)]), (3, [(0, 1)], [math.nan]),
+                 (3.0, [(0, 1)]), (3, [(0, 2.0)]), (None, [])):
+        with pytest.raises(ValueError, match="integer"):
+            Graph(*args)
+    assert Graph(np.int64(3), [(np.int64(0), 1)], [np.int32(2)]).edges == ((0, 1),)
 
 
 def test_multi_edges_add_to_degrees():
@@ -269,6 +281,42 @@ def test_edge_list_round_trip():
     assert g2.boundary == g.boundary
     with pytest.raises(ValueError, match="bad edge line"):
         graphs.read_edge_list("0 1 2\n")
+
+
+_VERTEX = st.integers(-3, 40)
+_EDGE_LINE = st.builds("{} {}".format, _VERTEX, _VERTEX)
+_BOUNDARY_LINE = st.lists(_VERTEX, max_size=4).map(
+    lambda vs: "# boundary: " + " ".join(map(str, vs)))
+
+
+@given(st.lists(st.one_of(_EDGE_LINE, _BOUNDARY_LINE, st.text(max_size=12)),
+                max_size=12).map("\n".join))
+def test_read_edge_list_parses_or_raises_value_error(text):
+    try:
+        g = graphs.read_edge_list(text)
+    except ValueError:
+        return
+    assert graphs.read_edge_list(graphs.write_edge_list(g)).edges == g.edges
+
+
+_ANY_VERTEX = st.one_of(_VERTEX, st.integers(), st.floats())
+
+
+@given(st.one_of(st.integers(-2, 30), st.floats(-2, 30)),
+       st.lists(st.tuples(_ANY_VERTEX, _ANY_VERTEX), max_size=20),
+       st.lists(_ANY_VERTEX, max_size=6))
+def test_graph_builds_or_raises_value_error(n, edges, boundary):
+    try:
+        g = Graph(n, edges, boundary)
+    except ValueError:
+        ids = [n, *boundary] + [x for e in edges for x in e]
+        assert (any(isinstance(x, float) for x in ids) or n <= 0
+                or any(u == v or not (0 <= u < n and 0 <= v < n) for u, v in edges)
+                or any(not 0 <= b < n for b in boundary))
+        return
+    assert g.edges == tuple((min(u, v), max(u, v)) for u, v in edges)
+    assert g.boundary == frozenset(boundary)
+    assert int(g.degrees.sum()) == 2 * len(edges)
 
 
 def test_grid_graph_shape():

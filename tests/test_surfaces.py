@@ -1,10 +1,13 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
+from loopzeta import surfaces
 from loopzeta.surfaces import (
     DiskDirichlet,
     EnumerationBudgetError,
@@ -202,3 +205,117 @@ def test_parse_surface_numbers(kind, sizes):
     else:
         with pytest.raises(ValueError):
             parse_surface(spec)
+
+
+def reference_bessel_zeros(j_max):
+    """The former build: one `special.jn_zeros` call per order, each asking
+    for the uniform count estimate + 3 zeros, stopping at the first order
+    with none below j_max."""
+    zeros, orders = [], []
+    nu = 0
+    while nu < j_max:
+        x = min(nu / j_max, 1.0)
+        uniform = (j_max * math.sqrt(1 - x * x) - nu * math.acos(x)) / math.pi
+        z = special.jn_zeros(nu, max(1, int(uniform) + 3))
+        z = z[z <= j_max]
+        if z.size == 0 and nu > 0:
+            break
+        zeros.append(z)
+        orders.append(np.full(z.size, nu))
+        nu += 1
+    return np.concatenate(zeros), np.concatenate(orders)
+
+
+# the cutoffs 50/t that log_det_zeta on the unit disk asks for, from the
+# split t = 0.4 down the head-quadrature octaves to the cut 1e-4
+LADDER = [math.sqrt(50.0 / max(0.4 * 2.0**-i, 1e-4)) for i in range(13)]
+
+
+@pytest.fixture(scope="module")
+def ladder_cache():
+    cache = surfaces._BesselZeroCache()
+    for j in LADDER:
+        cache.ensure(j, 5_000_000)
+    return cache
+
+
+def test_bessel_ladder_equals_cold_build(ladder_cache):
+    cold = surfaces._BesselZeroCache()
+    cold.ensure(LADDER[-1], 5_000_000)
+    assert cold.j_max == ladder_cache.j_max == pytest.approx(742.46, abs=0.01)
+    assert np.array_equal(cold.orders, ladder_cache.orders)
+    assert np.all(cold.zeros == ladder_cache.zeros)
+
+
+def test_bessel_zeros_match_jn_zeros_low_orders(ladder_cache):
+    j_max = ladder_cache.j_max
+    for nu in range(101):
+        mine = ladder_cache.zeros[ladder_cache.orders == nu]
+        ref = special.jn_zeros(nu, mine.size + 1)
+        assert ref[-1] > j_max
+        assert np.allclose(mine, ref[:-1], rtol=1e-12, atol=0)
+
+
+def test_bessel_zeros_match_reference_build():
+    cache = surfaces._BesselZeroCache()
+    cache.ensure(200.0, 5_000_000)
+    ref_zeros, ref_orders = reference_bessel_zeros(cache.j_max)
+    assert np.array_equal(cache.orders, ref_orders)
+    assert np.allclose(cache.zeros, ref_zeros, rtol=1e-12, atol=0)
+
+
+def test_bessel_zeros_interlace(ladder_cache):
+    zeros, orders = ladder_cache.zeros, ladder_cache.orders
+    assert surfaces._interlaced(zeros, orders)
+    # the certificate sees a lost, a duplicated and a misplaced zero
+    i = int(np.flatnonzero(orders == 40)[5])
+    assert not surfaces._interlaced(np.delete(zeros, i), np.delete(orders, i))
+    assert not surfaces._interlaced(np.insert(zeros, i, zeros[i]),
+                                    np.insert(orders, i, orders[i]))
+    moved = zeros.copy()
+    moved[i] = zeros[i + 1]
+    assert not surfaces._interlaced(moved, orders)
+
+
+def test_bessel_build_failures_raise(monkeypatch):
+    guess = surfaces._bessel_zero_guess
+
+    def duplicated(nu, k):
+        out = guess(nu, k)
+        out[(nu == 3) & (k == 2)] = out[(nu == 3) & (k == 1)]
+        return out
+
+    monkeypatch.setattr(surfaces, "_bessel_zero_guess", duplicated)
+    with pytest.raises(RuntimeError, match="not certified"):
+        surfaces._BesselZeroCache().ensure(30.0, 5_000_000)
+    monkeypatch.undo()
+    monkeypatch.setattr(surfaces, "_BESSEL_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="not converged"):
+        surfaces._BesselZeroCache().ensure(30.0, 5_000_000)
+
+
+def test_bessel_budget_threshold():
+    # budget estimate int(J^2 / 8) + 100 at J = 1.05 j_max, as before
+    j_max = 100.0
+    required = int((1.05 * j_max) ** 2 / 8.0) + 100
+    cache = surfaces._BesselZeroCache()
+    with pytest.raises(EnumerationBudgetError) as info:
+        cache.ensure(j_max, required - 1)
+    assert info.value.required == required
+    assert cache.zeros.size == 0 and cache.j_max == 0.0
+    cache.ensure(j_max, required)
+    assert cache.j_max == 1.05 * j_max
+
+
+def test_bessel_growth_is_logged(caplog):
+    cache = surfaces._BesselZeroCache()
+    with caplog.at_level(logging.DEBUG, logger="loopzeta"):
+        cache.ensure(30.0, 5_000_000)
+        cache.ensure(30.0, 5_000_000)
+        cache.ensure(60.0, 5_000_000)
+    lines = [r.getMessage() for r in caplog.records if r.name == "loopzeta"]
+    assert len(lines) == 2
+    assert lines[0].startswith("Bessel zero cache: j_max 0 -> 31.5, ")
+    held = cache.zeros.size
+    assert lines[1].endswith(" s")
+    assert "%d held" % held in lines[1]

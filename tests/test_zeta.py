@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -149,3 +150,52 @@ def test_scaled_surface():
 def test_euler_gamma_constant():
     # gamma = -Gamma'(1); cross-check against a digit-frozen literal
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
+
+
+@pytest.mark.parametrize("surface", [FlatTorus(1.0, 1.0), RoundSphere(1.0)],
+                         ids=lambda s: type(s).__name__)
+def test_zeta_continued_at_one_half_on_closed_surfaces(surface):
+    # b = 0, so s = 1/2 is no pole: the b-term must be skipped, not 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mid = zeta_continued(surface, 0.5)
+    below = zeta_continued(surface, 0.4999)
+    above = zeta_continued(surface, 0.5001)
+    assert math.isfinite(mid)
+    assert min(below, above) <= mid <= max(below, above)
+
+
+def test_zeta_continued_torus_near_one_half():
+    assert zeta_continued(FlatTorus(1.0, 1.0), 0.4999) == pytest.approx(
+        -0.62078, abs=1e-5)
+
+
+def test_zeta_continued_raises_at_poles():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for surface in (FlatTorus(1.0, 1.0), RoundSphere(1.0), DiskDirichlet(1.0),
+                        RectangleDirichlet(1.0, 1.0)):
+            with pytest.raises(ValueError, match="pole"):
+                zeta_continued(surface, 1.0)
+        for surface in (RectangleDirichlet(1.0, 1.0), IntervalDirichlet(1.0),
+                        DiskDirichlet(1.0)):
+            with pytest.raises(ValueError, match="pole"):
+                zeta_continued(surface, 0.5)
+
+
+def test_zeta_continued_interval_at_one():
+    # a = 0 on the interval, so s = 1 is no pole: zeta(1) = sum (L/(n pi))^2
+    # = L^2 / 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta_continued(IntervalDirichlet(1.0), 1.0) == pytest.approx(
+            1.0 / 6.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("surface", [FlatTorus(1.2, 1.2), RectangleDirichlet(1.2, 1.2)],
+                         ids=lambda s: type(s).__name__)
+def test_zeta_series_within_budget(surface):
+    # the fixed top cutoff 4e7 would need ~5.8 M eigenvalues here, above the
+    # enumeration budget of 5 M
+    for s in (2.0, 3.0):
+        assert zeta(surface, s) == pytest.approx(mellin_zeta(surface, s), abs=1e-8)
