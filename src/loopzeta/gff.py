@@ -27,6 +27,12 @@ def _check_size(size: int) -> int:
     return k
 
 
+def _check_finite(values: np.ndarray) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ValueError("field has %d non-finite values" % bad)
+
+
 def _mode_eigenvalues(n: int) -> np.ndarray:
     """Eigenvalues 4 sin^2(pi m / 2n), m = 1..n-1, of the Dirichlet second
     difference on the n-1 interior sites of n cells. The five-point
@@ -57,23 +63,34 @@ class GridField:
         return full
 
 
+def _row_blocks(rows: int, size: int):
+    """Slices of about 2^15 elements (256 KB of floats) over `rows` rows of a
+    grid of this size: large enough that each block is a few array calls,
+    small enough that a 4096^2 field's peak memory is that of its arrays."""
+    step = max(1, (1 << 15) // (size + 1))
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 def _build(size: int, seed: int, values: np.ndarray) -> GridField:
     # cell values = mean of the four corner sites, so square averages of
-    # cells and squares of sites agree up to the same quadrature choice;
-    # assembled row-by-row to keep peak memory at one extra grid-sized array
+    # cells and squares of sites agree up to the same quadrature choice.
+    # One row block at a time, the cells are summed from a zero-bordered
+    # copy of the block's site rows straight into their prefix rows and
+    # summed along each row there, so the peak is values + prefix + one
+    # block; then each row's sums are carried down the columns.
     prefix = np.zeros((size + 1, size + 1))
-    prev_sites = np.zeros(size + 1)
-    row_sites = np.zeros(size + 1)
-    for r in range(size):
-        if r < size - 1:
-            row_sites[1:-1] = values[r]
-        else:
-            row_sites[:] = 0.0
-        cells = 0.25 * (prev_sites[:-1] + prev_sites[1:]
-                        + row_sites[:-1] + row_sites[1:])
-        np.cumsum(cells, out=prefix[r + 1, 1:])
-        prefix[r + 1, 1:] += prefix[r, 1:]
-        prev_sites, row_sites = row_sites, prev_sites
+    for rows in _row_blocks(size, size):
+        sites = np.zeros((rows.stop - rows.start + 1, size + 1))
+        lo, hi = max(rows.start, 1), min(rows.stop, size - 1)
+        sites[lo - rows.start:hi - rows.start + 1, 1:-1] = values[lo - 1:hi]
+        cells = prefix[rows.start + 1:rows.stop + 1, 1:]
+        np.add(sites[:-1, :-1], sites[:-1, 1:], out=cells)
+        cells += sites[1:, :-1]
+        cells += sites[1:, 1:]
+        cells *= 0.25
+        np.cumsum(cells, axis=1, out=cells)
+    for r in range(1, size + 1):
+        np.add(prefix[r], prefix[r - 1], out=prefix[r])
     return GridField(size=size, seed=seed, values=values, prefix=prefix)
 
 
@@ -83,8 +100,8 @@ def sample_dgff(size: int, seed: int) -> GridField:
     rng = np.random.Generator(np.random.Philox(seed))
     coeff = rng.standard_normal((size - 1, size - 1))
     lam1 = _mode_eigenvalues(size)
-    for r in range(size - 1):
-        coeff[r] *= np.sqrt(TWO_PI / (lam1[r] + lam1))
+    for rows in _row_blocks(size - 1, size):
+        coeff[rows] *= np.sqrt(TWO_PI / (lam1[rows, None] + lam1))
     values = sfft.dstn(coeff, type=1, norm="ortho", overwrite_x=True)
     del coeff
     return _build(size, seed, values)
@@ -93,29 +110,43 @@ def sample_dgff(size: int, seed: int) -> GridField:
 def field_from_values(values: np.ndarray, seed: int = -1) -> GridField:
     """Wrap explicit interior values (tests, projections) as a GridField."""
     values = np.asarray(values, dtype=float)
-    n = values.shape[0] + 1
-    if values.shape != (n - 1, n - 1):
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("values must be square")
+    n = values.shape[0] + 1
     _check_size(n)
+    _check_finite(values)
     return _build(n, seed, values)
 
 
 def _square_averages(field: GridField, level: int, ii: np.ndarray,
                      jj: np.ndarray) -> np.ndarray:
     """Vectorized averages over the squares (level, ii, jj) from the prefix
-    sums over grid cells."""
+    sums over grid cells.
+
+    When at least a quarter of the level's 4^level squares are asked for,
+    the whole level is computed from strided views of the prefix sums and
+    then gathered, which is cheaper than four scattered gathers per square
+    and allocates one level-sized array instead of several per-square ones.
+    Both routes do the same arithmetic in the same order.
+    """
     k = field.level
     if level > k:
         raise ValueError("resolution exhausted: square finer than the grid")
     w = 1 << (k - level)
     p = field.prefix
+    if 4 * len(ii) >= 1 << 2 * level:
+        avg = p[w::w, w::w] - p[:-w:w, w::w]
+        avg -= p[w::w, :-w:w]
+        avg += p[:-w:w, :-w:w]
+        avg /= w * w
+        return avg.ravel()[ii * (1 << level) + jj]
     r0, c0 = ii * w, jj * w
     return (p[r0 + w, c0 + w] - p[r0, c0 + w] - p[r0 + w, c0] + p[r0, c0]) / (w * w)
 
 
 def square_average(field: GridField, level: int, i: int, j: int) -> float:
     """Mean of the field over the dyadic square [i,i+1]x[j,j+1] / 2^level."""
-    if not (0 <= i < 1 << level and 0 <= j < 1 << level):
+    if level < 0 or not (0 <= i < 1 << level and 0 <= j < 1 << level):
         raise ValueError("square outside the unit square")
     return float(_square_averages(field, level, np.array([i]), np.array([j]))[0])
 
@@ -181,4 +212,5 @@ def read_field(path) -> GridField:
         raise ValueError("field file payload is %d bytes, expected %d for size %d"
                          % (len(payload), 8 * (n - 1) ** 2, n))
     values = np.frombuffer(payload, dtype="<f8").reshape(n - 1, n - 1)
+    _check_finite(values)
     return _build(n, int(seed), values.copy())

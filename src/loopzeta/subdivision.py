@@ -46,6 +46,11 @@ def charge_to_params(c: float) -> ChargeParams:
     return ChargeParams(c=c, Q=q, gamma=gamma)
 
 
+# offsets of a square's four children, in the order (0,0), (0,1), (1,0), (1,1)
+_CHILD_ROWS = np.array([0, 0, 1, 1], dtype=np.int32)
+_CHILD_COLS = np.array([0, 1, 0, 1], dtype=np.int32)
+
+
 @dataclass(frozen=True, order=True)
 class DyadicSquare:
     level: int
@@ -137,6 +142,8 @@ def regime_protocol(field: GridField, c: float,
     * the ratio is read in quantum-area units when the area exponent
       gamma*Q exists (c <= 1), and in quantum-size units otherwise.
     """
+    if not (ratio > 0 and math.isfinite(ratio)):
+        raise ValueError("ratio must be finite and positive, got %r" % (ratio,))
     params = charge_to_params(c)
     q_eff = params.Q * math.sqrt(2.0 * math.pi)  # equivalently cool the field
     root = quantum_size(field, q_eff, DyadicSquare(0, 0, 0))
@@ -155,22 +162,30 @@ def subdivide(field: GridField, q: float, epsilon: float,
     level the processing order is immaterial (the keep/refine rule is
     per-square), which the `order` switch makes testable.
     """
+    if not (q > 0 and math.isfinite(q)):
+        raise ValueError("q must be finite and positive, got %r" % (q,))
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be finite and positive")
     if order not in ("scan", "reverse"):
         raise ValueError("order must be 'scan' or 'reverse'")
     cap = field.level if depth_cap is None else depth_cap
-    if cap > field.level:
-        raise ValueError("depth cap exceeds grid resolution")
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) \
+            or not 0 <= cap <= field.level:
+        raise ValueError("depth cap must be an int in [0, %d] (the grid "
+                         "resolution), got %r" % (field.level, depth_cap))
 
     chunks = []  # (level, rows, cols, flagged?) per processed level
     ii = np.array([0], dtype=np.int32)
     jj = np.array([0], dtype=np.int32)
     level = 0
     while len(ii):
-        avg = _square_averages(field, level, ii, jj)
-        a = np.exp(avg / q) * 2.0**-level
+        # A_h = exp(avg / q) * side, in place to keep deep levels' peak low
+        a = _square_averages(field, level, ii, jj)
+        a /= q
+        np.exp(a, out=a)
+        a *= 2.0**-level
         small = a <= epsilon
+        del a
         if order == "reverse":
             sel = np.argsort(-(ii * (1 << level) + jj), kind="stable")
             ii, jj, small = ii[sel], jj[sel], small[sel]
@@ -179,18 +194,14 @@ def subdivide(field: GridField, q: float, epsilon: float,
         if level == cap:
             chunks.append((level, big_i, big_j, True))
             break
-        ci = np.empty(4 * len(big_i), dtype=np.int32)
-        cj = np.empty(4 * len(big_i), dtype=np.int32)
-        for t, (da, db) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            ci[t::4] = 2 * big_i + da
-            cj[t::4] = 2 * big_j + db
-        ii, jj = ci, cj
+        ii = (2 * big_i[:, None] + _CHILD_ROWS).ravel()
+        jj = (2 * big_j[:, None] + _CHILD_COLS).ravel()
         level += 1
 
     levels = np.concatenate([np.full(len(r), l, dtype=np.int8)
                              for l, r, _, _ in chunks])
-    rows = np.concatenate([r.astype(np.int32) for _, r, _, _ in chunks])
-    cols = np.concatenate([c.astype(np.int32) for _, _, c, _ in chunks])
+    rows = np.concatenate([r for _, r, _, _ in chunks])
+    cols = np.concatenate([c for _, _, c, _ in chunks])
     flags = np.concatenate([np.full(len(r), fl, dtype=bool)
                             for l, r, _, fl in chunks])
     return DyadicPartition(levels, rows, cols, flags,

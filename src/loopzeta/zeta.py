@@ -145,12 +145,16 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
 
 
 def zeta_continued(surface: ModelSurface, s: float, delta: float = 0.05) -> float:
-    """The analytically continued zeta, valid in particular for 0 < s < 1.
+    """The analytically continued zeta for finite s >= 0, in particular for
+    0 < s < 1.
 
     Its poles are s = 1 when a != 0 and s = 1/2 when b != 0, where it raises
     ValueError; a term whose coefficient is 0 is skipped, since at its pole
-    it would read 0/0.
+    it would read 0/0. Negative s raises ValueError: the tail's incomplete
+    gamma function Q(s, x) is not defined there.
     """
+    if not 0.0 <= s < math.inf:
+        raise ValueError("zeta_continued needs finite s >= 0, got %r" % (s,))
     hc = surface.heat_coefficients()
     n = surface.zero_modes
     poles = ((hc.a_coef, 1.0), (hc.b_coef, 0.5))

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import struct
 
 import pytest
 
@@ -175,11 +176,19 @@ def test_enumeration_budget_is_a_clean_error(capsys):
     ["subdivide", "--size", "16", "--epsilon", "nan"],
     ["subdivide", "--size", "16", "--epsilon", "inf"],
     ["subdivide", "--size", "16", "--charge", "nan"],
+    ["subdivide", "--size", "16", "--ratio", "nan"],
+    ["subdivide", "--size", "16", "--ratio", "-1"],
+    ["subdivide", "--field", "{nan_field}", "--epsilon", "0.4"],
+    ["subdivide", "--field", "{nan_field}"],
     ["reweight-test", "--size", "16", "--charge", "nan", "--samples", "1000"],
     ["verify-theorem", "--case", "closed", "--surface", "torus:1x1",
      "--deltas", "nan,0.02"],
 ])
 def test_non_finite_inputs_exit_one(tmp_path, capsys, argv):
+    nan_field = tmp_path / "nan_field.bin"
+    nan_field.write_bytes(b"LZGF" + struct.pack("<iq", 4, 0)
+                          + struct.pack("<d", math.nan) * 225)
+    argv = [a.replace("{nan_field}", str(nan_field)) for a in argv]
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 1
     assert "loopzeta: error:" in capsys.readouterr().err

@@ -5,8 +5,48 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 from loopzeta import gff
+
+
+def reference_sample(size, seed):
+    """The row-by-row sampler: scale the mode coefficients one row at a
+    time, then assemble the prefix sums one row at a time."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    coeff = rng.standard_normal((size - 1, size - 1))
+    lam1 = gff._mode_eigenvalues(size)
+    for r in range(size - 1):
+        coeff[r] *= np.sqrt(gff.TWO_PI / (lam1[r] + lam1))
+    values = sfft.dstn(coeff, type=1, norm="ortho", overwrite_x=True)
+    prefix = np.zeros((size + 1, size + 1))
+    prev_sites = np.zeros(size + 1)
+    row_sites = np.zeros(size + 1)
+    for r in range(size):
+        if r < size - 1:
+            row_sites[1:-1] = values[r]
+        else:
+            row_sites[:] = 0.0
+        cells = 0.25 * (prev_sites[:-1] + prev_sites[1:]
+                        + row_sites[:-1] + row_sites[1:])
+        np.cumsum(cells, out=prefix[r + 1, 1:])
+        prefix[r + 1, 1:] += prefix[r, 1:]
+        prev_sites, row_sites = row_sites, prev_sites
+    return values, prefix
+
+
+@pytest.mark.parametrize("size", [16, 32, 64, 128, 256, 512, 1024, 2048])
+def test_sample_matches_row_loop_reference(size):
+    # the row blocks do not divide these sizes evenly from 512 up
+    # (63 rows at 512, 31 at 1024, 15 at 2048)
+    assert size < 512 or size % gff._row_blocks(size, size)[0].stop
+    seeds = (0, 1, 2**40 + 3) if size >= 1024 else (0, 1, 7, 99, 2**40 + 3)
+    for seed in seeds:
+        field = gff.sample_dgff(size, seed)
+        values, prefix = reference_sample(size, seed)
+        assert np.array_equal(field.values, values)
+        assert np.array_equal(field.prefix, prefix)
+        assert field.prefix.tobytes() == prefix.tobytes()
 
 
 def test_size_validation():
@@ -50,6 +90,9 @@ def test_square_average_guards():
         gff.square_average(field, 5, 0, 0)
     with pytest.raises(ValueError):
         gff.square_average(field, 2, 4, 0)
+    for level in (-1, -64):
+        with pytest.raises(ValueError, match="square outside the unit square"):
+            gff.square_average(field, level, 0, 0)
 
 
 def test_point_variance_matches_green_oracle():
@@ -146,3 +189,22 @@ def test_field_from_values_validation():
         gff.field_from_values(np.zeros((15, 14)))
     with pytest.raises(ValueError):
         gff.field_from_values(np.zeros((10, 10)))  # 11 is not a power of two
+    for bad in (1.0, np.zeros(15), np.zeros((15, 15, 1))):
+        with pytest.raises(ValueError, match="square"):
+            gff.field_from_values(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        values = np.zeros((15, 15))
+        values[3, 4] = bad
+        with pytest.raises(ValueError, match="1 non-finite"):
+            gff.field_from_values(values)
+
+
+def test_read_field_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "field.bin"
+    for bad in (math.nan, math.inf, -math.inf):
+        values = np.zeros((15, 15))
+        values[0, 0] = values[14, 14] = bad
+        path.write_bytes(b"LZGF" + struct.pack("<iq", 4, 0)
+                         + values.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="2 non-finite"):
+            gff.read_field(path)

@@ -89,6 +89,30 @@ def test_projection_matches_dense_reference(size):
         assert np.max(np.abs(proj.projected_field - ref_field)) < 1e-10
 
 
+def test_projection_q_guard(case):
+    field, part, _ = case
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="q must be finite and positive"):
+            reweight.project_onto_partition(field, part, bad)
+
+
+def test_energy_only_route_equals_projection():
+    q = charge_to_params(0.0).Q
+    for field, part, _ in _reference_cases(16):
+        proj = reweight.project_onto_partition(field, part, q)
+        assert reweight._projection_energy(field, part, q) == proj.coefficient_energy
+
+
+def test_experiment_report_equals_public_projection_route(monkeypatch):
+    fast = reweight.reweighting_experiment(16, 0.55, 0.0, -6.0, 1000, 5)
+    monkeypatch.setattr(
+        reweight, "_projection_energy",
+        lambda f, p, q: reweight.project_onto_partition(f, p, q).coefficient_energy)
+    public = reweight.reweighting_experiment(16, 0.55, 0.0, -6.0, 1000, 5)
+    for name in reweight.ExperimentReport.__dataclass_fields__:
+        assert getattr(fast, name) == getattr(public, name), name
+
+
 def test_projection_resolution_exhausted():
     q = charge_to_params(0.0).Q
     fine = subdivide(gff.sample_dgff(32, 1), q, 1e-9)

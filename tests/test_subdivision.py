@@ -102,11 +102,93 @@ def test_depth_cap_flags(field):
     assert not part.terminated
     assert part.flagged_count == len(part) == 16
     assert part.flagged == part.squares
-    with pytest.raises(ValueError, match="depth cap"):
-        subdivide(field, q, 0.3, depth_cap=7)
+    assert subdivide(field, q, 1e-6, depth_cap=np.int64(2)).squares == part.squares
+    whole = subdivide(field, q, 1e-6, depth_cap=0)
+    assert whole.flagged_count == len(whole) == 1
+    for bad in (7, -1, 2.5, 2.0, math.nan, True, "2"):
+        with pytest.raises(ValueError, match="depth cap"):
+            subdivide(field, q, 0.3, depth_cap=bad)
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="epsilon"):
             subdivide(field, q, bad)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="q must be finite and positive"):
+            subdivide(field, bad, 0.3)
+
+
+def test_regime_protocol_ratio_guard(field):
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="ratio must be finite and positive"):
+            subdivision.regime_protocol(field, 0.0, bad)
+
+
+def _reference_averages(field, level, ii, jj):
+    w = 1 << (field.level - level)
+    p = field.prefix
+    r0, c0 = ii * w, jj * w
+    return (p[r0 + w, c0 + w] - p[r0, c0 + w] - p[r0 + w, c0] + p[r0, c0]) / (w * w)
+
+
+def reference_subdivide(field, q, epsilon, depth_cap=None):
+    """The per-level gather: four scattered prefix-sum reads per live square
+    at every level, children built by a 4-way strided loop."""
+    cap = field.level if depth_cap is None else depth_cap
+    chunks = []
+    ii = np.array([0], dtype=np.int32)
+    jj = np.array([0], dtype=np.int32)
+    level = 0
+    while len(ii):
+        avg = _reference_averages(field, level, ii, jj)
+        small = np.exp(avg / q) * 2.0**-level <= epsilon
+        chunks.append((level, ii[small], jj[small], False))
+        big_i, big_j = ii[~small], jj[~small]
+        if level == cap:
+            chunks.append((level, big_i, big_j, True))
+            break
+        ci = np.empty(4 * len(big_i), dtype=np.int32)
+        cj = np.empty(4 * len(big_i), dtype=np.int32)
+        for t, (da, db) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            ci[t::4] = 2 * big_i + da
+            cj[t::4] = 2 * big_j + db
+        ii, jj = ci, cj
+        level += 1
+    levels = np.concatenate([np.full(len(r), l, dtype=np.int8) for l, r, _, _ in chunks])
+    rows = np.concatenate([r for _, r, _, _ in chunks])
+    cols = np.concatenate([c for _, _, c, _ in chunks])
+    flags = np.concatenate([np.full(len(r), fl, dtype=bool) for _, r, _, fl in chunks])
+    return levels, rows, cols, flags
+
+
+def _assert_same_partition(part, reference):
+    levels, rows, cols, flags = reference
+    for got, want in zip((part._levels, part._rows, part._cols, part._flags),
+                         (levels, rows, cols, flags)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert part.terminated == (not flags.any())
+
+
+def test_subdivide_matches_per_level_reference():
+    q = charge_to_params(0.0).Q
+    for size, seed in ((16, 0), (64, 9), (256, 4), (1024, 2)):
+        f = gff.sample_dgff(size, seed)
+        for eps in (2.0, 0.5, 0.2, 0.05):
+            part = subdivide(f, q, eps)
+            _assert_same_partition(part, reference_subdivide(f, q, eps))
+        capped = subdivide(f, q, 1e-9, depth_cap=3)
+        _assert_same_partition(capped, reference_subdivide(f, q, 1e-9, 3))
+
+
+def test_capped_regime_run_matches_per_level_reference():
+    # c = 23.5 on a 1024^2 field keeps more than a quarter of each level's
+    # squares live down to the cap, so its deep levels take the dense route
+    f = gff.sample_dgff(1024, 17)
+    part = subdivision.regime_protocol(f, 23.5)
+    assert not part.terminated
+    hist = part.level_histogram()
+    assert 4 * sum(n for l, n in hist.items() if l == f.level) >= 4**f.level
+    q_eff = charge_to_params(23.5).Q * math.sqrt(2.0 * math.pi)
+    root = subdivision.quantum_size(f, q_eff, DyadicSquare(0, 0, 0))
+    _assert_same_partition(part, reference_subdivide(f, q_eff, 2.0**-12 * root))
 
 
 def test_adjacency_matches_brute_force(field):

@@ -183,6 +183,19 @@ def test_zeta_continued_raises_at_poles():
                 zeta_continued(surface, 0.5)
 
 
+def test_zeta_continued_rejects_negative_s():
+    # Q(s, x) in the tail sum is undefined for s < 0; the value there used to
+    # be a silent NaN (and a RuntimeWarning on the interval)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for surface in (FlatTorus(1.0, 1.0), RoundSphere(1.0), IntervalDirichlet(1.0)):
+            for bad in (-0.5, -1e-300, -2.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="s >= 0"):
+                    zeta_continued(surface, bad)
+        torus = FlatTorus(1.0, 1.0)
+        assert zeta_continued(torus, 0.0) == zeta_at_zero(torus) == -1.0
+
+
 def test_zeta_continued_interval_at_one():
     # a = 0 on the interval, so s = 1 is no pole: zeta(1) = sum (L/(n pi))^2
     # = L^2 / 6
