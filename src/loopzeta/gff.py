@@ -10,6 +10,7 @@ by (2*pi)^-1.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -144,8 +145,20 @@ def _square_averages(field: GridField, level: int, ii: np.ndarray,
     return (p[r0 + w, c0 + w] - p[r0, c0 + w] - p[r0 + w, c0] + p[r0, c0]) / (w * w)
 
 
+def _square_index(x) -> int:
+    """A dyadic level or coordinate: any integer type but bool; a float, even
+    an integral one, is refused rather than truncated."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("square level and coordinates must be integers, got %r" % (x,))
+
+
 def square_average(field: GridField, level: int, i: int, j: int) -> float:
     """Mean of the field over the dyadic square [i,i+1]x[j,j+1] / 2^level."""
+    level, i, j = _square_index(level), _square_index(i), _square_index(j)
     if level < 0 or not (0 <= i < 1 << level and 0 <= j < 1 << level):
         raise ValueError("square outside the unit square")
     return float(_square_averages(field, level, np.array([i]), np.array([j]))[0])

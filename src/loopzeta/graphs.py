@@ -4,6 +4,14 @@ The discrete objects here are the combinatorial Laplacian D - A, the
 random-walk Laplacian I - P (killed at boundary vertices), and the loop
 measure whose total mass is -log det(I - P). Everything is dense numpy;
 graphs of interest stay well under a few thousand vertices.
+
+Every loop quantity of a graph reads one killed-walk model, built once per
+graph and cached for the 8 most recently used graphs: the killed transition
+matrix P (read-only), the interior map, a certified bound on the spectral
+radius of P from one symmetric eigensolve, and -log det(I - P). An entry
+holds the n^2 floats of P for n interior vertices (6.5 MB for a 900-vertex
+interior). A walk with an interior component that no edge joins to the
+boundary is never killed there; its loop masses are refused.
 """
 
 from __future__ import annotations
@@ -121,7 +129,8 @@ def determinant_identity(g: Graph):
     lap = graph_laplacian(g)[np.ix_(interior, interior)]
     det_graph = float(np.linalg.det(lap))
     if g.is_killed:
-        det_rw = float(np.linalg.det(rw_laplacian(g)))
+        walk = _killed_walk(g)
+        det_rw = float(np.linalg.det(np.eye(walk.n) - walk.p))
     else:
         det_rw = 0.0
         det_graph = 0.0
@@ -148,32 +157,69 @@ def spectral_radius_bound(p: np.ndarray, iterations: int = 200) -> float:
     return float(quotients.max()) + 1e-12
 
 
-def loop_mass_exact(g: Graph) -> float:
-    """Total mass of the rooted loop measure, -log det(I - P)."""
+# Each cached walk model holds the n^2 floats of P, and each cached soup model
+# (max_len + 1) n^2 floats of its powers, so the caches keep only a few graphs:
+# enough for the graphs a run draws from repeatedly, while one-off graphs age
+# out.
+_MODEL_CACHE_SIZE = 8
+
+
+class _KilledWalk:
+    """What every loop quantity of g shares: the killed transition matrix P
+    (read-only), the interior map, a certified bound rho on the spectral
+    radius of P, and the total loop mass -log det(I - P), which is inf when
+    rho >= 1 - 1e-12 (the walk is not transient)."""
+
+    def __init__(self, g: Graph):
+        p = transition_matrix(g)
+        p.flags.writeable = False
+        n = len(p)
+        self.p = p
+        self.interior = g.interior
+        self.n = n
+        if n == 0:
+            self.rho, self.mass = 0.0, 0.0
+            return
+        # P = D^-1 A is reversible, so S = D^-1/2 A D^-1/2, entrywise
+        # sqrt(P_xy P_yx), is symmetric with the spectrum of P. Forming S
+        # costs 3 eps relative per entry of a nonnegative matrix, so at most
+        # 3 eps ||S||_2; eigvalsh is backward stable, within p(n) eps ||S||_2
+        # with p(n) a modest function of n, taken here as n^2 (LAPACK Users'
+        # Guide, section 4.7). ||S||_2 = rho(P) <= 1 as P is substochastic.
+        # The 1e-12 is spectral_radius_bound's pad.
+        lam = np.linalg.eigvalsh(np.sqrt(p * p.T))
+        pad = (n * n + 3) * np.finfo(float).eps + 1e-12
+        self.rho = float(max(-lam[0], lam[-1])) + pad
+        self.mass = -_slogdet(np.eye(n) - p) if self.rho < 1.0 - 1e-12 else math.inf
+
+
+_killed_walk = functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)(_KilledWalk)
+
+
+def _transient_walk(g: Graph) -> _KilledWalk:
+    """The killed-walk model of g, refusing closed graphs and walks that are
+    not transient."""
     if not g.is_killed:
         raise ValueError("loop mass diverges without a boundary")
-    p = transition_matrix(g)
-    if len(p) == 0:
-        return 0.0
-    rho = spectral_radius_bound(p)
-    if rho >= 1.0 - 1e-12:
+    walk = _killed_walk(g)
+    if walk.mass == math.inf:
         raise ValueError("non-transient walk: spectral radius >= 1")
-    return -_slogdet(np.eye(len(p)) - p)
+    return walk
+
+
+def loop_mass_exact(g: Graph) -> float:
+    """Total mass of the rooted loop measure, -log det(I - P)."""
+    return _transient_walk(g).mass
 
 
 def loop_mass_truncated(g: Graph, max_len: int):
     """(sum_{k<=max_len} tr(P^k)/k, rigorous tail bound n rho^{L+1}/((L+1)(1-rho)))."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if not g.is_killed:
-        raise ValueError("loop mass diverges without a boundary")
-    p = transition_matrix(g)
-    n = len(p)
+    walk = _transient_walk(g)
+    p, n, rho = walk.p, walk.n, walk.rho
     if n == 0:
         return 0.0, 0.0
-    rho = spectral_radius_bound(p)
-    if rho >= 1.0 - 1e-12:
-        raise ValueError("non-transient walk: spectral radius >= 1")
     mass = 0.0
     pk = np.eye(n)
     for k in range(1, max_len + 1):
@@ -188,7 +234,7 @@ def penalized_loop_mass(g: Graph, alpha: float) -> float:
     probability alpha. Valid on closed graphs too."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    p = transition_matrix(g)
+    p = _killed_walk(g).p
     if len(p) == 0:
         return 0.0
     return -_slogdet(np.eye(len(p)) - alpha * p)
@@ -251,23 +297,17 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-# Each cached model holds (max_len + 1) * n^2 floats of matrix powers, so the
-# cache keeps only a few graphs: enough for the graphs a run draws from
-# repeatedly, while one-off graphs age out.
-_SOUP_MODEL_CACHE_SIZE = 8
-
-
 class _SoupModel:
-    """What every soup draw on (g, max_len) shares: the killed transition
-    matrix, the interior map, the powers P^0..P^max_len, their traces, the
-    root distribution of each loop length with nonzero trace, and the
-    truncation flag."""
+    """What every soup draw on (g, max_len) shares: the killed walk's
+    transition matrix and interior map, the powers P^0..P^max_len, their
+    traces, the root distribution of each loop length with nonzero trace, and
+    the truncation flag."""
 
     def __init__(self, g: Graph, max_len: int):
-        p = transition_matrix(g)
-        n = len(p)
+        walk = _killed_walk(g)
+        p, n = walk.p, walk.n
         self.p = p
-        self.interior = g.interior
+        self.interior = walk.interior
         self.n = n
         if n == 0:
             return
@@ -280,13 +320,13 @@ class _SoupModel:
         self.root_cdfs = {k: _cdf(np.diag(powers[k]).copy())
                           for k in range(1, max_len + 1) if self.traces[k] > 0}
 
-        rho = spectral_radius_bound(p)
-        total = -_slogdet(np.eye(n) - p) if rho < 1.0 - 1e-12 else math.inf
+        total = walk.mass
         truncated = sum(self.traces[k] / k for k in range(1, max_len + 1))
-        self.tail_warning = bool(total - truncated > 1e-6 * max(total, 1e-300))
+        self.tail_warning = bool(total == math.inf
+                                 or total - truncated > 1e-6 * max(total, 1e-300))
 
 
-_soup_model = functools.lru_cache(maxsize=_SOUP_MODEL_CACHE_SIZE)(_SoupModel)
+_soup_model = functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)(_SoupModel)
 
 
 def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSample:
@@ -296,11 +336,16 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     the root is drawn proportional to (P^k)_{xx} and the path is a Markov
     bridge back to the root.
 
-    The transition matrix, its powers, their traces and the truncation flag
-    are built once per (graph, max_len) and cached for the 8 most recently
-    used pairs; each entry holds (max_len + 1) n^2 floats for n interior
-    vertices, e.g. 26 KB for a 16-vertex interior at max_len 12. A draw only
-    consumes the Philox stream of its seed.
+    The draw reads the graph's cached killed-walk model (P, the interior map,
+    the spectral-radius bound and -log det(I - P); n^2 floats for n interior
+    vertices, shared with `loop_mass_exact` and the other loop quantities).
+    The powers of P, their traces, the root distributions and the truncation
+    flag are built once per (graph, max_len) and cached for the 8 most
+    recently used pairs; each entry holds (max_len + 1) n^2 floats, e.g.
+    26 KB for a 16-vertex interior at max_len 12. The flag is set when the
+    truncation misses more than 1e-6 of the total mass, and always when the
+    walk is not transient, so that the mass is infinite. A draw only consumes
+    the Philox stream of its seed.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

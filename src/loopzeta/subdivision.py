@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gff import GridField, _square_averages
+from .gff import GridField, _square_averages, _square_index
 from .graphs import Graph
 
 
@@ -58,6 +58,9 @@ class DyadicSquare:
     j: int
 
     def __post_init__(self):
+        if not type(self.level) is type(self.i) is type(self.j) is int:
+            for name in ("level", "i", "j"):
+                object.__setattr__(self, name, _square_index(getattr(self, name)))
         if self.level < 0 or not (0 <= self.i < 1 << self.level
                                   and 0 <= self.j < 1 << self.level):
             raise ValueError("square outside the unit square")

@@ -112,6 +112,16 @@ def test_determinism_byte_identical(graph_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_soup_sample_flags_a_walk_that_is_never_killed(tmp_path):
+    # the boundary vertex 2 has no edge, so the truncated soup misses
+    # infinite mass
+    graph = tmp_path / "closed.txt"
+    graph.write_text("0 1\n# boundary: 2\n")
+    out = tmp_path / "soup.csv"
+    assert run(["soup-sample", "--graph", str(graph), "--out", str(out)]) == 2
+    assert out.read_text().startswith("loop,length,vertices")
+
+
 def test_config_file_with_flag_override(tmp_path):
     ini = tmp_path / "conf.ini"
     ini.write_text("[loopzeta]\nsurface = interval:1.0\ndelta = 0.2\n")

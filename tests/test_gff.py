@@ -95,6 +95,16 @@ def test_square_average_guards():
             gff.square_average(field, level, 0, 0)
 
 
+def test_square_average_refuses_non_integer_coordinates():
+    field = gff.sample_dgff(16, 0)
+    for args in ((2, 0.5, 0), (2, 0, 1.0), (2.0, 0, 0), (True, 0, 0), (2, False, 0),
+                 (None, 0, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            gff.square_average(field, *args)
+    assert gff.square_average(field, np.int64(2), np.int32(1), 0) == \
+        gff.square_average(field, 2, 1, 0)
+
+
 def test_point_variance_matches_green_oracle():
     size, m = 16, 3000
     green = gff.green_oracle(size)

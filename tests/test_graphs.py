@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from loopzeta import graphs
@@ -86,6 +86,86 @@ def test_non_transient_walk_rejected():
         graphs.loop_mass_exact(g)
     with pytest.raises(ValueError, match="loop mass diverges"):
         graphs.loop_mass_exact(cycle_graph(4))
+
+
+def test_non_transient_walk_has_no_finite_loop_mass():
+    g = Graph(3, [(0, 1)], [2])
+    with pytest.raises(ValueError, match="non-transient walk"):
+        graphs.loop_mass_truncated(g, 5)
+    # the truncated soup misses infinite mass
+    assert graphs.sample_loop_soup(g, 1.0, 6, 0).tail_warning
+
+
+def test_periodic_transient_walk_has_a_mass():
+    # 0 - 1 - 2 killed at 0: P = [[0, 1/2], [1, 0]] has eigenvalues +-sqrt(1/2),
+    # so the walk is transient with period 2 and det(I - P) = 1/2
+    g = Graph(3, [(0, 1), (1, 2)], [0])
+    exact = graphs.loop_mass_exact(g)
+    assert exact == pytest.approx(math.log(2.0), abs=1e-14)
+    for max_len in range(1, 41):
+        mass, tail = graphs.loop_mass_truncated(g, max_len)
+        assert abs(exact - mass) <= tail + 1e-12
+    assert graphs._killed_walk(g).rho == pytest.approx(math.sqrt(0.5), abs=1e-11)
+
+
+def _has_closed_interior_component(g):
+    """Whether some interior component of g has no edge to the boundary."""
+    nb = {v: set() for v in range(g.vertex_count)}
+    for u, v in g.edges:
+        nb[u].add(v)
+        nb[v].add(u)
+    seen = set()
+    for start in g.interior:
+        if start in seen:
+            continue
+        stack, killed = [start], False
+        seen.add(start)
+        while stack:
+            for w in nb[stack.pop()]:
+                if w in g.boundary:
+                    killed = True
+                elif w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if not killed:
+            return True
+    return False
+
+
+@st.composite
+def killed_graphs(draw):
+    """Killed multigraphs on 2-8 vertices (edge multiplicity 0-2) whose
+    interior vertices all have an edge."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mult = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    boundary = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    edges = [e for e, m in zip(pairs, mult) for _ in range(m)]
+    g = Graph(n, edges, boundary)
+    assume(all(g.degrees[v] > 0 for v in g.interior))
+    return g
+
+
+@given(killed_graphs())
+def test_killed_walk_model_properties(g):
+    walk = graphs._killed_walk(g)
+    p = graphs.transition_matrix(g)
+    assert np.array_equal(walk.p, p) and not walk.p.flags.writeable
+    true = float(np.abs(np.linalg.eigvals(p)).max())
+    assert true <= walk.rho <= graphs.spectral_radius_bound(p) + 1e-12
+    refused = _has_closed_interior_component(g)
+    try:
+        exact = graphs.loop_mass_exact(g)
+    except ValueError as exc:
+        assert refused and "non-transient walk" in str(exc)
+    else:
+        assert not refused
+        for max_len in (1, 3, 10, 40):
+            mass, tail = graphs.loop_mass_truncated(g, max_len)
+            assert abs(exact - mass) <= tail + 1e-12
+    det_graph, det_rw, deg_prod = graphs.determinant_identity(g)
+    assert abs(det_graph - det_rw * deg_prod) <= 1e-10 * max(1.0, abs(det_graph))
+    assert graphs.sample_loop_soup(g, 1.0, 4, 0).tail_warning or not refused
 
 
 def test_spectral_radius_is_certified_upper_bound():
@@ -201,7 +281,8 @@ def reference_soup(g, c, max_len, seed):
     rho = graphs.spectral_radius_bound(p)
     total = -graphs._slogdet(np.eye(n) - p) if rho < 1.0 - 1e-12 else math.inf
     truncated = sum(traces[k] / k for k in range(1, max_len + 1))
-    tail_warning = bool(total - truncated > 1e-6 * max(total, 1e-300))
+    tail_warning = bool(total == math.inf
+                        or total - truncated > 1e-6 * max(total, 1e-300))
     loops = []
     for k in range(1, max_len + 1):
         mean = c * traces[k] / k

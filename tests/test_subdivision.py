@@ -44,6 +44,16 @@ def test_dyadic_square():
         DyadicSquare(-1, 0, 0)
 
 
+def test_dyadic_square_refuses_non_integer_coordinates(field):
+    for args in ((1, 0.5, 0), (2.0, 0, 0), (True, 0, 0), (1, 0, True), ("1", 0, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            DyadicSquare(*args)
+    s = DyadicSquare(np.int8(2), np.int32(1), np.int64(3))
+    assert s == DyadicSquare(2, 1, 3) and type(s.level) is int
+    with pytest.raises(ValueError, match="integers"):
+        subdivision.quantum_size(field, 1.0, DyadicSquare(1, 0.5, 0))
+
+
 @pytest.fixture(scope="module")
 def field():
     return gff.sample_dgff(64, 9)
