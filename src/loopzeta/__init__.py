@@ -70,7 +70,6 @@ from .gff import (
 from .subdivision import (
     ChargeParams,
     DyadicPartition,
-    DyadicSquare,
     adjacency_graph,
     charge_to_params,
     regime_protocol,

@@ -188,6 +188,15 @@ def cmd_gff_sample(args) -> int:
     return EXIT_OK
 
 
+def _partition_csv(part) -> str:
+    """level,i,j,flagged rows in (level, i, j) order, formatted in blocks of
+    2^16 squares."""
+    columns = np.column_stack(part.canonical_columns())
+    return "level,i,j,flagged\n" + "".join(
+        ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
+        for block in np.split(columns, np.arange(1 << 16, len(columns), 1 << 16)))
+
+
 def cmd_subdivide(args) -> int:
     if args.field:
         field = gff.read_field(args.field)
@@ -198,11 +207,7 @@ def cmd_subdivide(args) -> int:
         part = subdivision.subdivide(field, q, args.epsilon)
     else:
         part = subdivision.regime_protocol(field, args.charge, args.ratio)
-    rows = [("level", "i", "j", "flagged")]
-    flagged = part.flagged
-    for s in sorted(part.squares):
-        rows.append((s.level, s.i, s.j, int(s in flagged)))
-    _write_text(args.out, _csv(rows))
+    _write_text(args.out, _partition_csv(part))
     if args.svg:
         _write_text(args.svg, subdivision.render_svg(part))
     log.info("%d squares, %d flagged, terminated=%s",
@@ -320,12 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("acceptance", cmd_acceptance, help="run the acceptance suite")
     p.add_argument("--only", help="comma-separated criterion numbers")
 
+    parser.subcommands = sub.choices
     return parser
 
 
 def _merge_config(parser, args, argv):
-    """Fill in values from the INI file for options not given on the command
-    line (flags win)."""
+    """Fill in values from the INI file for the chosen subcommand's options
+    that are not given on the command line (flags win). Values are converted
+    as argparse converts the option's; keys that name no option of the
+    subcommand are skipped."""
     if not args.config:
         return args
     ini = configparser.ConfigParser()
@@ -335,17 +343,13 @@ def _merge_config(parser, args, argv):
         raise ValueError("config file lacks a [loopzeta] section")
     given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
              for tok in argv if tok.startswith("--")}
+    options = {a.dest: a for a in parser.subcommands[args.command]._actions
+               if a.option_strings and a.dest != "help"}
     for key, value in ini.items("loopzeta"):
-        dest = key.replace("-", "_")
-        if dest in given or not hasattr(args, dest):
+        action = options.get(key.replace("-", "_"))
+        if action is None or action.dest in given:
             continue
-        current = getattr(args, dest)
-        caster = type(current) if current is not None else str
-        if caster is bool:
-            value = ini.getboolean("loopzeta", key)
-        else:
-            value = caster(value)
-        setattr(args, dest, value)
+        setattr(args, action.dest, value if action.type is None else action.type(value))
     return args
 
 

@@ -9,13 +9,12 @@ instead of refining past the grid resolution.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gff import GridField, _square_averages, _square_index
+from .gff import GridField, _square_averages, square_average
 from .graphs import Graph
 
 
@@ -51,41 +50,23 @@ _CHILD_ROWS = np.array([0, 0, 1, 1], dtype=np.int32)
 _CHILD_COLS = np.array([0, 1, 0, 1], dtype=np.int32)
 
 
-@dataclass(frozen=True, order=True)
-class DyadicSquare:
-    level: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not type(self.level) is type(self.i) is type(self.j) is int:
-            for name in ("level", "i", "j"):
-                object.__setattr__(self, name, _square_index(getattr(self, name)))
-        if self.level < 0 or not (0 <= self.i < 1 << self.level
-                                  and 0 <= self.j < 1 << self.level):
-            raise ValueError("square outside the unit square")
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** -self.level
-
-    def children(self):
-        l, i, j = self.level + 1, 2 * self.i, 2 * self.j
-        return [DyadicSquare(l, i + a, j + b) for a in (0, 1) for b in (0, 1)]
-
-
 class DyadicPartition:
-    """Maximal dyadic squares with A_h at most epsilon, stored column-wise
-    (levels/rows/cols arrays) so that capped runs with millions of squares
-    stay affordable; `squares`/`flagged` materialize object sets on demand."""
+    """Maximal dyadic squares with A_h at most epsilon, held as four columns.
 
-    def __init__(self, levels, rows, cols, flags, terminated, depth_cap):
+    Square k is [i, i+1] x [j, j+1] / 2^level with level = _levels[k] (int8),
+    i = _rows[k] and j = _cols[k] (int32); _flags[k] marks a square kept over
+    the threshold at the depth cap. The columns come level by level in the
+    order `subdivide` builds them. `canonical_columns` gives them in
+    (level, i, j) order, which the CSV rows, the SVG rects and the adjacency
+    graph's vertex numbers follow.
+    """
+
+    def __init__(self, levels, rows, cols, flags):
         self._levels = np.asarray(levels, dtype=np.int8)
         self._rows = np.asarray(rows, dtype=np.int32)
         self._cols = np.asarray(cols, dtype=np.int32)
         self._flags = np.asarray(flags, dtype=bool)
-        self.terminated = bool(terminated)
-        self.depth_cap = int(depth_cap)
+        self.terminated = not self._flags.any()
 
     def __len__(self):
         return len(self._levels)
@@ -94,20 +75,11 @@ class DyadicPartition:
     def flagged_count(self) -> int:
         return int(self._flags.sum())
 
-    @functools.cached_property
-    def squares(self) -> frozenset:
-        return frozenset(
-            DyadicSquare(int(l), int(i), int(j))
-            for l, i, j in zip(self._levels, self._rows, self._cols)
-        )
-
-    @functools.cached_property
-    def flagged(self) -> frozenset:
-        f = self._flags
-        return frozenset(
-            DyadicSquare(int(l), int(i), int(j))
-            for l, i, j in zip(self._levels[f], self._rows[f], self._cols[f])
-        )
+    def canonical_columns(self):
+        """(levels, rows, cols, flags) sorted by (level, i, j)."""
+        order = np.lexsort((self._cols, self._rows, self._levels))
+        return (self._levels[order], self._rows[order], self._cols[order],
+                self._flags[order])
 
     def level_histogram(self) -> dict:
         levels, counts = np.unique(self._levels, return_counts=True)
@@ -120,13 +92,6 @@ class DyadicPartition:
         top = int(self._levels.max())
         total = sum(4 ** (top - l) * c for l, c in self.level_histogram().items())
         return total == 4**top
-
-
-def quantum_size(field: GridField, q: float, square: DyadicSquare) -> float:
-    """A_h(S) = e^{h_S/Q} times the side length of S."""
-    avg = _square_averages(field, square.level,
-                           np.array([square.i]), np.array([square.j]))[0]
-    return math.exp(avg / q) * square.side
 
 
 def regime_protocol(field: GridField, c: float,
@@ -149,7 +114,7 @@ def regime_protocol(field: GridField, c: float,
         raise ValueError("ratio must be finite and positive, got %r" % (ratio,))
     params = charge_to_params(c)
     q_eff = params.Q * math.sqrt(2.0 * math.pi)  # equivalently cool the field
-    root = quantum_size(field, q_eff, DyadicSquare(0, 0, 0))
+    root = math.exp(square_average(field, 0, 0, 0) / q_eff)
     if params.gamma is not None:
         eps = ratio ** (1.0 / (params.gamma * params.Q)) * root
     else:
@@ -158,19 +123,16 @@ def regime_protocol(field: GridField, c: float,
 
 
 def subdivide(field: GridField, q: float, epsilon: float,
-              depth_cap: int | None = None, order: str = "scan") -> DyadicPartition:
+              depth_cap: int | None = None) -> DyadicPartition:
     """Refine the unit square until every piece has A_h <= epsilon.
 
-    Levels are processed synchronously with vectorized averages; within a
-    level the processing order is immaterial (the keep/refine rule is
-    per-square), which the `order` switch makes testable.
+    Levels are processed synchronously with vectorized averages; the
+    keep/refine rule is per square.
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be finite and positive, got %r" % (q,))
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be finite and positive")
-    if order not in ("scan", "reverse"):
-        raise ValueError("order must be 'scan' or 'reverse'")
     cap = field.level if depth_cap is None else depth_cap
     if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) \
             or not 0 <= cap <= field.level:
@@ -189,9 +151,6 @@ def subdivide(field: GridField, q: float, epsilon: float,
         a *= 2.0**-level
         small = a <= epsilon
         del a
-        if order == "reverse":
-            sel = np.argsort(-(ii * (1 << level) + jj), kind="stable")
-            ii, jj, small = ii[sel], jj[sel], small[sel]
         chunks.append((level, ii[small], jj[small], False))
         big_i, big_j = ii[~small], jj[~small]
         if level == cap:
@@ -207,72 +166,37 @@ def subdivide(field: GridField, q: float, epsilon: float,
     cols = np.concatenate([c for _, _, c, _ in chunks])
     flags = np.concatenate([np.full(len(r), fl, dtype=bool)
                             for l, r, _, fl in chunks])
-    return DyadicPartition(levels, rows, cols, flags,
-                           terminated=not flags.any(), depth_cap=cap)
+    return DyadicPartition(levels, rows, cols, flags)
 
 
 def adjacency_graph(partition: DyadicPartition) -> Graph:
-    """One vertex per square; edges between squares whose boundaries share a
-    segment of positive length (corner contact excluded)."""
-    squares = sorted(partition.squares)
-    top = max(s.level for s in squares)
-    scale = 1 << top
-    index = {s: v for v, s in enumerate(squares)}
-    edges = set()
-
-    # sweep vertical interfaces: right edge of one square against left edges
-    # of others at the same x, overlapping in y; then the transpose for
-    # horizontal interfaces
-    for axis in (0, 1):
-        lo_edges = {}  # x -> list of (y0, y1, vertex) for left/top edges at x
-        hi_edges = {}
-        for s in squares:
-            w = 1 << (top - s.level)
-            if axis == 0:
-                x0, y0 = s.i * w, s.j * w
-            else:
-                x0, y0 = s.j * w, s.i * w
-            hi_edges.setdefault(x0 + w, []).append((y0, y0 + w, index[s]))
-            lo_edges.setdefault(x0, []).append((y0, y0 + w, index[s]))
-        for x, rights in hi_edges.items():
-            lefts = lo_edges.get(x)
-            if not lefts or x == scale:
-                continue
-            rights.sort()
-            lefts.sort()
-            for (a0, a1, u) in rights:
-                for (b0, b1, v) in lefts:
-                    if b0 >= a1:
-                        break
-                    if min(a1, b1) > max(a0, b0):
-                        edges.add((min(u, v), max(u, v)))
-
-    return Graph(len(squares), sorted(edges))
-
-
-def ball_growth(graph: Graph, root: int, max_radius: int):
-    """BFS shell sizes [|sphere(0)|, |sphere(1)|, ...] out to max_radius."""
-    if not 0 <= root < graph.vertex_count:
-        raise ValueError("root out of range")
-    adj = [[] for _ in range(graph.vertex_count)]
-    for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = {root: 0}
-    frontier = [root]
-    shells = [1]
-    for r in range(1, max_radius + 1):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = r
-                    nxt.append(v)
-        shells.append(len(nxt))
-        frontier = nxt
-        if not nxt:
-            break
-    return shells
+    """One vertex per square, numbered in (level, i, j) order; edges between
+    squares whose boundaries share a segment of positive length (corner
+    contact excluded)."""
+    levels, rows, cols, _ = partition.canonical_columns()
+    n = len(levels)
+    scale = 1 << int(levels.max())
+    w = scale >> levels.astype(np.int64)
+    # In units of the finest side, sweep the vertical interfaces (x = i w)
+    # and then the horizontal ones (x = j w). The squares whose left side
+    # lies on x tile the far side of each square whose right side [y, y + w)
+    # does, so its neighbours there are one run of the left sides sorted by
+    # (x, y0): from the one that contains y to the last one below y + w.
+    us, vs = [], []
+    for x, y in ((rows * w, cols * w), (cols * w, rows * w)):
+        left = x * (scale + 1) + y
+        by_left = np.argsort(left)
+        left = left[by_left]
+        right = (x + w) * (scale + 1) + y
+        first = left.searchsorted(right, side="right") - 1
+        stop = left.searchsorted(right + w, side="left")
+        count = np.where(x + w < scale, stop - first, 0)
+        offsets = np.repeat(first - np.cumsum(count) + count, count)
+        us.append(np.repeat(np.arange(n), count))
+        vs.append(by_left[offsets + np.arange(len(offsets))])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    return Graph(n, zip((keys // n).tolist(), (keys % n).tolist()))
 
 
 _PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
@@ -281,18 +205,28 @@ _PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
 
 
 def render_svg(partition: DyadicPartition, px: int = 1024) -> str:
-    """SVG rendering with squares colored by level."""
+    """SVG rendering with squares colored by level, in (level, i, j) order."""
+    levels, rows, cols, _ = partition.canonical_columns()
+    # i 2^-level is (i << (top - level)) 2^-top, so one table of the finest
+    # level's formatted coordinates serves every level
+    top = int(levels[-1])
+    coords = np.array(["%.10g" % (k * 2.0**-top) for k in range(1 << top)],
+                      dtype=object)
+    # blocks of at most 2^16 squares of one level, each formatted at once
+    cuts = np.union1d(np.flatnonzero(np.diff(levels)) + 1,
+                      np.arange(1 << 16, len(levels), 1 << 16))
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 1 1">' % (px, px)
     ]
-    for s in sorted(partition.squares):
-        color = _PALETTE[s.level % len(_PALETTE)]
-        side = s.side
-        parts.append(
-            '<rect x="%.10g" y="%.10g" width="%.10g" height="%.10g" '
-            'fill="%s" stroke="#000" stroke-width="%.3g"/>'
-            % (s.i * side, s.j * side, side, side, color, side / 64)
-        )
+    for block, ii, jj in zip(np.split(levels, cuts), np.split(rows, cuts),
+                             np.split(cols, cuts)):
+        level = int(block[0])
+        side = 2.0**-level
+        rect = ('<rect x="%%s" y="%%s" width="%.10g" height="%.10g" '
+                'fill="%s" stroke="#000" stroke-width="%.3g"/>'
+                % (side, side, _PALETTE[level % len(_PALETTE)], side / 64))
+        xy = np.column_stack((coords[ii << top - level], coords[jj << top - level]))
+        parts.append("\n".join([rect] * len(xy)) % tuple(xy.ravel().tolist()))
     parts.append("</svg>")
     return "\n".join(parts)

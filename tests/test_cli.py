@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from loopzeta import cli, gff, graphs
+from loopzeta import cli, gff, graphs, subdivision
 
 
 def run(args):
@@ -103,6 +103,46 @@ def test_gff_sample_and_subdivide_round_trip(tmp_path):
     assert len(lines) > 1
 
 
+def _tuples(part, mask=slice(None)):
+    return zip(part._levels[mask].tolist(), part._rows[mask].tolist(),
+               part._cols[mask].tolist())
+
+
+def reference_subdivide_csv(part) -> str:
+    """The object route: rows of the sorted (level, i, j) tuples, each
+    flagged by a membership test."""
+    flagged = set(_tuples(part, part._flags))
+    rows = [("level", "i", "j", "flagged")]
+    rows += [sq + (int(sq in flagged),) for sq in sorted(_tuples(part))]
+    return "".join(",".join(str(x) for x in row) + "\n" for row in rows)
+
+
+def reference_svg(part, px=1024) -> str:
+    """The object route: one rect per sorted (level, i, j) tuple."""
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+             'viewBox="0 0 1 1">' % (px, px)]
+    for level, i, j in sorted(_tuples(part)):
+        side = 2.0 ** -level
+        parts.append('<rect x="%.10g" y="%.10g" width="%.10g" height="%.10g" '
+                     'fill="%s" stroke="#000" stroke-width="%.3g"/>'
+                     % (i * side, j * side, side, side,
+                        subdivision._PALETTE[level % len(subdivision._PALETTE)],
+                        side / 64))
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("charge, rows, code", [("0", 346, 0), ("23.5", 65101, 2)])
+def test_subdivide_artifacts_match_object_route(tmp_path, charge, rows, code):
+    csv_out, svg_out = tmp_path / "part.csv", tmp_path / "part.svg"
+    assert run(["subdivide", "--size", "256", "--seed", "7", "--charge", charge,
+                "--out", str(csv_out), "--svg", str(svg_out)]) == code
+    part = subdivision.regime_protocol(gff.sample_dgff(256, 7), float(charge))
+    assert len(part) == rows
+    assert csv_out.read_text() == reference_subdivide_csv(part)
+    assert svg_out.read_text() == reference_svg(part)
+
+
 def test_determinism_byte_identical(graph_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["soup-sample", "--graph", graph_file, "--intensity", "2.0",
@@ -143,6 +183,44 @@ def test_config_errors(tmp_path):
     bad.write_text("[other]\nx = 1\n")
     assert run(["--config", str(bad), "zeta-det",
                 "--surface", "interval:1.0"]) == 1
+
+
+def _logged_config(caplog):
+    prefix = "resolved config: "
+    logged = [r.getMessage()[len(prefix):] for r in caplog.records
+              if r.getMessage().startswith(prefix)]
+    assert len(logged) == 1
+    return json.loads(logged[0])
+
+
+def test_config_merges_only_the_subcommand_options(tmp_path, caplog):
+    ini = tmp_path / "conf.ini"
+    ini.write_text("[loopzeta]\nfn = 1\ncommand = zeta-det\nconfig = x.ini\n"
+                   "verbose = yes\nbogus = 3\nsize = 16\nseed = 3\n")
+    out = tmp_path / "field.bin"
+    with caplog.at_level(logging.INFO, logger="loopzeta"):
+        assert run(["--config", str(ini), "gff-sample", "--out", str(out)]) == 0
+    field = gff.read_field(out)
+    assert (field.size, field.seed) == (16, 3)
+    config = _logged_config(caplog)
+    assert config["command"] == "gff-sample" and config["config"] == str(ini)
+    assert not config["verbose"] and "bogus" not in config
+
+
+def test_config_values_convert_like_flags(tmp_path, capsys):
+    ini = tmp_path / "conf.ini"
+    ini.write_text("[loopzeta]\nepsilon = 0.4\n")
+    by_config, by_flag = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["--config", str(ini), "subdivide", "--size", "16",
+                "--out", str(by_config)]) == 0
+    assert run(["subdivide", "--size", "16", "--epsilon", "0.4",
+                "--out", str(by_flag)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    for text, argv in (("delta = abc", ["zeta-det", "--surface", "interval:1"]),
+                       ("seed = 1.5", ["gff-sample", "--size", "16"])):
+        ini.write_text("[loopzeta]\n%s\n" % text)
+        assert run(["--config", str(ini)] + argv) == 1
+        assert "loopzeta: error:" in capsys.readouterr().err
 
 
 def test_invalid_parameters_exit_one(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopzeta import graphs
@@ -212,13 +212,55 @@ def test_spanning_tree_counts():
     assert graphs.spanning_tree_count(Graph(1, [])) == 1
 
 
-def test_canonical_rotation():
-    assert graphs.canonical_rotation((2, 1, 3, 2)) == (1, 3, 2, 1)
-    assert graphs.canonical_rotation((1, 3, 2)) == (1, 3, 2, 1)
-    loop = (4, 2, 7, 4)
-    rotations = {graphs.canonical_rotation((b, c, a, b))
-                 for a, b, c in [(4, 2, 7), (2, 7, 4), (7, 4, 2)]}
-    assert len(rotations) == 1
+def reference_spanning_tree_count(g):
+    """Matrix-tree count by plain Bareiss elimination on Python ints, with
+    row swaps on a zero pivot."""
+    lap = graphs.graph_laplacian(g)
+    m = [[int(x) for x in row[1:]] for row in lap[1:]]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def test_spanning_tree_count_is_exact_past_float_precision():
+    # the float determinant rounds to 19872369301840646144 and
+    # 126231322912499639194222592 on the last two
+    assert graphs.spanning_tree_count(graphs.grid_graph(4)) == 32565539635200
+    assert graphs.spanning_tree_count(graphs.grid_graph(5)) == 19872369301840986112
+    assert graphs.spanning_tree_count(graphs.grid_graph(6)) == \
+        126231322912498539682594816
+    # Cayley: K_n has n^(n-2) spanning trees; K_150's count overflows a float
+    k150 = Graph(150, [(u, v) for u in range(150) for v in range(u + 1, 150)])
+    assert graphs.spanning_tree_count(k150) == 150**148
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A random spanning tree on up to 20 vertices, a random subset of the
+    other vertex pairs and a few repeated edges."""
+    n = draw(st.integers(1, 20))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges += [e for e, k in zip(pairs, keep) if k]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=n)) if edges else []
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_multigraphs())
+def test_spanning_tree_count_matches_exact_elimination(g):
+    assert graphs.spanning_tree_count(g) == reference_spanning_tree_count(g)
 
 
 def test_soup_determinism_and_validity():

@@ -20,9 +20,9 @@ def test_projection_preserves_averages(case):
     proj = reweight.project_onto_partition(field, part, q)
     assert proj.solver_residual < 1e-9
     projected = gff.field_from_values(proj.projected_field)
-    for s in part.squares:
-        a = gff.square_average(field, s.level, s.i, s.j)
-        b = gff.square_average(projected, s.level, s.i, s.j)
+    for level, i, j in zip(part._levels, part._rows, part._cols):
+        a = gff.square_average(field, level, i, j)
+        b = gff.square_average(projected, level, i, j)
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -50,12 +50,14 @@ def reference_projection(field, partition, q):
     basis sum. Returns (projected field, coefficient energy)."""
     size = field.size
     weights = []
-    for s in sorted(partition.squares):
-        w = size >> s.level
+    for level, i, j in sorted(zip(partition._levels.tolist(),
+                                  partition._rows.tolist(),
+                                  partition._cols.tolist())):
+        w = size >> level
         counts = np.ones(w + 1)
         counts[1:-1] = 2.0
         full = np.zeros((size + 1, size + 1))
-        full[s.i * w:s.i * w + w + 1, s.j * w:s.j * w + w + 1] = \
+        full[i * w:i * w + w + 1, j * w:j * w + w + 1] = \
             np.outer(counts, counts) * (0.25 / w**2)
         weights.append(full[1:-1, 1:-1])
     basis = [gff.poisson_solve(size, w) for w in weights]

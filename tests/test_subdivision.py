@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from loopzeta import gff, subdivision
-from loopzeta.subdivision import DyadicSquare, charge_to_params, subdivide
+from loopzeta.subdivision import DyadicPartition, charge_to_params, subdivide
+
+
+def squares(part):
+    """The partition's squares as a set of (level, i, j) tuples."""
+    return set(zip(part._levels.tolist(), part._rows.tolist(), part._cols.tolist()))
 
 
 def test_charge_to_params_frozen_values():
@@ -31,29 +36,6 @@ def test_gamma_coupling_identity():
         assert 0.0 < p.gamma <= 2.0
 
 
-def test_dyadic_square():
-    s = DyadicSquare(2, 1, 3)
-    assert s.side == 0.25
-    kids = s.children()
-    assert len(kids) == 4
-    assert {(k.i, k.j) for k in kids} == {(2, 6), (2, 7), (3, 6), (3, 7)}
-    assert all(k.level == 3 for k in kids)
-    with pytest.raises(ValueError):
-        DyadicSquare(1, 2, 0)
-    with pytest.raises(ValueError):
-        DyadicSquare(-1, 0, 0)
-
-
-def test_dyadic_square_refuses_non_integer_coordinates(field):
-    for args in ((1, 0.5, 0), (2.0, 0, 0), (True, 0, 0), (1, 0, True), ("1", 0, 0)):
-        with pytest.raises(ValueError, match="integers"):
-            DyadicSquare(*args)
-    s = DyadicSquare(np.int8(2), np.int32(1), np.int64(3))
-    assert s == DyadicSquare(2, 1, 3) and type(s.level) is int
-    with pytest.raises(ValueError, match="integers"):
-        subdivision.quantum_size(field, 1.0, DyadicSquare(1, 0.5, 0))
-
-
 @pytest.fixture(scope="module")
 def field():
     return gff.sample_dgff(64, 9)
@@ -66,20 +48,28 @@ def test_subdivide_partition_properties(field):
     assert part.area_check()
     assert len(part) == sum(part.level_histogram().values())
     # threshold rule: every kept square is small enough, no parent is
-    for s in part.squares:
-        assert subdivision.quantum_size(field, q, s) <= 0.4
-        if s.level > 0:
-            parent = DyadicSquare(s.level - 1, s.i // 2, s.j // 2)
-            assert subdivision.quantum_size(field, q, parent) > 0.4
+    def a_h(level, i, j):
+        return math.exp(gff.square_average(field, level, i, j) / q) * 2.0**-level
+
+    for level, i, j in squares(part):
+        assert a_h(level, i, j) <= 0.4
+        if level > 0:
+            assert a_h(level - 1, i // 2, j // 2) > 0.4
 
 
 def test_order_invariance(field):
-    q = charge_to_params(0.0).Q
-    a = subdivide(field, q, 0.3, order="scan")
-    b = subdivide(field, q, 0.3, order="reverse")
-    assert a.squares == b.squares
-    with pytest.raises(ValueError):
-        subdivide(field, q, 0.3, order="random")
+    # the canonical (level, i, j) order, and so every artifact built from
+    # it, does not depend on the order in which the columns are stored
+    part = subdivide(field, charge_to_params(0.0).Q, 0.3)
+    perm = np.random.default_rng(5).permutation(len(part))
+    shuffled = DyadicPartition(part._levels[perm], part._rows[perm],
+                               part._cols[perm], part._flags[perm])
+    for got, want in zip(shuffled.canonical_columns(), part.canonical_columns()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    levels, rows, cols, _ = part.canonical_columns()
+    assert list(zip(levels.tolist(), rows.tolist(), cols.tolist())) == sorted(squares(part))
+    assert subdivision.render_svg(shuffled) == subdivision.render_svg(part)
+    assert subdivision.adjacency_graph(shuffled) == subdivision.adjacency_graph(part)
 
 
 def test_threshold_scaling_invariance(field):
@@ -89,7 +79,7 @@ def test_threshold_scaling_invariance(field):
     scaled = gff.field_from_values(2.5 * field.values)
     a = subdivide(field, q, 0.3)
     b = subdivide(scaled, 2.5 * q, 0.3)
-    assert a.squares == b.squares
+    assert squares(a) == squares(b)
 
 
 def test_refinement_monotone(field):
@@ -97,13 +87,12 @@ def test_refinement_monotone(field):
     coarse = subdivide(field, q, 0.5)
     fine = subdivide(field, q, 0.1)
     assert len(fine) >= len(coarse)
-    coarse_set = coarse.squares
-    for s in fine.squares:
+    coarse_set = squares(coarse)
+    for level, i, j in squares(fine):
         # each fine square sits inside (or equals) some coarse square
-        anc = s
-        while anc not in coarse_set and anc.level > 0:
-            anc = DyadicSquare(anc.level - 1, anc.i // 2, anc.j // 2)
-        assert anc in coarse_set
+        while (level, i, j) not in coarse_set and level > 0:
+            level, i, j = level - 1, i // 2, j // 2
+        assert (level, i, j) in coarse_set
 
 
 def test_depth_cap_flags(field):
@@ -111,8 +100,8 @@ def test_depth_cap_flags(field):
     part = subdivide(field, q, 1e-6, depth_cap=2)
     assert not part.terminated
     assert part.flagged_count == len(part) == 16
-    assert part.flagged == part.squares
-    assert subdivide(field, q, 1e-6, depth_cap=np.int64(2)).squares == part.squares
+    assert part._flags.all()
+    assert squares(subdivide(field, q, 1e-6, depth_cap=np.int64(2))) == squares(part)
     whole = subdivide(field, q, 1e-6, depth_cap=0)
     assert whole.flagged_count == len(whole) == 1
     for bad in (7, -1, 2.5, 2.0, math.nan, True, "2"):
@@ -197,49 +186,56 @@ def test_capped_regime_run_matches_per_level_reference():
     hist = part.level_histogram()
     assert 4 * sum(n for l, n in hist.items() if l == f.level) >= 4**f.level
     q_eff = charge_to_params(23.5).Q * math.sqrt(2.0 * math.pi)
-    root = subdivision.quantum_size(f, q_eff, DyadicSquare(0, 0, 0))
+    root = math.exp(gff.square_average(f, 0, 0, 0) / q_eff)
     _assert_same_partition(part, reference_subdivide(f, q_eff, 2.0**-12 * root))
 
 
 def test_adjacency_matches_brute_force(field):
-    part = subdivide(field, charge_to_params(0.0).Q, 0.25)
-    graph = subdivision.adjacency_graph(part)
-    squares = sorted(part.squares)
-    top = max(s.level for s in squares)
-
-    def box(s):
-        w = 1 << (top - s.level)
-        return s.i * w, s.j * w, (s.i + 1) * w, (s.j + 1) * w
-
-    expected = set()
-    for a in range(len(squares)):
-        x0, y0, x1, y1 = box(squares[a])
-        for b in range(a + 1, len(squares)):
-            u0, v0, u1, v1 = box(squares[b])
-            touch_x = (x1 == u0 or u1 == x0) and min(y1, v1) > max(y0, v0)
-            touch_y = (y1 == v0 or v1 == y0) and min(x1, u1) > max(x0, u0)
-            if touch_x or touch_y:
-                expected.add((a, b))
-    assert set(graph.edges) == expected
-    assert graph.vertex_count == len(squares)
+    capped = subdivide(field, charge_to_params(0.0).Q, 0.1, depth_cap=5)
+    assert not capped.terminated and len(capped.level_histogram()) == 3
+    # constant field: subdivision gives a regular 4x4 grid
+    uniform = subdivide(gff.field_from_values(np.zeros((63, 63))), 1.0, 0.25)
+    assert uniform.level_histogram() == {2: 16}
+    for part in (subdivide(field, charge_to_params(0.0).Q, 0.25), capped, uniform):
+        graph = subdivision.adjacency_graph(part)
+        boxes = []
+        top = int(part._levels.max())
+        for level, i, j in sorted(squares(part)):
+            w = 1 << (top - level)
+            boxes.append((i * w, j * w, (i + 1) * w, (j + 1) * w))
+        expected = set()
+        for a, (x0, y0, x1, y1) in enumerate(boxes):
+            for b in range(a + 1, len(boxes)):
+                u0, v0, u1, v1 = boxes[b]
+                touch_x = (x1 == u0 or u1 == x0) and min(y1, v1) > max(y0, v0)
+                touch_y = (y1 == v0 or v1 == y0) and min(x1, u1) > max(x0, u0)
+                if touch_x or touch_y:
+                    expected.add((a, b))
+        assert graph.edges == tuple(sorted(expected))
+        assert graph.vertex_count == len(part)
+    # the 4x4 grid has 2 * 4 * 3 interfaces
+    assert len(subdivision.adjacency_graph(uniform).edges) == 24
 
 
 def test_ball_growth_on_uniform_partition():
-    # constant field: subdivision gives a regular 4x4 grid
+    # constant field: subdivision gives a regular 4x4 grid, whose adjacency
+    # graph grows balls around a corner square by the Manhattan metric
     flat = gff.field_from_values(np.zeros((63, 63)))
     part = subdivide(flat, 1.0, 0.25)
     assert part.level_histogram() == {2: 16}
-    graph = subdivision.adjacency_graph(part)
-    corner = sorted(part.squares).index(DyadicSquare(2, 0, 0))
-    shells = subdivision.ball_growth(graph, corner, 6)
-    assert shells == [1, 2, 3, 4, 3, 2, 1]
-    with pytest.raises(ValueError):
-        subdivision.ball_growth(graph, 99, 3)
-
-
-def test_quantum_size_guard(field):
-    with pytest.raises(ValueError, match="resolution exhausted"):
-        subdivision.quantum_size(field, 1.0, DyadicSquare(7, 0, 0))
+    adj = subdivision.adjacency_graph(part).adjacency()
+    order = sorted(squares(part))
+    corner = order.index((2, 0, 0))
+    dist = np.full(len(order), -1)
+    dist[corner] = 0
+    frontier = [corner]
+    while frontier:
+        nxt = [v for u in frontier for v in np.flatnonzero(adj[u]) if dist[v] < 0]
+        nxt = sorted(set(nxt))
+        dist[nxt] = dist[frontier[0]] + 1
+        frontier = nxt
+    assert dist.tolist() == [i + j for _, i, j in order]
+    assert np.bincount(dist).tolist() == [1, 2, 3, 4, 3, 2, 1]
 
 
 def test_regime_protocol_smoke():
