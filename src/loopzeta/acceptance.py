@@ -489,16 +489,15 @@ def run_criterion(index: int) -> CriterionResult:
     raise ValueError("no criterion %d" % index)
 
 
-def run_all(indices=None, report=print):
-    """Run the selected criteria (all by default), emitting one line each."""
+def run_all(indices=None):
+    """Run the selected criteria (all by default), printing one line each."""
     chosen = set(indices) if indices is not None else {i for i, _, _ in CRITERIA}
     results = []
-    for idx, name, fn in CRITERIA:
+    for idx, _, _ in CRITERIA:
         if idx not in chosen:
             continue
-        passed, detail = fn()
-        result = CriterionResult(idx, name, bool(passed), detail)
+        result = run_criterion(idx)
         results.append(result)
-        report("%s criterion %2d [%s]: %s" %
-               ("PASS" if result.passed else "FAIL", idx, name, detail))
+        print("%s criterion %2d [%s]: %s" % ("PASS" if result.passed else "FAIL",
+                                             idx, result.name, result.detail))
     return results

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import logging
 import math
@@ -47,11 +48,16 @@ def _fmt(x) -> str:
 
 
 def _write_text(path, text: str):
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path, chunks):
+    """Write each string of the iterable as it comes, to path or stdout."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _csv(rows) -> str:
@@ -76,11 +82,14 @@ def _load_graph(path: str) -> graphs.Graph:
 
 def cmd_graph_loops(args) -> int:
     g = _load_graph(args.graph)
-    rows = [("quantity", "value")]
-    det_graph, det_rw, deg_prod = graphs.determinant_identity(g)
-    rows += [("det_laplacian_minor", det_graph),
-             ("det_rw_laplacian", det_rw),
-             ("degree_product", deg_prod)]
+    with np.errstate(all="ignore"):  # an overflow is flagged below
+        identity = list(zip(("det_laplacian_minor", "det_rw_laplacian",
+                             "degree_product"), graphs.determinant_identity(g)))
+    overflowed = [row for row in identity if not math.isfinite(row[1])]
+    for name, value in overflowed:
+        log.warning("%s = %s is not finite in float64: the determinant "
+                    "identity cannot be checked on this graph", name, value)
+    rows = [("quantity", "value")] + identity
     if g.is_killed:
         rows.append(("loop_mass_exact", graphs.loop_mass_exact(g)))
         mass, tail = graphs.loop_mass_truncated(g, args.max_len)
@@ -91,7 +100,7 @@ def cmd_graph_loops(args) -> int:
     if args.alpha is not None:
         rows.append(("penalized_loop_mass", graphs.penalized_loop_mass(g, args.alpha)))
     _write_text(args.out, _csv(rows))
-    return EXIT_OK
+    return EXIT_FLAGGED if overflowed else EXIT_OK
 
 
 def cmd_soup_sample(args) -> int:
@@ -111,16 +120,8 @@ def cmd_soup_sample(args) -> int:
 def cmd_zeta_det(args) -> int:
     surf = parse_surface(args.surface)
     report = log_det_zeta(surf, args.delta)
-    _write_text(args.out, _json({
-        "surface": args.surface,
-        "log_det": report.log_det,
-        "delta_split": report.delta_split,
-        "integral_tail": report.integral_tail,
-        "integral_head": report.integral_head,
-        "correction_terms": report.correction_terms,
-        "error_estimate": report.error_estimate,
-        "flagged": report.flagged,
-    }, indent=2) + "\n")
+    _write_text(args.out, _json({"surface": args.surface,
+                                 **dataclasses.asdict(report)}, indent=2) + "\n")
     return EXIT_FLAGGED if report.flagged else EXIT_OK
 
 
@@ -209,7 +210,7 @@ def cmd_subdivide(args) -> int:
         part = subdivision.regime_protocol(field, args.charge, args.ratio)
     _write_text(args.out, _partition_csv(part))
     if args.svg:
-        _write_text(args.svg, subdivision.render_svg(part))
+        _write_chunks(args.svg, subdivision._svg_chunks(part))
     log.info("%d squares, %d flagged, terminated=%s",
              len(part), part.flagged_count, part.terminated)
     return EXIT_OK if part.terminated else EXIT_FLAGGED
@@ -219,15 +220,7 @@ def cmd_reweight_test(args) -> int:
     rep = reweight.reweighting_experiment(
         args.size, args.epsilon, args.charge, args.delta_charge,
         args.samples, args.seed)
-    _write_text(args.json_out, _json({
-        "count_chi2": rep.count_chi2, "count_p": rep.count_p,
-        "level_chi2": rep.level_chi2, "level_p": rep.level_p,
-        "slice_chi2": rep.slice_chi2, "slice_p": rep.slice_p,
-        "modal_count": rep.modal_count, "ess": rep.ess,
-        "underpowered": rep.underpowered,
-        "mean_count_direct": rep.mean_count_direct,
-        "mean_count_weighted": rep.mean_count_weighted,
-    }, indent=2) + "\n")
+    _write_text(args.json_out, _json(dataclasses.asdict(rep), indent=2) + "\n")
     rows = [("statistic", "direct", "weighted")]
     rows.append(("mean_count", rep.mean_count_direct, rep.mean_count_weighted))
     _write_text(args.out, _csv(rows))

@@ -51,7 +51,6 @@ class GridField:
     seed: int
     values: np.ndarray
     prefix: np.ndarray
-    normalization: float = TWO_PI
 
     @property
     def level(self) -> int:

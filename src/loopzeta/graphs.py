@@ -138,7 +138,7 @@ def determinant_identity(g: Graph):
     return det_graph, det_rw, degree_product
 
 
-def spectral_radius_bound(p: np.ndarray, iterations: int = 200) -> float:
+def spectral_radius_bound(p: np.ndarray) -> float:
     """Certified upper bound on the spectral radius of the nonnegative matrix
     P: power iteration to approach the Perron vector, then the row-max
     Collatz-Wielandt quotient, padded by 1e-12."""
@@ -146,7 +146,7 @@ def spectral_radius_bound(p: np.ndarray, iterations: int = 200) -> float:
     if n == 0:
         return 0.0
     x = np.ones(n) / n
-    for _ in range(iterations):
+    for _ in range(200):
         y = p @ x
         norm = y.max()
         if norm == 0:

@@ -94,8 +94,8 @@ def constant_term(specs) -> ConstantTermResult:
     )
 
 
-def aspect_difference_residual(aspect: int, zeta_log_det_rho, zeta_log_det_one,
-                               sizes=(64, 128, 256, 512)) -> float:
+def aspect_difference_residual(aspect: int, zeta_log_det_rho,
+                               zeta_log_det_one) -> float:
     """Residual of the lattice/continuum bridge in aspect differences.
 
     c_N already normalizes out the vertex count, so its limit is the
@@ -103,8 +103,8 @@ def aspect_difference_residual(aspect: int, zeta_log_det_rho, zeta_log_det_one,
     inputs (determinants of the 1 x rho and 1 x 1 tori) are therefore put on
     unit area by subtracting log(Area) = log(rho) before differencing.
     """
-    c_rho = constant_term(standard_sequence(aspect, sizes)).limit
-    c_one = constant_term(standard_sequence(1, sizes)).limit
+    c_rho = constant_term(standard_sequence(aspect)).limit
+    c_one = constant_term(standard_sequence(1)).limit
     continuum = (zeta_log_det_rho - math.log(aspect)) - zeta_log_det_one
     return (c_rho - c_one) - continuum
 

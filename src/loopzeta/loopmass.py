@@ -18,6 +18,7 @@ from .surfaces import ModelSurface
 from .zeta import (
     EULER_GAMMA,
     _E1_CUT,
+    _SPLIT_DELTA,
     _geometric_quadrature,
     log_det_zeta,
     mellin_zeta,
@@ -73,12 +74,9 @@ def loop_mass(query: LoopMassQuery) -> float:
     surface = query.surface
     kappa = query.kappa
 
-    cutoff = _E1_CUT / delta
-    stream = surface.eigen_stream(cutoff)
-    lam, mult = stream.eigenvalues, stream.multiplicities
+    lam, mult = surface.nonzero_spectrum(_E1_CUT / delta)
     total = 0.0
-    nz = lam > 1e-14
-    shifted = lam[nz] + kappa
+    shifted = lam + kappa
     x_lo = shifted * delta
     keep = x_lo < 700.0
     lo = special.exp1(x_lo[keep])
@@ -87,7 +85,7 @@ def loop_mass(query: LoopMassQuery) -> float:
     else:
         x_hi = shifted[keep] * cap
         hi = np.where(x_hi < 700.0, special.exp1(np.minimum(x_hi, 700.0)), 0.0)
-    total += float(np.sum(mult[nz][keep] * (lo - hi)))
+    total += float(np.sum(mult[keep] * (lo - hi)))
     if surface.zero_modes:
         if kappa > 0.0:
             total += _window_exp1(kappa * delta, kappa * cap) if not math.isinf(
@@ -98,7 +96,7 @@ def loop_mass(query: LoopMassQuery) -> float:
     return total
 
 
-def loop_mass_quadrature(query: LoopMassQuery, panels_per_octave: int = 1) -> float:
+def loop_mass_quadrature(query: LoopMassQuery) -> float:
     """The same QV-window integral by direct quadrature over the heat trace;
     kept as an independent cross-check of loop_mass."""
     delta = query.qv_low / 4.0
@@ -114,14 +112,11 @@ def loop_mass_quadrature(query: LoopMassQuery, panels_per_octave: int = 1) -> fl
     def integrand(t):
         return np.exp(-kappa * t) * surface.heat_trace(t) / t
 
-    n = 24 * panels_per_octave
-    value, _ = _geometric_quadrature(integrand, delta, cap, n=n)
+    value, _ = _geometric_quadrature(integrand, delta, cap)
     return value
 
 
-def theorem_residual_boundary(
-    surface: ModelSurface, delta: float, delta_split: float = 0.05
-) -> float:
+def theorem_residual_boundary(surface: ModelSurface, delta: float) -> float:
     """Residual of the boundary-case expansion of the mass of loops with
     QV > 4 delta; should be O(sqrt(delta))."""
     if surface.is_closed:
@@ -129,7 +124,7 @@ def theorem_residual_boundary(
     _require_positive("delta", delta)
     hc = surface.heat_coefficients()
     lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta))
-    log_det = log_det_zeta(surface, delta_split).log_det
+    log_det = log_det_zeta(surface, _SPLIT_DELTA).log_det
     # volume and boundary terms written via the signed heat coefficients:
     # a/delta = Vol/(4 pi delta); 2b/sqrt(delta) = -Len/(4 sqrt(pi delta))
     # since b < 0 for Dirichlet boundary; the constant uses c_coef (chi/6 for
@@ -143,9 +138,7 @@ def theorem_residual_boundary(
     return lhs - rhs
 
 
-def theorem_residual_closed(
-    surface: ModelSurface, delta: float, cap_c: float, delta_split: float = 0.05
-) -> float:
+def theorem_residual_closed(surface: ModelSurface, delta: float, cap_c: float) -> float:
     """Residual of the closed-case expansion of the mass of loops with QV in
     (4 delta, 4 C); should be O(delta) + O(e^{-alpha C})."""
     if not surface.is_closed:
@@ -154,7 +147,7 @@ def theorem_residual_closed(
     _require_positive("cap_c", cap_c)
     hc = surface.heat_coefficients()
     lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta, 4.0 * cap_c))
-    log_det = log_det_zeta(surface, delta_split).log_det
+    log_det = log_det_zeta(surface, _SPLIT_DELTA).log_det
     rhs = (
         hc.a_coef / delta
         - hc.c_coef * (math.log(delta) + EULER_GAMMA)
@@ -165,9 +158,7 @@ def theorem_residual_closed(
     return lhs - rhs
 
 
-def decay_residual(
-    surface: ModelSurface, delta: float, kappa: float, delta_split: float = 0.05
-) -> float:
+def decay_residual(surface: ModelSurface, delta: float, kappa: float) -> float:
     """Residual of the exponentially penalized loop-mass expansion on a closed
     surface; tends to zero as kappa then delta go to zero."""
     if not surface.is_closed:
@@ -176,7 +167,7 @@ def decay_residual(
     _require_positive("kappa", kappa)
     hc = surface.heat_coefficients()
     lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta, math.inf, kappa))
-    log_det = log_det_zeta(surface, delta_split).log_det
+    log_det = log_det_zeta(surface, _SPLIT_DELTA).log_det
     rhs = (
         hc.a_coef / delta
         - hc.c_coef * (math.log(delta) + EULER_GAMMA)

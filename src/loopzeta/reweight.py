@@ -213,67 +213,59 @@ def reweighting_experiment(grid_size: int, epsilon: float, c: float,
     params_new = charge_to_params(c + c_prime)
 
     max_level = gff._check_size(grid_size)
-    direct_counts = {}
-    direct_levels = np.zeros(max_level + 1)
-    rows_a = []  # (count, level-vector)
-    rows_b = []  # (count, level-vector, weight)
+    # per sample: square count, level histogram and (protocol B) log-weight
+    counts_a = np.empty(n_samples, dtype=np.int64)
+    counts_b = np.empty(n_samples, dtype=np.int64)
+    levels_a = np.empty((n_samples, max_level + 1))
+    levels_b = np.empty((n_samples, max_level + 1))
+    logw = np.empty(n_samples)
     for i in range(n_samples):
         # protocol A: direct sampling at the target charge
         h = gff.sample_dgff(grid_size, seed * 1_000_000 + i)
         part = subdivide(h, params_new.Q, epsilon)
-        direct_counts[len(part)] = direct_counts.get(len(part), 0) + 1
-        lva = np.zeros(max_level + 1)
-        for lvl, cnt in part.level_histogram().items():
-            lva[lvl] = cnt
-        direct_levels += lva
-        rows_a.append((len(part), lva))
+        counts_a[i] = len(part)
+        levels_a[i] = np.bincount(part._levels, minlength=max_level + 1)
         # protocol B: base charge plus determinant weight
         h2 = gff.sample_dgff(grid_size, seed * 1_000_000 + 500_000 + i)
         part2 = subdivide(h2, params.Q, epsilon)
         energy = _projection_energy(h2, part2, params.Q)
+        counts_b[i] = len(part2)
+        levels_b[i] = np.bincount(part2._levels, minlength=max_level + 1)
         # full importance weight between the finite-dimensional laws:
         # the coefficient factor e^{(c'/12) sum x^2} times the per-coordinate
         # normalization (Q_new/Q)^n, cf. the constant density_ratio_check
         # reports; without the n-term only fixed-dimension slices match
-        logw = det_weight(energy, c_prime) \
+        logw[i] = det_weight(energy, c_prime) \
             + len(part2) * math.log(params_new.Q / params.Q)
-        lv = np.zeros(max_level + 1)
-        for lvl, cnt in part2.level_histogram().items():
-            lv[lvl] = cnt
-        rows_b.append((len(part2), lv, logw))
 
-    logw = np.array([r[2] for r in rows_b])
     w = np.exp(logw - logw.max())
     ess = float(w.sum() ** 2 / np.sum(w**2))
 
-    counts_b = np.array([r[0] for r in rows_b])
-    all_counts = sorted(set(direct_counts) | set(counts_b))
-    ca = np.array([direct_counts.get(k, 0) for k in all_counts], dtype=float)
+    all_counts = np.union1d(counts_a, counts_b)
+    ca = np.array([np.sum(counts_a == k) for k in all_counts], dtype=float)
     cb = np.array([np.sum(w[counts_b == k]) for k in all_counts])
     count_chi2, count_p = _pooled_chi_square(ca, cb, n_samples, ess)
 
-    levels_b = np.sum([r[1] * wi for r, wi in zip(rows_b, w)], axis=0)
-    nz = (direct_levels + levels_b) > 0
-    level_chi2, level_p = _pooled_chi_square(direct_levels[nz], levels_b[nz],
-                                             n_samples, ess)
+    direct_levels = levels_a.sum(axis=0)
+    weighted_levels = (levels_b * w[:, None]).sum(axis=0)
+    nz = (direct_levels + weighted_levels) > 0
+    level_chi2, level_p = _pooled_chi_square(
+        direct_levels[nz], weighted_levels[nz], n_samples, ess)
 
-    modal = max(direct_counts, key=direct_counts.get)
-    sel = counts_b == modal
+    # the most frequent direct count; ties go to the one seen first
+    values, first, freq = np.unique(counts_a, return_index=True, return_counts=True)
+    seen = np.argsort(first)
+    modal = values[seen[np.argmax(freq[seen])]]
+    in_a, sel = counts_a == modal, counts_b == modal
     slice_w = w[sel]
-    slice_levels = np.sum([r[1] * wi for r, wi, s in
-                           zip(rows_b, w, sel) if s], axis=0) \
-        if sel.any() else np.zeros(max_level + 1)
-    direct_slice_levels = np.zeros(max_level + 1)
-    for cnt_a, lva in rows_a:
-        if cnt_a == modal:
-            direct_slice_levels += lva
-    n_slice_a = direct_counts.get(modal, 0)
+    slice_levels = (levels_b[sel] * slice_w[:, None]).sum(axis=0)
+    direct_slice_levels = levels_a[in_a].sum(axis=0)
     ess_slice = float(slice_w.sum() ** 2 / np.sum(slice_w**2)) if sel.any() else 0.0
     nz = (direct_slice_levels + slice_levels) > 0
     slice_chi2, slice_p = _pooled_chi_square(
-        direct_slice_levels[nz], slice_levels[nz], n_slice_a, ess_slice)
+        direct_slice_levels[nz], slice_levels[nz], int(in_a.sum()), ess_slice)
 
-    mean_direct = float(np.sum([k * v for k, v in direct_counts.items()]) / n_samples)
+    mean_direct = float(counts_a.sum() / n_samples)
     mean_weighted = float(np.sum(w * counts_b) / w.sum())
     return ExperimentReport(
         count_chi2=count_chi2, count_p=count_p,

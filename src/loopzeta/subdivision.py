@@ -122,23 +122,17 @@ def regime_protocol(field: GridField, c: float,
     return subdivide(field, q_eff, eps)
 
 
-def subdivide(field: GridField, q: float, epsilon: float,
-              depth_cap: int | None = None) -> DyadicPartition:
+def subdivide(field: GridField, q: float, epsilon: float) -> DyadicPartition:
     """Refine the unit square until every piece has A_h <= epsilon.
 
     Levels are processed synchronously with vectorized averages; the
-    keep/refine rule is per square.
+    keep/refine rule is per square. The depth cap is the grid resolution,
+    `field.level`: squares still over the threshold there are kept flagged.
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be finite and positive, got %r" % (q,))
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be finite and positive")
-    cap = field.level if depth_cap is None else depth_cap
-    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) \
-            or not 0 <= cap <= field.level:
-        raise ValueError("depth cap must be an int in [0, %d] (the grid "
-                         "resolution), got %r" % (field.level, depth_cap))
-
     chunks = []  # (level, rows, cols, flagged?) per processed level
     ii = np.array([0], dtype=np.int32)
     jj = np.array([0], dtype=np.int32)
@@ -153,7 +147,7 @@ def subdivide(field: GridField, q: float, epsilon: float,
         del a
         chunks.append((level, ii[small], jj[small], False))
         big_i, big_j = ii[~small], jj[~small]
-        if level == cap:
+        if level == field.level:
             chunks.append((level, big_i, big_j, True))
             break
         ii = (2 * big_i[:, None] + _CHILD_ROWS).ravel()
@@ -204,8 +198,14 @@ _PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
             "#2f4b7c", "#a05195", "#d45087", "#f95d6a"]
 
 
-def render_svg(partition: DyadicPartition, px: int = 1024) -> str:
+def render_svg(partition: DyadicPartition) -> str:
     """SVG rendering with squares colored by level, in (level, i, j) order."""
+    return "".join(_svg_chunks(partition))
+
+
+def _svg_chunks(partition: DyadicPartition):
+    """`render_svg`'s text in the pieces it is formatted in: the header, one
+    block of rects at a time (each rect on a new line), the closing tag."""
     levels, rows, cols, _ = partition.canonical_columns()
     # i 2^-level is (i << (top - level)) 2^-top, so one table of the finest
     # level's formatted coordinates serves every level
@@ -215,10 +215,8 @@ def render_svg(partition: DyadicPartition, px: int = 1024) -> str:
     # blocks of at most 2^16 squares of one level, each formatted at once
     cuts = np.union1d(np.flatnonzero(np.diff(levels)) + 1,
                       np.arange(1 << 16, len(levels), 1 << 16))
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 1 1">' % (px, px)
-    ]
+    yield ('<svg xmlns="http://www.w3.org/2000/svg" width="1024" height="1024" '
+           'viewBox="0 0 1 1">')
     for block, ii, jj in zip(np.split(levels, cuts), np.split(rows, cuts),
                              np.split(cols, cuts)):
         level = int(block[0])
@@ -227,6 +225,5 @@ def render_svg(partition: DyadicPartition, px: int = 1024) -> str:
                 'fill="%s" stroke="#000" stroke-width="%.3g"/>'
                 % (side, side, _PALETTE[level % len(_PALETTE)], side / 64))
         xy = np.column_stack((coords[ii << top - level], coords[jj << top - level]))
-        parts.append("\n".join([rect] * len(xy)) % tuple(xy.ravel().tolist()))
-    parts.append("</svg>")
-    return "\n".join(parts)
+        yield ("\n" + rect) * len(xy) % tuple(xy.ravel().tolist())
+    yield "\n</svg>"

@@ -9,14 +9,17 @@ with a truncation error far below 1e-13.  For the lattice-type surfaces
 t; the sphere and disk always use eigenvalue sums with adaptive cutoffs.
 
 A surface is a frozen dataclass whose constructor fields are all lengths.  It
-provides `volume`, `euler_char`, `heat_coefficients()`, `_enumerate(cutoff,
-budget)` (unsorted eigenvalues and multiplicities, which `eigen_stream`
-sorts) and `_heat_trace(t)` at one t, which `heat_trace` maps over arrays;
-the disk overrides `heat_trace` instead, so that one enumeration serves a
-whole array.  Optional overrides: `boundary_length`, an exact
-`heat_trace_residual(t)` and a closed-form `zeta_series(s)`; optional class
-constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio`,
-`head_cut_floor`, `mellin_start` and `zeta_series_cutoff`.
+provides `volume`, `euler_char`, `heat_coefficients()`, `_enumerate(cutoff)`
+(unsorted eigenvalues up to the cutoff and their multiplicities, which
+`eigen_stream` sorts and `nonzero_spectrum` strips of the zero modes; more
+than `_EIGEN_BUDGET` raise EnumerationBudgetError before allocating) and
+`_heat_trace(t)` at one t, which `heat_trace` maps over arrays; the disk
+overrides `heat_trace` instead, so that one enumeration serves a whole array.
+Optional overrides: `boundary_length`, an exact `heat_trace_residual(t)` (the
+lattice ones refuse t / L^2 > `_POISSON_T_MAX` for a side L) and a
+closed-form `zeta_series(s)`; optional class constants: `zero_modes`,
+`smooth_boundary`, `head_cut_ratio`, `head_cut_floor`, `mellin_start` and
+`zeta_series_cutoff`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ _T_CROSSOVER = 0.05
 # hard cap on the Halley steps per Bessel zero; 3 or 4 suffice from the
 # asymptotic guesses
 _BESSEL_MAX_STEPS = 20
+# most eigenvalues (with multiplicity) one enumeration may produce
+_EIGEN_BUDGET = 5_000_000
+# largest t / L^2 at which a lattice residual's Poisson sum over a side L is
+# taken: it needs about sqrt(46 t) / L terms, some 7000 here
+_POISSON_T_MAX = 1e6
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -113,21 +121,27 @@ class ModelSurface:
         reaches one: on small surfaces the gap lies far above the default."""
         cutoff = 200.0
         while math.isfinite(cutoff):
-            lam = self.eigen_stream(cutoff).eigenvalues
-            nonzero = lam[lam > 1e-14]
-            if nonzero.size:
-                return float(nonzero[0])
+            lam, _ = self.nonzero_spectrum(cutoff)
+            if lam.size:
+                return float(lam[0])
             cutoff *= 2.0
         raise ValueError("no nonzero eigenvalue below any finite cutoff")
 
-    def eigen_stream(self, cutoff: float, budget: int = 5_000_000) -> EigenStream:
+    def eigen_stream(self, cutoff: float) -> EigenStream:
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        lam, mult = self._enumerate(cutoff, budget)
+        lam, mult = self._enumerate(cutoff)
         order = np.argsort(lam, kind="stable")
         return EigenStream(self, cutoff, lam[order], mult[order])
 
-    def _enumerate(self, cutoff: float, budget: int):
+    def nonzero_spectrum(self, cutoff: float):
+        """(eigenvalues, multiplicities) of `eigen_stream(cutoff)` without the
+        zero modes, in increasing order."""
+        stream = self.eigen_stream(cutoff)
+        nz = stream.eigenvalues > 1e-14
+        return stream.eigenvalues[nz], stream.multiplicities[nz]
+
+    def _enumerate(self, cutoff: float):
         raise NotImplementedError
 
     def heat_trace(self, t):
@@ -159,13 +173,11 @@ class ModelSurface:
         cutoff = self.zeta_series_cutoff
         while True:
             try:
-                stream = self.eigen_stream(cutoff)
+                stream = self.nonzero_spectrum(cutoff)
                 break
             except EnumerationBudgetError as exc:
                 cutoff *= 0.85 * exc.budget / exc.required
-        lam, mult = stream.eigenvalues, stream.multiplicities
-        nz = lam > 1e-14
-        lam, mult = lam[nz], mult[nz]
+        lam, mult = stream
         csum = np.cumsum(mult * lam ** (-s))
         cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
         idx = np.searchsorted(lam, cuts, side="right")
@@ -221,12 +233,25 @@ def _torus_factor(t: float, period: float) -> float:
     return float(1.0 + 2.0 * np.exp(-4.0 * math.pi**2 * t * m**2 / period**2).sum())
 
 
+def _check_poisson_range(t: np.ndarray, side: float) -> np.ndarray:
+    """t, refused when some t / side^2 exceeds _POISSON_T_MAX: the Poisson
+    sums would run for minutes, or past t / side^2 ~ 3e39 stop after one term
+    with a wrong value."""
+    t_max = t.max(initial=0.0)
+    if t_max > _POISSON_T_MAX * side * side:
+        raise ValueError(
+            "surface too small: the heat-trace residual needs t / side^2 <= %g,"
+            " got side %g at t = %g" % (_POISSON_T_MAX, side, t_max))
+    return t
+
+
 def _interval_residual(t: np.ndarray, length: float) -> np.ndarray:
     """Exact residual of the interval trace (Poisson identity), no cancellation."""
     out = np.zeros_like(t)
+    scale = length / np.sqrt(math.pi * t)
     k = 1
     while True:
-        term = length / np.sqrt(math.pi * t) * np.exp(-(length * k) ** 2 / t)
+        term = scale * np.exp(-(length * k) ** 2 / t)
         out += term
         if np.all(term < 1e-20):
             return out
@@ -236,9 +261,10 @@ def _interval_residual(t: np.ndarray, length: float) -> np.ndarray:
 def _torus_theta_tail(t: np.ndarray, period: float) -> np.ndarray:
     """u(t) with torus factor = period/(2 sqrt(pi t)) (1 + u); u > 0, exp small."""
     out = np.zeros_like(t)
+    four_t = 4.0 * t
     k = 1
     while True:
-        term = 2.0 * np.exp(-(period * k) ** 2 / (4.0 * t))
+        term = 2.0 * np.exp(-(period * k) ** 2 / four_t)
         out += term
         if np.all(term < 1e-20):
             return out
@@ -265,10 +291,10 @@ class IntervalDirichlet(ModelSurface):
     def heat_coefficients(self) -> HeatCoefficients:
         return HeatCoefficients(0.0, self.length / (2.0 * math.sqrt(math.pi)), -0.5)
 
-    def _enumerate(self, cutoff, budget):
+    def _enumerate(self, cutoff):
         n_max = int(math.floor(self.length / math.pi * math.sqrt(cutoff)))
-        if n_max > budget:
-            raise EnumerationBudgetError(n_max, budget)
+        if n_max > _EIGEN_BUDGET:
+            raise EnumerationBudgetError(n_max, _EIGEN_BUDGET)
         n = np.arange(1, n_max + 1, dtype=float)
         lam = (n * math.pi / self.length) ** 2
         return lam, np.ones_like(lam)
@@ -277,7 +303,8 @@ class IntervalDirichlet(ModelSurface):
         return _interval_trace(t, self.length)
 
     def heat_trace_residual(self, t) -> np.ndarray:
-        return _interval_residual(np.asarray(t, dtype=float), self.length)
+        t = _check_poisson_range(np.asarray(t, dtype=float), self.length)
+        return _interval_residual(t, self.length)
 
     def zeta_series(self, s: float) -> float:
         scale = (self.length / math.pi) ** (2 * s)
@@ -321,12 +348,12 @@ class RectangleDirichlet(ModelSurface):
             0.25,
         )
 
-    def _enumerate(self, cutoff, budget):
+    def _enumerate(self, cutoff):
         a, b = self.side_a, self.side_b
         m_max = int(math.floor(a / math.pi * math.sqrt(cutoff)))
         n_max = int(math.floor(b / math.pi * math.sqrt(cutoff)))
-        if m_max * n_max > budget:
-            raise EnumerationBudgetError(m_max * n_max, budget)
+        if m_max * n_max > _EIGEN_BUDGET:
+            raise EnumerationBudgetError(m_max * n_max, _EIGEN_BUDGET)
         m = np.arange(1, m_max + 1, dtype=float)
         n = np.arange(1, n_max + 1, dtype=float)
         lam = (math.pi**2 * (m[:, None] ** 2 / a**2 + n[None, :] ** 2 / b**2)).ravel()
@@ -337,7 +364,8 @@ class RectangleDirichlet(ModelSurface):
         return _interval_trace(t, self.side_a) * _interval_trace(t, self.side_b)
 
     def heat_trace_residual(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+        t = _check_poisson_range(np.asarray(t, dtype=float),
+                                 min(self.side_a, self.side_b))
         r1 = _interval_residual(t, self.side_a)
         r2 = _interval_residual(t, self.side_b)
         b1 = self.side_a / (2.0 * math.sqrt(math.pi))
@@ -366,12 +394,13 @@ class FlatTorus(ModelSurface):
     def heat_coefficients(self) -> HeatCoefficients:
         return HeatCoefficients(self.side_a * self.side_b / (4.0 * math.pi), 0.0, 0.0)
 
-    def _enumerate(self, cutoff, budget):
+    def _enumerate(self, cutoff):
         a, b = self.side_a, self.side_b
         m_max = int(math.floor(a / (2 * math.pi) * math.sqrt(cutoff)))
         n_max = int(math.floor(b / (2 * math.pi) * math.sqrt(cutoff)))
-        if (2 * m_max + 1) * (2 * n_max + 1) > budget:
-            raise EnumerationBudgetError((2 * m_max + 1) * (2 * n_max + 1), budget)
+        count = (2 * m_max + 1) * (2 * n_max + 1)
+        if count > _EIGEN_BUDGET:
+            raise EnumerationBudgetError(count, _EIGEN_BUDGET)
         m = np.arange(-m_max, m_max + 1, dtype=float)
         n = np.arange(-n_max, n_max + 1, dtype=float)
         lam = (
@@ -384,7 +413,8 @@ class FlatTorus(ModelSurface):
         return _torus_factor(t, self.side_a) * _torus_factor(t, self.side_b)
 
     def heat_trace_residual(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+        t = _check_poisson_range(np.asarray(t, dtype=float),
+                                 min(self.side_a, self.side_b))
         ua = _torus_theta_tail(t, self.side_a)
         ub = _torus_theta_tail(t, self.side_b)
         lead = self.side_a * self.side_b / (4.0 * math.pi * t)
@@ -413,11 +443,11 @@ class RoundSphere(ModelSurface):
     def heat_coefficients(self) -> HeatCoefficients:
         return HeatCoefficients(self.radius**2, 0.0, 1.0 / 3.0)
 
-    def _enumerate(self, cutoff, budget):
+    def _enumerate(self, cutoff):
         # l(l+1)/r^2 <= cutoff
         ell_max = int(math.floor((math.sqrt(1.0 + 4.0 * cutoff * self.radius**2) - 1) / 2))
-        if ell_max + 1 > budget:
-            raise EnumerationBudgetError(ell_max + 1, budget)
+        if ell_max + 1 > _EIGEN_BUDGET:
+            raise EnumerationBudgetError(ell_max + 1, _EIGEN_BUDGET)
         ell = np.arange(0, ell_max + 1, dtype=float)
         return ell * (ell + 1) / self.radius**2, 2.0 * ell + 1.0
 
@@ -621,9 +651,9 @@ class DiskDirichlet(ModelSurface):
             1.0 / 6.0,
         )
 
-    def _enumerate(self, cutoff, budget):
+    def _enumerate(self, cutoff):
         j_max = self.radius * math.sqrt(cutoff)
-        _BESSEL_CACHE.ensure(j_max, budget)
+        _BESSEL_CACHE.ensure(j_max, _EIGEN_BUDGET)
         sel = _BESSEL_CACHE.zeros <= j_max
         lam = (_BESSEL_CACHE.zeros[sel] / self.radius) ** 2
         mult = np.where(_BESSEL_CACHE.orders[sel] == 0, 1.0, 2.0)
@@ -631,7 +661,7 @@ class DiskDirichlet(ModelSurface):
 
     def heat_trace(self, t):
         # one enumeration, at the cutoff of the smallest t, serves every t
-        lam, mult = self._enumerate(_TAIL_EXPONENT / np.min(t), 5_000_000)
+        lam, mult = self._enumerate(_TAIL_EXPONENT / np.min(t))
 
         def one(ti):
             sel = lam * ti < _TAIL_EXPONENT

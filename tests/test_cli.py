@@ -1,11 +1,17 @@
 import json
 import logging
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import pytest
 
 from loopzeta import cli, gff, graphs, subdivision
+from loopzeta.surfaces import FlatTorus, IntervalDirichlet, RectangleDirichlet
+from loopzeta.zeta import log_det_zeta
 
 
 def run(args):
@@ -117,10 +123,10 @@ def reference_subdivide_csv(part) -> str:
     return "".join(",".join(str(x) for x in row) + "\n" for row in rows)
 
 
-def reference_svg(part, px=1024) -> str:
+def reference_svg(part) -> str:
     """The object route: one rect per sorted (level, i, j) tuple."""
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-             'viewBox="0 0 1 1">' % (px, px)]
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="1024" height="1024" '
+             'viewBox="0 0 1 1">']
     for level, i, j in sorted(_tuples(part)):
         side = 2.0 ** -level
         parts.append('<rect x="%.10g" y="%.10g" width="%.10g" height="%.10g" '
@@ -314,3 +320,103 @@ def test_acceptance_subset(capsys):
     out = capsys.readouterr().out
     assert "PASS criterion  3" in out
     assert "PASS criterion  5" in out
+
+
+def _run_subprocess(argv, timeout):
+    """Run the CLI in a fresh interpreter; returns (exit code, stdout, stderr)."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "loopzeta.cli"] + argv,
+                          capture_output=True, text=True, timeout=timeout, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# log det(s S) = log det(S) - 2 log(s) zeta_S(0): the unit surface, its
+# zeta(0) and the scale of each spec
+_TINY_LATTICE = [
+    ("interval:1e-50", IntervalDirichlet(1.0), -0.5, 1e-50),
+    ("interval:1e-6", IntervalDirichlet(1.0), -0.5, 1e-6),
+    ("torus:1e-8x1e-8", FlatTorus(1.0, 1.0), -1.0, 1e-8),
+    ("rect:1e-8x1e-8", RectangleDirichlet(1.0, 1.0), 0.25, 1e-8),
+]
+
+
+@pytest.mark.parametrize("spec, unit, zeta0, scale", _TINY_LATTICE)
+def test_tiny_lattice_surface_is_right_or_refused(spec, unit, zeta0, scale):
+    # far below unit scale the Poisson sums of the lattice residuals either
+    # ran for minutes or stopped after one term with a wrong value
+    code, out, err = _run_subprocess(["zeta-det", "--surface", spec], timeout=10)
+    if code == 1:
+        assert "loopzeta: error:" in err and out == ""
+        return
+    assert code == 0
+    payload = json.loads(out)
+    want = log_det_zeta(unit, 0.1).log_det - 2.0 * math.log(scale) * zeta0
+    assert abs(payload["log_det"] - want) <= 2.0 * payload["error_estimate"]
+
+
+def test_graph_loops_flags_overflowed_identity(tmp_path):
+    # K_150 with one boundary vertex: det of the 149 x 149 Laplacian minor is
+    # 150^148 and the degree product 149^149, both past float64
+    path = tmp_path / "k150.txt"
+    n = 150
+    path.write_text(graphs.write_edge_list(graphs.Graph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n)], [0])))
+    code, out, err = _run_subprocess(["graph-loops", "--graph", str(path)],
+                                     timeout=120)
+    assert code == 2
+    rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
+    assert rows["det_laplacian_minor"] == "inf" and rows["degree_product"] == "inf"
+    assert math.isfinite(float(rows["det_rw_laplacian"]))
+    assert "RuntimeWarning" not in err
+    warnings = [line for line in err.splitlines()
+                if line.startswith("loopzeta: WARNING:")]
+    assert any("det_laplacian_minor" in line for line in warnings)
+    assert any("degree_product" in line for line in warnings)
+
+
+# JSON bytes recorded before the reports were written from their dataclasses
+_ZETA_DET_TORUS_JSON = """{
+  "surface": "torus:1.0x2.0",
+  "log_det": -0.7081146907156994,
+  "delta_split": 0.05,
+  "integral_tail": 1.4641179220123384,
+  "integral_head": 0.008579021888809475,
+  "correction_terms": -0.7645822531854485,
+  "error_estimate": 1.4004326336342345e-13,
+  "flagged": false
+}
+"""
+
+_REWEIGHT_SMALL_JSON = """{
+  "count_chi2": 10.748168893821669,
+  "count_p": 0.6319050682204947,
+  "level_chi2": 1.1429693230211206,
+  "level_p": 0.7667125328132193,
+  "slice_chi2": 0.583996983450867,
+  "slice_p": 0.9000859255668257,
+  "modal_count": 13,
+  "ess": 750.2518019401049,
+  "underpowered": false,
+  "mean_count_direct": 16.255,
+  "mean_count_weighted": 15.764083584196834
+}
+"""
+
+
+def test_zeta_det_json_bytes_pinned(tmp_path):
+    out = tmp_path / "det.json"
+    assert run(["zeta-det", "--surface", "torus:1.0x2.0", "--delta", "0.05",
+                "--out", str(out)]) == 0
+    assert out.read_text() == _ZETA_DET_TORUS_JSON
+
+
+def test_reweight_test_json_bytes_pinned(tmp_path):
+    out, csv_out = tmp_path / "rw.json", tmp_path / "rw.csv"
+    assert run(["reweight-test", "--size", "16", "--charge", "0",
+                "--delta-charge", "-6", "--samples", "1000", "--seed", "3",
+                "--json-out", str(out), "--out", str(csv_out)]) == 0
+    assert out.read_text() == _REWEIGHT_SMALL_JSON
+    assert csv_out.read_text() == ("statistic,direct,weighted\n"
+                                   "mean_count,16.254999999999999,15.764083584196834\n")

@@ -76,9 +76,11 @@ def _reference_cases(size):
             yield field, subdivide(field, q, eps), q
     field = gff.sample_dgff(size, 6999)
     yield field, subdivide(field, q, 1e9), q  # the unit square alone
-    capped = subdivide(field, q, 1e-9, depth_cap=3)
-    assert capped.flagged_count == 64
-    yield field, capped, q
+    if size == 16:
+        # every square flagged at the depth cap, level 4
+        capped = subdivide(field, q, 1e-9)
+        assert capped.flagged_count == len(capped) == 256
+        yield field, capped, q
 
 
 @pytest.mark.parametrize("size", [16, 32, 64])
@@ -185,3 +187,77 @@ def test_small_experiment_consistency():
     assert abs(rep.mean_count_weighted - rep.mean_count_direct) \
         < 0.25 * rep.mean_count_direct
     assert min(rep.count_p, rep.level_p, rep.slice_p) > 1e-3
+
+
+def reference_experiment(grid_size, epsilon, c, c_prime, n_samples, seed):
+    """The tally route: a dict of direct counts, per-sample level vectors
+    filled from `level_histogram`, and weighted sums over Python lists."""
+    params = charge_to_params(c)
+    params_new = charge_to_params(c + c_prime)
+    max_level = gff._check_size(grid_size)
+    direct_counts = {}
+    direct_levels = np.zeros(max_level + 1)
+    rows_a, rows_b = [], []
+    for i in range(n_samples):
+        part = subdivide(gff.sample_dgff(grid_size, seed * 1_000_000 + i),
+                         params_new.Q, epsilon)
+        direct_counts[len(part)] = direct_counts.get(len(part), 0) + 1
+        lva = np.zeros(max_level + 1)
+        for lvl, cnt in part.level_histogram().items():
+            lva[lvl] = cnt
+        direct_levels += lva
+        rows_a.append((len(part), lva))
+        h2 = gff.sample_dgff(grid_size, seed * 1_000_000 + 500_000 + i)
+        part2 = subdivide(h2, params.Q, epsilon)
+        energy = reweight._projection_energy(h2, part2, params.Q)
+        logw = reweight.det_weight(energy, c_prime) \
+            + len(part2) * math.log(params_new.Q / params.Q)
+        lv = np.zeros(max_level + 1)
+        for lvl, cnt in part2.level_histogram().items():
+            lv[lvl] = cnt
+        rows_b.append((len(part2), lv, logw))
+
+    logw = np.array([r[2] for r in rows_b])
+    w = np.exp(logw - logw.max())
+    ess = float(w.sum() ** 2 / np.sum(w**2))
+    counts_b = np.array([r[0] for r in rows_b])
+    all_counts = sorted(set(direct_counts) | set(counts_b))
+    ca = np.array([direct_counts.get(k, 0) for k in all_counts], dtype=float)
+    cb = np.array([np.sum(w[counts_b == k]) for k in all_counts])
+    count_chi2, count_p = reweight._pooled_chi_square(ca, cb, n_samples, ess)
+    levels_b = np.sum([r[1] * wi for r, wi in zip(rows_b, w)], axis=0)
+    nz = (direct_levels + levels_b) > 0
+    level_chi2, level_p = reweight._pooled_chi_square(
+        direct_levels[nz], levels_b[nz], n_samples, ess)
+    modal = max(direct_counts, key=direct_counts.get)
+    sel = counts_b == modal
+    slice_w = w[sel]
+    slice_levels = np.sum([r[1] * wi for r, wi, s in zip(rows_b, w, sel) if s],
+                          axis=0) if sel.any() else np.zeros(max_level + 1)
+    direct_slice_levels = np.zeros(max_level + 1)
+    for cnt_a, lva in rows_a:
+        if cnt_a == modal:
+            direct_slice_levels += lva
+    ess_slice = float(slice_w.sum() ** 2 / np.sum(slice_w**2)) if sel.any() else 0.0
+    nz = (direct_slice_levels + slice_levels) > 0
+    slice_chi2, slice_p = reweight._pooled_chi_square(
+        direct_slice_levels[nz], slice_levels[nz], direct_counts[modal], ess_slice)
+    return reweight.ExperimentReport(
+        count_chi2=count_chi2, count_p=count_p,
+        level_chi2=level_chi2, level_p=level_p,
+        slice_chi2=slice_chi2, slice_p=slice_p,
+        modal_count=int(modal), ess=ess, underpowered=bool(ess < 50),
+        mean_count_direct=float(
+            np.sum([k * v for k, v in direct_counts.items()]) / n_samples),
+        mean_count_weighted=float(np.sum(w * counts_b) / w.sum()),
+    )
+
+
+@pytest.mark.parametrize("args", [
+    (16, 0.55, 0.0, -6.0, 1000, 3),
+    (16, 0.55, 0.0, -6.0, 1000, 5),
+    (32, 0.45, 0.0, -12.5, 1000, 11),
+    (64, 0.45, 0.0, -12.5, 1000, 11),
+])
+def test_experiment_equals_reference_tallies(args):
+    assert reweight.reweighting_experiment(*args) == reference_experiment(*args)

@@ -97,16 +97,17 @@ def test_refinement_monotone(field):
 
 def test_depth_cap_flags(field):
     q = charge_to_params(0.0).Q
-    part = subdivide(field, q, 1e-6, depth_cap=2)
-    assert not part.terminated
-    assert part.flagged_count == len(part) == 16
-    assert part._flags.all()
-    assert squares(subdivide(field, q, 1e-6, depth_cap=np.int64(2))) == squares(part)
-    whole = subdivide(field, q, 1e-6, depth_cap=0)
-    assert whole.flagged_count == len(whole) == 1
-    for bad in (7, -1, 2.5, 2.0, math.nan, True, "2"):
-        with pytest.raises(ValueError, match="depth cap"):
-            subdivide(field, q, 0.3, depth_cap=bad)
+    # the cap is the grid resolution: level 4 on 16^2, level 5 on 32^2
+    for size in (16, 32):
+        small = gff.sample_dgff(size, 2)
+        part = subdivide(small, q, 1e-6)
+        assert not part.terminated
+        assert part.flagged_count == len(part) == 4**small.level
+        assert part._flags.all() and set(part._levels.tolist()) == {small.level}
+        # a threshold met part-way down keeps unflagged squares above the cap
+        mixed = subdivide(small, q, 2.0**-small.level)
+        assert 0 < mixed.flagged_count < len(mixed)
+        assert set(mixed._levels[mixed._flags].tolist()) == {small.level}
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="epsilon"):
             subdivide(field, q, bad)
@@ -128,10 +129,10 @@ def _reference_averages(field, level, ii, jj):
     return (p[r0 + w, c0 + w] - p[r0, c0 + w] - p[r0 + w, c0] + p[r0, c0]) / (w * w)
 
 
-def reference_subdivide(field, q, epsilon, depth_cap=None):
+def reference_subdivide(field, q, epsilon):
     """The per-level gather: four scattered prefix-sum reads per live square
     at every level, children built by a 4-way strided loop."""
-    cap = field.level if depth_cap is None else depth_cap
+    cap = field.level
     chunks = []
     ii = np.array([0], dtype=np.int32)
     jj = np.array([0], dtype=np.int32)
@@ -173,8 +174,11 @@ def test_subdivide_matches_per_level_reference():
         for eps in (2.0, 0.5, 0.2, 0.05):
             part = subdivide(f, q, eps)
             _assert_same_partition(part, reference_subdivide(f, q, eps))
-        capped = subdivide(f, q, 1e-9, depth_cap=3)
-        _assert_same_partition(capped, reference_subdivide(f, q, 1e-9, 3))
+    for size in (16, 32):
+        f = gff.sample_dgff(size, 3)
+        capped = subdivide(f, q, 1e-9)
+        assert capped.flagged_count == 4**f.level
+        _assert_same_partition(capped, reference_subdivide(f, q, 1e-9))
 
 
 def test_capped_regime_run_matches_per_level_reference():
@@ -191,7 +195,8 @@ def test_capped_regime_run_matches_per_level_reference():
 
 
 def test_adjacency_matches_brute_force(field):
-    capped = subdivide(field, charge_to_params(0.0).Q, 0.1, depth_cap=5)
+    small = gff.sample_dgff(32, 9)
+    capped = subdivide(small, charge_to_params(0.0).Q, 0.1)
     assert not capped.terminated and len(capped.level_histogram()) == 3
     # constant field: subdivision gives a regular 4x4 grid
     uniform = subdivide(gff.field_from_values(np.zeros((63, 63))), 1.0, 0.25)

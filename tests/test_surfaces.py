@@ -146,7 +146,8 @@ def test_eigen_stream_sorted_and_counted():
 
 def test_budget_error():
     with pytest.raises(EnumerationBudgetError):
-        RectangleDirichlet(1.0, 1.0).eigen_stream(1e9, budget=1000)
+        # ~1e8 eigenvalues: refused before anything is allocated
+        RectangleDirichlet(1.0, 1.0).eigen_stream(1e9)
     with pytest.raises(ValueError):
         RoundSphere(1.0).eigen_stream(-1.0)
 

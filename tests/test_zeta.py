@@ -212,3 +212,23 @@ def test_zeta_series_within_budget(surface):
     # enumeration budget of 5 M
     for s in (2.0, 3.0):
         assert zeta(surface, s) == pytest.approx(mellin_zeta(surface, s), abs=1e-8)
+
+
+@pytest.mark.parametrize("unit, scaled, zeta0", [
+    (IntervalDirichlet(1.0), IntervalDirichlet(1e-3), -0.5),
+    (FlatTorus(1.0, 1.0), FlatTorus(1e-3, 1e-3), -1.0),
+    (RectangleDirichlet(1.0, 1.0), RectangleDirichlet(1e-3, 1e-3), 0.25),
+])
+def test_small_lattice_surfaces_scale_or_are_refused(unit, scaled, zeta0):
+    # a side of 1e-3 puts t / L^2 at 1e5 at the split 0.1, inside the
+    # Poisson sums' range: log det(s S) = log det(S) - 2 log(s) zeta_S(0)
+    report = log_det_zeta(scaled, 0.1)
+    want = log_det_zeta(unit, 0.1).log_det - 2.0 * math.log(1e-3) * zeta0
+    assert abs(report.log_det - want) <= report.error_estimate
+    # a side of 1e-4 puts it at 1e7: refused, as is anything smaller
+    for side in (1e-4, 1e-50):
+        tiny = scaled_surface(unit, math.log(side))
+        with pytest.raises(ValueError, match="surface too small"):
+            log_det_zeta(tiny, 0.1)
+        with pytest.raises(ValueError, match="surface too small"):
+            zeta_continued(tiny, 0.3)
