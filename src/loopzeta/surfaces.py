@@ -13,7 +13,8 @@ provides `volume`, `euler_char`, `heat_coefficients()`, `_enumerate(cutoff)`
 (unsorted eigenvalues up to the cutoff and their multiplicities, which
 `eigen_stream` sorts and `nonzero_spectrum` strips of the zero modes; more
 than `_EIGEN_BUDGET` raise EnumerationBudgetError before allocating) and
-`_heat_trace(t)` at one t, which `heat_trace` maps over arrays; the disk
+`_heat_trace(t)` at one t, which `heat_trace` maps over arrays (the sphere's
+sum over l refuses more than `_EIGEN_BUDGET` terms in the same way); the disk
 overrides `heat_trace` instead, so that one enumeration serves a whole array.
 Optional overrides: `boundary_length`, an exact `heat_trace_residual(t)` (the
 lattice ones refuse t / L^2 > `_POISSON_T_MAX` for a side L) and a
@@ -454,6 +455,8 @@ class RoundSphere(ModelSurface):
     def _heat_trace(self, t: float) -> float:
         r2 = self.radius**2
         ell_max = int(math.ceil(math.sqrt(_TAIL_EXPONENT * r2 / t))) + 2
+        if ell_max + 1 > _EIGEN_BUDGET:
+            raise EnumerationBudgetError(ell_max + 1, _EIGEN_BUDGET)
         ell = np.arange(0, ell_max + 1, dtype=float)
         return float(((2 * ell + 1) * np.exp(-t * ell * (ell + 1) / r2)).sum())
 
@@ -624,7 +627,10 @@ class DiskDirichlet(ModelSurface):
     radius: float = 1.0
     head_cut_ratio = 2.0**-8
     head_cut_floor = 1e-4
-    mellin_start = 1e-4
+    # 4 x the floor keeps the Mellin head's cut at the floor; a start at the
+    # floor would move the cut to floor / 4 and the Bessel-zero build to 4x
+    # as many zeros
+    mellin_start = 4e-4
     zeta_series_cutoff = 2.0e6
 
     def __post_init__(self):

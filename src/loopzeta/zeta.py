@@ -6,6 +6,14 @@ large-t part is summed exactly per eigenvalue (exponential integrals), and
 the small-t part is integrated after subtracting the a/t + b/sqrt(t) + c
 expansion, whose contribution is continued in closed form.  The result is
 independent of the split point, which the report's error estimate certifies.
+
+The small-t integral runs over the octave panels [delta/2^(k+1), delta/2^k]
+down to a cut t_lo <= delta / 4, below which a fitted expansion takes over.
+Each panel's pair of 24- and 48-point Gauss values is memoized, keyed by
+(surface, lo, hi, s), in an LRU cache of `_HEAD_PANEL_CACHE_SIZE` entries.
+Surfaces compare by value and halving is exact in binary, so a sweep over
+split points delta, delta/2, ... computes each shared panel once, and the
+panels are added in the same top-down order, so every sum is unchanged.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ _E1_CUT = 50.0  # exp1 argument beyond which terms are < 1e-24
 # split point of the continuation wherever no caller chooses one; results do
 # not depend on it (criterion 6 certifies this)
 _SPLIT_DELTA = 0.05
+# most (surface, lo, hi, s) octave panels of the head quadrature kept at once
+_HEAD_PANEL_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -64,32 +74,53 @@ def _gauss_panel(f, lo: float, hi: float, n: int) -> float:
     return float(half * np.dot(w, f(mid + half * x)))
 
 
-def _geometric_quadrature(f, lo: float, hi: float):
-    """Integrate f over [lo, hi] on per-octave 48-point Gauss panels; returns
-    value and the gap to 24-point panels as error estimate."""
+def _panel_sum(panel, lo: float, hi: float):
+    """Sum the (24-point, 48-point) Gauss values `panel(a, b)` over the
+    octave panels [hi/2, hi], [hi/4, hi/2], ... of [lo, hi], top down, the
+    last one cut at lo; returns the 48-point sum and its gap to the 24-point
+    sum as error estimate."""
     edges = [hi]
     while edges[-1] > 2.0 * lo:
         edges.append(edges[-1] / 2.0)
     edges.append(lo)
     total, total_fine = 0.0, 0.0
     for a, b in zip(edges[1:], edges[:-1]):
-        total += _gauss_panel(f, a, b, 24)
-        total_fine += _gauss_panel(f, a, b, 48)
+        coarse, fine = panel(a, b)
+        total += coarse
+        total_fine += fine
     return total_fine, abs(total_fine - total)
+
+
+def _geometric_quadrature(f, lo: float, hi: float):
+    """Integrate f over [lo, hi] on per-octave 48-point Gauss panels; returns
+    value and the gap to 24-point panels as error estimate."""
+    return _panel_sum(
+        lambda a, b: (_gauss_panel(f, a, b, 24), _gauss_panel(f, a, b, 48)), lo, hi)
+
+
+@functools.lru_cache(maxsize=_HEAD_PANEL_CACHE_SIZE)
+def _head_panel(surface: ModelSurface, lo: float, hi: float, s: float):
+    """24- and 48-point Gauss values of int_lo^hi t^{s-1} r(t) dt.
+
+    They depend on the key alone, so they can be held across calls: the
+    disk's trace at each t does not depend on how far the Bessel-zero cache
+    has grown, since a grown cache equals a cold build."""
+
+    def integrand(t):
+        return t ** (s - 1.0) * heat_trace_residual(surface, t)
+
+    return _gauss_panel(integrand, lo, hi, 24), _gauss_panel(integrand, lo, hi, 48)
 
 
 def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
     """int_0^delta t^{s-1} r(t) dt with r the subtracted trace residual.
 
-    Returns (value, error_estimate).  Below a surface-dependent cut the residual
-    is extrapolated by a fitted leading-power expansion.
+    Returns (value, error_estimate).  Below a surface-dependent cut t_lo <=
+    delta / 4 the residual is extrapolated by a fitted leading-power
+    expansion; the fit runs first, so that an enumeration too large for the
+    smallest t is refused before any panel is computed.
     """
-    t_lo = min(delta, max(delta * surface.head_cut_ratio, surface.head_cut_floor))
-
-    def integrand(t):
-        return t ** (s - 1.0) * heat_trace_residual(surface, t)
-
-    body, body_err = _geometric_quadrature(integrand, t_lo, delta)
+    t_lo = min(delta / 4.0, max(delta * surface.head_cut_ratio, surface.head_cut_floor))
     # stub below t_lo via a fit of the residual's leading powers as t -> 0:
     # sqrt(t) with boundary, t when closed
     powers = (1.0, 2.0, 3.0) if surface.is_closed else (0.5, 1.0, 1.5)
@@ -103,6 +134,8 @@ def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
     stub_err = abs(coef[-1]) * t_lo ** (powers[-1] + s) / (powers[-1] + s) + 1e-14
     if not np.isfinite(stub):
         stub, stub_err = 0.0, abs(r_fit[0])
+    body, body_err = _panel_sum(
+        lambda a, b: _head_panel(surface, a, b, s), t_lo, delta)
     return body + stub, body_err + abs(stub_err)
 
 

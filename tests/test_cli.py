@@ -356,6 +356,16 @@ def test_tiny_lattice_surface_is_right_or_refused(spec, unit, zeta0, scale):
     assert abs(payload["log_det"] - want) <= 2.0 * payload["error_estimate"]
 
 
+@pytest.mark.parametrize("spec", ["sphere:1e4", "disk:30", "sphere:1000"])
+def test_large_sphere_or_disk_is_refused_at_once(spec):
+    # the head quadrature used to start at its largest t, so the smallest t,
+    # whose trace needs the most eigenvalues, came last: these ran past 60 s
+    # (the sphere's per-t arrays heading for ~460 MB each at 1e4)
+    code, out, err = _run_subprocess(["zeta-det", "--surface", spec], timeout=10)
+    assert code == 1 and out == ""
+    assert "loopzeta: error: spectral enumeration needs ~" in err
+
+
 def test_graph_loops_flags_overflowed_identity(tmp_path):
     # K_150 with one boundary vertex: det of the 149 x 149 Laplacian minor is
     # 150^148 and the degree product 149^149, both past float64
