@@ -82,7 +82,6 @@ from .reweight import (
     det_weight,
     project_onto_partition,
     reweighting_experiment,
-    weight_report,
 )
 
 __version__ = "0.1.0"

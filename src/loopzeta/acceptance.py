@@ -490,8 +490,13 @@ def run_criterion(index: int) -> CriterionResult:
 
 
 def run_all(indices=None):
-    """Run the selected criteria (all by default), printing one line each."""
-    chosen = set(indices) if indices is not None else {i for i, _, _ in CRITERIA}
+    """Run the selected criteria (all by default), printing one line each.
+    ValueError, before any runs, for an empty selection or an unknown index."""
+    known = {i for i, _, _ in CRITERIA}
+    chosen = known if indices is None else set(indices)
+    unknown = sorted(chosen - known)
+    if unknown or not chosen:
+        raise ValueError("no criterion %s" % (",".join(map(str, unknown)) or "selected"))
     results = []
     for idx, _, _ in CRITERIA:
         if idx not in chosen:

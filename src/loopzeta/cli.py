@@ -165,13 +165,12 @@ def cmd_verify_theorem(args) -> int:
 def cmd_lattice_torus(args) -> int:
     sizes = tuple(int(s) for s in args.sizes.split(","))
     specs = lattice.standard_sequence(args.aspect, sizes)
-    rows = [("n_x", "n_y", "log_det_prime", "constant")]
-    for spec in specs:
-        rows.append((spec.n_x, spec.n_y,
-                     lattice.discrete_torus_log_det(spec),
-                     lattice.torus_constant(spec)))
-    _write_text(args.out, _csv(rows))
+    # validates the sequence before any row is written
     result = lattice.constant_term(specs)
+    rows = [("n_x", "n_y", "log_det_prime", "constant")]
+    for spec, constant in zip(specs, result.constants):
+        rows.append((spec.n_x, spec.n_y, lattice.discrete_torus_log_det(spec), constant))
+    _write_text(args.out, _csv(rows))
     _write_text(args.json_out, _json({
         "aspect": args.aspect,
         "limit": result.limit,
@@ -182,6 +181,9 @@ def cmd_lattice_torus(args) -> int:
 
 
 def cmd_gff_sample(args) -> int:
+    if not 0 <= args.seed < 1 << 63:
+        # the field file stores the seed as a signed 64-bit integer
+        raise ValueError("--seed must lie in [0, 2^63), got %d" % args.seed)
     field = gff.sample_dgff(args.size, args.seed)
     gff.write_field(field, args.out)
     log.info("field variance %.4f, dirichlet energy %.1f",
@@ -229,8 +231,11 @@ def cmd_reweight_test(args) -> int:
 
 def cmd_acceptance(args) -> int:
     indices = None
-    if args.only:
-        indices = [int(tok) for tok in args.only.split(",")]
+    if args.only is not None:
+        try:
+            indices = [int(tok) for tok in args.only.split(",")]
+        except ValueError:
+            raise ValueError("no criterion %r" % args.only) from None
     results = acceptance.run_all(indices)
     return EXIT_OK if all(r.passed for r in results) else EXIT_ERROR
 

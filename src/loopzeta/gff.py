@@ -190,14 +190,6 @@ def green_oracle(size: int) -> np.ndarray:
     return TWO_PI * np.linalg.inv(lap)
 
 
-def poisson_solve(size: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve (grid Laplacian) u = rhs on the interior via DST-I
-    diagonalization."""
-    lam1 = _mode_eigenvalues(size)
-    coeff = sfft.dstn(rhs, type=1, norm="ortho")
-    return sfft.dstn(coeff / (lam1[:, None] + lam1[None, :]), type=1, norm="ortho")
-
-
 def write_field(field: GridField, path) -> None:
     """Dump: 16-byte header (magic, k, seed) then row-major little-endian
     float64 interior values."""

@@ -109,12 +109,6 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return sub / deg[interior][:, None]
 
 
-def rw_laplacian(g: Graph) -> np.ndarray:
-    """Random-walk Laplacian I - P on the interior vertices."""
-    p = transition_matrix(g)
-    return np.eye(len(p)) - p
-
-
 def _slogdet(m: np.ndarray) -> float:
     sign, logabs = np.linalg.slogdet(m)
     if sign <= 0:
@@ -245,7 +239,8 @@ def log_det_prime_rw(g: Graph) -> float:
     connected graph (the modified determinant)."""
     if g.is_killed:
         raise ValueError("modified determinant is for closed graphs")
-    eig = np.linalg.eigvals(rw_laplacian(g))
+    p = transition_matrix(g)
+    eig = np.linalg.eigvals(np.eye(len(p)) - p)
     eig = np.sort(eig.real)
     if eig[0] > 1e-10 or (len(eig) > 1 and eig[1] < 1e-10):
         raise ValueError("expected a simple zero eigenvalue (connected graph)")

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .surfaces import ModelSurface
+from .surfaces import _TAIL_EXPONENT, ModelSurface
 from .zeta import (
     EULER_GAMMA,
-    _E1_CUT,
     _SPLIT_DELTA,
     _geometric_quadrature,
     log_det_zeta,
@@ -74,7 +73,7 @@ def loop_mass(query: LoopMassQuery) -> float:
     surface = query.surface
     kappa = query.kappa
 
-    lam, mult = surface.nonzero_spectrum(_E1_CUT / delta)
+    lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
     total = 0.0
     shifted = lam + kappa
     x_lo = shifted * delta
@@ -107,7 +106,7 @@ def loop_mass_quadrature(query: LoopMassQuery) -> float:
         rate = surface.spectral_gap() + kappa
         if surface.zero_modes and kappa > 0.0:
             rate = kappa  # the zero mode decays only through the penalty
-        cap = delta + _E1_CUT / rate
+        cap = delta + _TAIL_EXPONENT / rate
 
     def integrand(t):
         return np.exp(-kappa * t) * surface.heat_trace(t) / t
@@ -192,9 +191,12 @@ def zeta_from_weighted_loops(surface: ModelSurface, s: float) -> float:
 
 
 def fit_log_slope(xs, ys) -> float:
-    """Least-squares slope of log|y| against log x."""
+    """Least-squares slope of log|y| against log x; ValueError unless there
+    are two distinct x."""
     xs = np.asarray(xs, dtype=float)
     ys = np.abs(np.asarray(ys, dtype=float))
+    if np.unique(xs).size < 2:
+        raise ValueError("slope fit needs two distinct x")
     if np.any(ys == 0):
         raise ValueError("zero residual in slope fit")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])

@@ -33,20 +33,6 @@ class ProjectionResult:
     solver_residual: float
 
 
-@dataclass(frozen=True)
-class WeightReport:
-    c: float
-    c_prime: float
-    c_new: float
-    Q_new: float
-    log_weight: float
-
-    def __post_init__(self):
-        q2 = charge_to_params(self.c).Q ** 2 - self.c_prime / 6.0
-        if abs(self.Q_new**2 - q2) > 1e-12 * max(1.0, abs(q2)):
-            raise ValueError("inconsistent Q_new")
-
-
 def _window_profiles(size: int, starts: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One row per square: the 1-D factor of its square-average functional
     on the interior sites, 1, 2, ..., 2, 1 over the window, scaled by 0.5/w.
@@ -133,16 +119,6 @@ def project_onto_partition(field: GridField, partition: DyadicPartition,
 def det_weight(coefficient_energy: float, c_prime: float) -> float:
     """log of the determinant reweighting factor, (c'/12) Sigma x_S^2."""
     return (c_prime / 12.0) * coefficient_energy
-
-
-def weight_report(c: float, c_prime: float, coefficient_energy: float) -> WeightReport:
-    return WeightReport(
-        c=c,
-        c_prime=c_prime,
-        c_new=c + c_prime,
-        Q_new=charge_to_params(c + c_prime).Q,
-        log_weight=det_weight(coefficient_energy, c_prime),
-    )
 
 
 def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:

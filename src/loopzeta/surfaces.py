@@ -2,33 +2,35 @@
 
 Five closed-form geometries are supported: the Dirichlet interval (a 1-D
 calibration case), the Dirichlet rectangle, the rectangular flat torus, the
-round sphere and the Dirichlet disk.  Each surface knows its geometric
-constants, its spectrum below a cutoff, and how to evaluate tr(e^{-t Lap})
+round sphere and the Dirichlet disk.  Each surface knows its small-t heat
+coefficients, its spectrum below a cutoff, and how to evaluate tr(e^{-t Lap})
 with a truncation error far below 1e-13.  For the lattice-type surfaces
 (interval, rectangle, torus) the trace switches to dual theta sums at small
 t; the sphere and disk always use eigenvalue sums with adaptive cutoffs.
 
-A surface is a frozen dataclass whose constructor fields are all lengths.  It
-provides `volume`, `euler_char`, `heat_coefficients()`, `_enumerate(cutoff)`
-(unsorted eigenvalues up to the cutoff and their multiplicities, which
-`eigen_stream` sorts and `nonzero_spectrum` strips of the zero modes; more
-than `_EIGEN_BUDGET` raise EnumerationBudgetError before allocating) and
-`_heat_trace(t)` at one t, which `heat_trace` maps over arrays (the sphere's
-sum over l refuses more than `_EIGEN_BUDGET` terms in the same way); the disk
-overrides `heat_trace` instead, so that one enumeration serves a whole array.
-Optional overrides: `boundary_length`, an exact `heat_trace_residual(t)` (the
-lattice ones refuse t / L^2 > `_POISSON_T_MAX` for a side L) and a
-closed-form `zeta_series(s)`; optional class constants: `zero_modes`,
-`smooth_boundary`, `head_cut_ratio`, `head_cut_floor`, `mellin_start` and
-`zeta_series_cutoff`.
+A surface is a frozen dataclass whose fields are lengths, each finite and
+positive.  Its geometry (area, boundary length, Euler characteristic) enters
+only through `heat_coefficients()`, whose docstring states it.  It provides
+`heat_coefficients()`, `_enumerate(cutoff)` (unsorted eigenvalues up to the
+cutoff and their multiplicities, which `eigen_stream` sorts and
+`nonzero_spectrum` strips of the zero modes; more than `_EIGEN_BUDGET` raise
+EnumerationBudgetError before allocating) and `_heat_trace(t)` at one t,
+which `heat_trace` maps over arrays (the sphere's sum over l refuses more
+than `_EIGEN_BUDGET` terms in the same way); the disk overrides `heat_trace`
+instead, so that one enumeration serves a whole array.  Optional overrides:
+an exact `heat_trace_residual(t)` (the lattice ones refuse t / L^2 >
+`_POISSON_T_MAX` for a side L) and a closed-form `zeta_series(s)`; optional
+class constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio`,
+`head_cut_floor`, `mellin_start` and `zeta_series_cutoff`.
 """
 
 from __future__ import annotations
 
+import decimal
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -36,7 +38,8 @@ from scipy.integrate import quad
 
 log = logging.getLogger("loopzeta")
 
-# exponent beyond which dropped terms are < 1e-22 relative
+# exponent x past which a dropped term is negligible: exp(-x) < 2e-22 in the
+# heat traces, E1(x) < 4e-24 in the zeta tail sums
 _TAIL_EXPONENT = 50.0
 # crossover between eigen-sum and theta-dual evaluation for lattice surfaces
 _T_CROSSOVER = 0.05
@@ -54,9 +57,12 @@ class EnumerationBudgetError(RuntimeError):
     """Raised when a spectral enumeration would exceed its budget."""
 
     def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"spectral enumeration needs ~{required} eigenvalues, budget is {budget}"
-        )
+        try:
+            count = "%.3g" % required
+        except OverflowError:  # past the float range
+            count = format(decimal.Decimal(required), ".3g")
+        super().__init__("spectral enumeration needs ~%s eigenvalues, budget is %d"
+                         % (count, budget))
         self.required = required
         self.budget = budget
 
@@ -74,13 +80,8 @@ class HeatCoefficients:
 class EigenStream:
     """All eigenvalues of a surface up to a cutoff, with multiplicities."""
 
-    surface: "ModelSurface"
-    cutoff: float
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-
-    def count(self) -> int:
-        return int(self.multiplicities.sum())
 
 
 class ModelSurface:
@@ -98,17 +99,11 @@ class ModelSurface:
     #: top of the band of cutoffs of the Weyl-band zeta series
     zeta_series_cutoff = 4.0e7
 
-    @property
-    def volume(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def boundary_length(self) -> float:
-        return 0.0
-
-    @property
-    def euler_char(self) -> int:
-        raise NotImplementedError
+    def __post_init__(self):
+        for fd in fields(self):
+            value = getattr(self, fd.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and positive" % fd.name)
 
     @property
     def is_closed(self) -> bool:
@@ -133,7 +128,7 @@ class ModelSurface:
             raise ValueError("cutoff must be positive")
         lam, mult = self._enumerate(cutoff)
         order = np.argsort(lam, kind="stable")
-        return EigenStream(self, cutoff, lam[order], mult[order])
+        return EigenStream(lam[order], mult[order])
 
     def nonzero_spectrum(self, cutoff: float):
         """(eigenvalues, multiplicities) of `eigen_stream(cutoff)` without the
@@ -188,10 +183,6 @@ class ModelSurface:
         ) * cuts ** (0.5 - s) / (s - 0.5)
         return float(np.mean(partials + tails))
 
-    def short_time_prediction(self, t: float) -> float:
-        hc = self.heat_coefficients()
-        return hc.a_coef / t + hc.b_coef / math.sqrt(t) + hc.c_coef
-
 
 def _elementwise(one, t):
     """The one-t function `one` at a scalar t, or at each entry of an array."""
@@ -201,20 +192,21 @@ def _elementwise(one, t):
     return np.array([one(ti) for ti in ts.ravel().tolist()]).reshape(ts.shape)
 
 
-def _finite_positive(x: float) -> bool:
-    return math.isfinite(x) and x > 0
+def _theta_dual(side: float, t_eff: float) -> float:
+    """theta = sum_{k in Z} exp(-side^2 k^2 / t_eff), the Poisson dual of a
+    lattice trace factor, summed until the exponent passes _TAIL_EXPONENT."""
+    theta = 1.0
+    k = 1
+    while side * side * k * k / t_eff < _TAIL_EXPONENT:
+        theta += 2.0 * math.exp(-side * side * k * k / t_eff)
+        k += 1
+    return theta
 
 
 def _interval_trace(t: float, length: float) -> float:
     """Dirichlet trace sum_{n>=1} exp(-t (n pi / L)^2), by theta duality at small t."""
     if t < _T_CROSSOVER * length * length:
-        # Poisson-summed form: L/(2 sqrt(pi t)) * theta - 1/2
-        theta = 1.0
-        k = 1
-        while length * length * k * k / t < _TAIL_EXPONENT:
-            theta += 2.0 * math.exp(-length * length * k * k / t)
-            k += 1
-        return length / (2.0 * math.sqrt(math.pi * t)) * theta - 0.5
+        return length / (2.0 * math.sqrt(math.pi * t)) * _theta_dual(length, t) - 0.5
     n_max = int(math.ceil(length / math.pi * math.sqrt(_TAIL_EXPONENT / t))) + 1
     n = np.arange(1, n_max + 1)
     return float(np.exp(-t * (n * math.pi / length) ** 2).sum())
@@ -223,21 +215,17 @@ def _interval_trace(t: float, length: float) -> float:
 def _torus_factor(t: float, period: float) -> float:
     """sum_{m in Z} exp(-4 pi^2 t m^2 / a^2), by theta duality at small t."""
     if t < _T_CROSSOVER * period * period:
-        theta = 1.0
-        k = 1
-        while period * period * k * k / (4.0 * t) < _TAIL_EXPONENT:
-            theta += 2.0 * math.exp(-period * period * k * k / (4.0 * t))
-            k += 1
-        return period / (2.0 * math.sqrt(math.pi * t)) * theta
+        return period / (2.0 * math.sqrt(math.pi * t)) * _theta_dual(period, 4.0 * t)
     m_max = int(math.ceil(period / (2 * math.pi) * math.sqrt(_TAIL_EXPONENT / t))) + 1
     m = np.arange(1, m_max + 1)
     return float(1.0 + 2.0 * np.exp(-4.0 * math.pi**2 * t * m**2 / period**2).sum())
 
 
-def _check_poisson_range(t: np.ndarray, side: float) -> np.ndarray:
-    """t, refused when some t / side^2 exceeds _POISSON_T_MAX: the Poisson
-    sums would run for minutes, or past t / side^2 ~ 3e39 stop after one term
-    with a wrong value."""
+def _check_poisson_range(t, side: float) -> np.ndarray:
+    """t as a float array, refused when some t / side^2 exceeds
+    _POISSON_T_MAX: the Poisson sums would run for minutes, or past
+    t / side^2 ~ 3e39 stop after one term with a wrong value."""
+    t = np.asarray(t, dtype=float)
     t_max = t.max(initial=0.0)
     if t_max > _POISSON_T_MAX * side * side:
         raise ValueError(
@@ -246,26 +234,16 @@ def _check_poisson_range(t: np.ndarray, side: float) -> np.ndarray:
     return t
 
 
-def _interval_residual(t: np.ndarray, length: float) -> np.ndarray:
-    """Exact residual of the interval trace (Poisson identity), no cancellation."""
+def _poisson_tail(scale, side: float, t: np.ndarray) -> np.ndarray:
+    """sum_{k>=1} scale exp(-(side k)^2 / t) elementwise, summed until every
+    term is below 1e-20: a theta sum past its k = 0 term, so that a residual
+    needs no cancellation.  The interval's residual is the tail at
+    (L / sqrt(pi t), L, t); a torus factor is P / (2 sqrt(pi t)) (1 + u)
+    with u the tail at (2, P, 4 t)."""
     out = np.zeros_like(t)
-    scale = length / np.sqrt(math.pi * t)
     k = 1
     while True:
-        term = scale * np.exp(-(length * k) ** 2 / t)
-        out += term
-        if np.all(term < 1e-20):
-            return out
-        k += 1
-
-
-def _torus_theta_tail(t: np.ndarray, period: float) -> np.ndarray:
-    """u(t) with torus factor = period/(2 sqrt(pi t)) (1 + u); u > 0, exp small."""
-    out = np.zeros_like(t)
-    four_t = 4.0 * t
-    k = 1
-    while True:
-        term = 2.0 * np.exp(-(period * k) ** 2 / four_t)
+        term = scale * np.exp(-(side * k) ** 2 / t)
         out += term
         if np.all(term < 1e-20):
             return out
@@ -277,19 +255,8 @@ class IntervalDirichlet(ModelSurface):
     length: float = 1.0
     smooth_boundary = False
 
-    def __post_init__(self):
-        if not _finite_positive(self.length):
-            raise ValueError("length must be finite and positive")
-
-    @property
-    def volume(self) -> float:
-        return self.length
-
-    @property
-    def euler_char(self) -> int:
-        return 1
-
     def heat_coefficients(self) -> HeatCoefficients:
+        """(0, L / (2 sqrt(pi)), -1/2): length L, and -1/4 per Dirichlet end."""
         return HeatCoefficients(0.0, self.length / (2.0 * math.sqrt(math.pi)), -0.5)
 
     def _enumerate(self, cutoff):
@@ -304,8 +271,8 @@ class IntervalDirichlet(ModelSurface):
         return _interval_trace(t, self.length)
 
     def heat_trace_residual(self, t) -> np.ndarray:
-        t = _check_poisson_range(np.asarray(t, dtype=float), self.length)
-        return _interval_residual(t, self.length)
+        t = _check_poisson_range(t, self.length)
+        return _poisson_tail(self.length / np.sqrt(math.pi * t), self.length, t)
 
     def zeta_series(self, s: float) -> float:
         scale = (self.length / math.pi) ** (2 * s)
@@ -324,25 +291,9 @@ class RectangleDirichlet(ModelSurface):
     side_b: float = 1.0
     smooth_boundary = False
 
-    def __post_init__(self):
-        if not (_finite_positive(self.side_a) and _finite_positive(self.side_b)):
-            raise ValueError("sides must be finite and positive")
-
-    @property
-    def volume(self) -> float:
-        return self.side_a * self.side_b
-
-    @property
-    def boundary_length(self) -> float:
-        return 2.0 * (self.side_a + self.side_b)
-
-    @property
-    def euler_char(self) -> int:
-        return 1
-
     def heat_coefficients(self) -> HeatCoefficients:
-        # constant term 1/4, not chi/6: four right-angle corners, forced by
-        # the exact product structure of the interval traces
+        """a = Vol / (4 pi), b = -Len / (8 sqrt(pi)); c = 1/4, not chi/6: each
+        of the four right-angle corners adds 1/16."""
         return HeatCoefficients(
             self.side_a * self.side_b / (4.0 * math.pi),
             -(self.side_a + self.side_b) / (4.0 * math.sqrt(math.pi)),
@@ -365,10 +316,9 @@ class RectangleDirichlet(ModelSurface):
         return _interval_trace(t, self.side_a) * _interval_trace(t, self.side_b)
 
     def heat_trace_residual(self, t) -> np.ndarray:
-        t = _check_poisson_range(np.asarray(t, dtype=float),
-                                 min(self.side_a, self.side_b))
-        r1 = _interval_residual(t, self.side_a)
-        r2 = _interval_residual(t, self.side_b)
+        t = _check_poisson_range(t, min(self.side_a, self.side_b))
+        r1 = _poisson_tail(self.side_a / np.sqrt(math.pi * t), self.side_a, t)
+        r2 = _poisson_tail(self.side_b / np.sqrt(math.pi * t), self.side_b, t)
         b1 = self.side_a / (2.0 * math.sqrt(math.pi))
         b2 = self.side_b / (2.0 * math.sqrt(math.pi))
         return r1 * (b2 / np.sqrt(t) - 0.5) + r2 * (b1 / np.sqrt(t) - 0.5) + r1 * r2
@@ -380,19 +330,8 @@ class FlatTorus(ModelSurface):
     side_b: float = 1.0
     zero_modes = 1
 
-    def __post_init__(self):
-        if not (_finite_positive(self.side_a) and _finite_positive(self.side_b)):
-            raise ValueError("sides must be finite and positive")
-
-    @property
-    def volume(self) -> float:
-        return self.side_a * self.side_b
-
-    @property
-    def euler_char(self) -> int:
-        return 0
-
     def heat_coefficients(self) -> HeatCoefficients:
+        """a = Vol / (4 pi), b = 0 (no boundary), c = chi/6 = 0."""
         return HeatCoefficients(self.side_a * self.side_b / (4.0 * math.pi), 0.0, 0.0)
 
     def _enumerate(self, cutoff):
@@ -414,10 +353,10 @@ class FlatTorus(ModelSurface):
         return _torus_factor(t, self.side_a) * _torus_factor(t, self.side_b)
 
     def heat_trace_residual(self, t) -> np.ndarray:
-        t = _check_poisson_range(np.asarray(t, dtype=float),
-                                 min(self.side_a, self.side_b))
-        ua = _torus_theta_tail(t, self.side_a)
-        ub = _torus_theta_tail(t, self.side_b)
+        t = _check_poisson_range(t, min(self.side_a, self.side_b))
+        four_t = 4.0 * t
+        ua = _poisson_tail(2.0, self.side_a, four_t)
+        ub = _poisson_tail(2.0, self.side_b, four_t)
         lead = self.side_a * self.side_b / (4.0 * math.pi * t)
         return lead * (ua + ub + ua * ub)
 
@@ -429,19 +368,8 @@ class RoundSphere(ModelSurface):
     head_cut_ratio = 2.0**-16
     head_cut_floor = 1e-7
 
-    def __post_init__(self):
-        if not _finite_positive(self.radius):
-            raise ValueError("radius must be finite and positive")
-
-    @property
-    def volume(self) -> float:
-        return 4.0 * math.pi * self.radius**2
-
-    @property
-    def euler_char(self) -> int:
-        return 2
-
     def heat_coefficients(self) -> HeatCoefficients:
+        """a = Vol / (4 pi) = r^2, b = 0 (no boundary), c = chi/6 = 1/3."""
         return HeatCoefficients(self.radius**2, 0.0, 1.0 / 3.0)
 
     def _enumerate(self, cutoff):
@@ -633,24 +561,9 @@ class DiskDirichlet(ModelSurface):
     mellin_start = 4e-4
     zeta_series_cutoff = 2.0e6
 
-    def __post_init__(self):
-        if not _finite_positive(self.radius):
-            raise ValueError("radius must be finite and positive")
-
-    @property
-    def volume(self) -> float:
-        return math.pi * self.radius**2
-
-    @property
-    def boundary_length(self) -> float:
-        return 2.0 * math.pi * self.radius
-
-    @property
-    def euler_char(self) -> int:
-        return 1
-
     def heat_coefficients(self) -> HeatCoefficients:
-        # smooth boundary: constant term is chi/6 = 1/6 literally
+        """a = Vol / (4 pi), b = -Len / (8 sqrt(pi)); the boundary is smooth,
+        so c = chi/6 = 1/6."""
         return HeatCoefficients(
             self.radius**2 / 4.0,
             -math.sqrt(math.pi) * self.radius / 4.0,

@@ -25,12 +25,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy import special
 
-from .surfaces import ModelSurface
+from .surfaces import _TAIL_EXPONENT, ModelSurface
 
 # Euler-Mascheroni constant, 20 digits
 EULER_GAMMA = 0.57721566490153286061
 
-_E1_CUT = 50.0  # exp1 argument beyond which terms are < 1e-24
 # split point of the continuation wherever no caller chooses one; results do
 # not depend on it (criterion 6 certifies this)
 _SPLIT_DELTA = 0.05
@@ -166,7 +165,7 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     # residual part of the head, bounded by the leading residual power
     head_resid, _ = head_integral(surface, t0, s=s)
     gap = surface.spectral_gap()
-    t_max = _E1_CUT / gap
+    t_max = _TAIL_EXPONENT / gap
 
     def integrand(t):
         return t ** (s - 1.0) * (surface.heat_trace(t) - n)
@@ -193,7 +192,7 @@ def zeta_continued(surface: ModelSurface, s: float) -> float:
         if coef != 0 and s == pole:
             raise ValueError("zeta has a pole at s = %g" % pole)
     delta = _SPLIT_DELTA
-    lam, mult = surface.nonzero_spectrum(_E1_CUT / delta)
+    lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
     tail_sum = float(np.sum(mult * lam ** (-s) * special.gammaincc(s, lam * delta)))
     head_resid, _ = head_integral(surface, delta, s=s)
     g = special.gamma(s)
@@ -238,7 +237,7 @@ def log_det_zeta(surface: ModelSurface, delta: float = 0.1) -> ZetaDetReport:
     hc = surface.heat_coefficients()
     n = surface.zero_modes
 
-    lam, mult = surface.nonzero_spectrum(_E1_CUT / delta)
+    lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
     integral_tail = float(np.sum(mult * special.exp1(lam * delta)))
     # one part in 1e20 per eigenvalue summed, zero modes included
     tail_trunc_err = 1e-20 * max(1.0, int(mult.sum()) + n)

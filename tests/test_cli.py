@@ -6,6 +6,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -430,3 +431,59 @@ def test_reweight_test_json_bytes_pinned(tmp_path):
     assert out.read_text() == _REWEIGHT_SMALL_JSON
     assert csv_out.read_text() == ("statistic,direct,weighted\n"
                                    "mean_count,16.254999999999999,15.764083584196834\n")
+
+
+@pytest.mark.parametrize("only, named", [
+    ("99", "no criterion 99"), ("5,99", "no criterion 99"), ("0,19", "no criterion 0,19"),
+    ("", "no criterion ''"), ("5,", "no criterion '5,'"),
+])
+def test_acceptance_unknown_or_empty_selection_exits_one(capsys, only, named):
+    assert run(["acceptance", "--only", only]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any criterion runs
+    assert "loopzeta: error: %s" % named in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 99999999999999999999])
+def test_gff_sample_seed_out_of_range_exits_one_before_sampling(
+        tmp_path, capsys, monkeypatch, seed):
+    def never(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(gff, "sample_dgff", never)
+    out = tmp_path / "x.bin"
+    assert run(["gff-sample", "--size", "16", "--seed", str(seed),
+                "--out", str(out)]) == 1
+    assert "loopzeta: error: --seed must lie in [0, 2^63)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gff_sample_largest_seed_round_trips(tmp_path):
+    out = tmp_path / "x.bin"
+    assert run(["gff-sample", "--size", "16", "--seed", str(2**63 - 1),
+                "--out", str(out)]) == 0
+    assert gff.read_field(out).seed == 2**63 - 1
+
+
+def test_lattice_torus_short_sequence_writes_no_rows(capsys):
+    assert run(["lattice-torus", "--sizes", "2,3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "loopzeta: error: need at least 4 lattice sizes" in err
+
+
+def test_verify_theorem_one_distinct_delta_has_no_slope(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify-theorem", "--case", "closed", "--surface", "torus:1x1",
+                    "--deltas", "0.01,0.01"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out.splitlines()[-1])["slope"] is None
+
+
+def test_budget_error_count_is_short(capsys):
+    # the count has 302 digits
+    assert run(["loop-mass", "--surface", "disk:1", "--qv-low", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert ("loopzeta: error: spectral enumeration needs ~2.76e+301 eigenvalues,"
+            " budget is 5000000\n") in err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,3 +149,8 @@ def test_fit_log_slope():
     assert fit_log_slope(xs, -2.0 * xs**1.5) == pytest.approx(1.5, abs=1e-12)
     with pytest.raises(ValueError, match="zero residual"):
         fit_log_slope(xs, [1.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RankWarning from a degenerate fit
+        for one_x in ([0.01, 0.01], [0.02]):
+            with pytest.raises(ValueError, match="two distinct x"):
+                fit_log_slope(one_x, [1.0] * len(one_x))

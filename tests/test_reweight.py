@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from loopzeta import gff, reweight, subdivision
 from loopzeta.subdivision import charge_to_params, subdivide
@@ -44,6 +45,24 @@ def test_coefficient_energy_is_scaled_dirichlet_energy(case):
         gff.dirichlet_energy(projected) / q**2, rel=1e-8)
 
 
+def poisson_solve(size, rhs):
+    """Solve (grid Laplacian) u = rhs on the interior via DST-I
+    diagonalization."""
+    lam1 = gff._mode_eigenvalues(size)
+    coeff = sfft.dstn(rhs, type=1, norm="ortho")
+    return sfft.dstn(coeff / (lam1[:, None] + lam1[None, :]), type=1, norm="ortho")
+
+
+def test_poisson_solve_inverts_laplacian():
+    size = 16
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal((size - 1, size - 1))
+    u = poisson_solve(size, rhs)
+    green = gff.green_oracle(size) / gff.TWO_PI
+    expect = (green @ rhs.ravel()).reshape(size - 1, size - 1)
+    assert np.allclose(u, expect, atol=1e-10)
+
+
 def reference_projection(field, partition, q):
     """The dense route: one Poisson solve per square for its harmonic basis,
     the Schur complement from pairwise inner products, the projection as the
@@ -60,7 +79,7 @@ def reference_projection(field, partition, q):
         full[i * w:i * w + w + 1, j * w:j * w + w + 1] = \
             np.outer(counts, counts) * (0.25 / w**2)
         weights.append(full[1:-1, 1:-1])
-    basis = [gff.poisson_solve(size, w) for w in weights]
+    basis = [poisson_solve(size, w) for w in weights]
     schur = np.array([[np.sum(wa * b) for b in basis] for wa in weights])
     targets = np.array([np.sum(w * field.values) for w in weights])
     mu = np.linalg.solve(schur, targets)
@@ -125,21 +144,9 @@ def test_projection_resolution_exhausted():
         reweight.project_onto_partition(gff.sample_dgff(16, 1), fine, q)
 
 
-def test_det_weight_and_report():
+def test_det_weight():
     assert reweight.det_weight(3.0, -12.0) == pytest.approx(-3.0)
-    report = reweight.weight_report(0.0, -12.5, 2.0)
-    assert report.c_new == -12.5
-    q = charge_to_params(0.0).Q
-    assert report.Q_new == pytest.approx(math.sqrt(q * q + 12.5 / 6.0), abs=1e-12)
-    assert report.log_weight == pytest.approx(-12.5 / 12.0 * 2.0)
-    with pytest.raises(ValueError):
-        reweight.weight_report(0.0, 26.0, 1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            reweight.weight_report(0.0, bad, 1.0)
-    with pytest.raises(ValueError):
-        reweight.WeightReport(c=0.0, c_prime=-12.5, c_new=-12.5,
-                              Q_new=1.0, log_weight=0.0)
+    assert reweight.det_weight(2.0, -12.5) == pytest.approx(-12.5 / 12.0 * 2.0)
 
 
 def test_density_ratio_constant_value():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -153,12 +154,17 @@ def test_scaled_surface():
     assert s == RectangleDirichlet(2.0, 4.0)
     assert scaled_surface(DiskDirichlet(1.0), 0.0) == DiskDirichlet(1.0)
     assert scaled_surface(RoundSphere(1.0), 1.0).radius == pytest.approx(math.e)
-    for surface, power in ((FlatTorus(1.0, 2.0), 2), (IntervalDirichlet(1.5), 1),
-                           (DiskDirichlet(0.8), 2), (RoundSphere(2.0), 2)):
+    for surface in (FlatTorus(1.0, 2.0), IntervalDirichlet(1.5), DiskDirichlet(0.8),
+                    RoundSphere(2.0)):
         scaled = scaled_surface(surface, 0.3)
         assert type(scaled) is type(surface)
-        assert scaled.volume == pytest.approx(math.exp(0.3 * power) * surface.volume,
-                                              rel=1e-14)
+        for fd in dataclasses.fields(surface):
+            assert getattr(scaled, fd.name) == pytest.approx(
+                math.exp(0.3) * getattr(surface, fd.name), rel=1e-14)
+        # the area term a = Vol / (4 pi) scales as length^2
+        a = surface.heat_coefficients().a_coef
+        assert scaled.heat_coefficients().a_coef == pytest.approx(
+            math.exp(0.6) * a, rel=1e-14)
 
 
 def test_euler_gamma_constant():
