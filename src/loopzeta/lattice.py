@@ -16,6 +16,9 @@ import numpy as np
 
 # Catalan constant
 CATALAN = 0.91596559417721901505
+# most sites n_x n_y of one lattice: its log-determinant holds a few float
+# arrays of that many entries, 128 MiB each at the budget
+_SITE_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -26,6 +29,10 @@ class TorusLatticeSpec:
     def __post_init__(self):
         if self.n_x < 2 or self.n_y < 2:
             raise ValueError("need n_x, n_y >= 2")
+        sites = self.n_x * self.n_y
+        if sites > _SITE_BUDGET:
+            raise ValueError("lattice %d x %d has %d sites, budget is %d"
+                             % (self.n_x, self.n_y, sites, _SITE_BUDGET))
 
     @property
     def aspect(self) -> float:

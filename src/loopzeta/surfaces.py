@@ -4,23 +4,23 @@ Five closed-form geometries are supported: the Dirichlet interval (a 1-D
 calibration case), the Dirichlet rectangle, the rectangular flat torus, the
 round sphere and the Dirichlet disk.  Each surface knows its small-t heat
 coefficients, its spectrum below a cutoff, and how to evaluate tr(e^{-t Lap})
-with a truncation error far below 1e-13.  For the lattice-type surfaces
-(interval, rectangle, torus) the trace switches to dual theta sums at small
-t; the sphere and disk always use eigenvalue sums with adaptive cutoffs.
+with a truncation error far below 1e-13.  The lattice-type surfaces
+(interval, rectangle, torus) build their traces from one sine series per
+side, a Poisson sum at small t; the sphere and disk sum over eigenvalues.
 
 A surface is a frozen dataclass whose fields are lengths, each finite and
 positive.  Its geometry (area, boundary length, Euler characteristic) enters
 only through `heat_coefficients()`, whose docstring states it.  It provides
 `heat_coefficients()`, `_enumerate(cutoff)` (unsorted eigenvalues up to the
 cutoff and their multiplicities, which `eigen_stream` sorts and
-`nonzero_spectrum` strips of the zero modes; more than `_EIGEN_BUDGET` raise
-EnumerationBudgetError before allocating) and `_heat_trace(t)` at one t,
-which `heat_trace` maps over arrays (the sphere's sum over l refuses more
-than `_EIGEN_BUDGET` terms in the same way); the disk overrides `heat_trace`
-instead, so that one enumeration serves a whole array.  Optional overrides:
-an exact `heat_trace_residual(t)` (the lattice ones refuse t / L^2 >
-`_POISSON_T_MAX` for a side L) and a closed-form `zeta_series(s)`; optional
-class constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio`,
+`nonzero_spectrum` strips of the zero modes; more than `_EIGEN_BUDGET`, or
+an infinite cutoff, raise EnumerationBudgetError before allocating) and
+`_heat_traces(t)` on a 1-D array of t, which `heat_trace` calls after it
+refuses any t that is not finite and > 0 (the sphere's sum over l refuses
+more than `_EIGEN_BUDGET` terms in the same way).  Optional overrides: an
+exact `heat_trace_residual(t)` (the lattice ones refuse the same t, and
+t / L^2 > `_POISSON_T_MAX` for a side L) and a closed-form `zeta_series(s)`;
+optional class constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio`,
 `head_cut_floor`, `mellin_start` and `zeta_series_cutoff`.
 """
 
@@ -41,7 +41,7 @@ log = logging.getLogger("loopzeta")
 # exponent x past which a dropped term is negligible: exp(-x) < 2e-22 in the
 # heat traces, E1(x) < 4e-24 in the zeta tail sums
 _TAIL_EXPONENT = 50.0
-# crossover between eigen-sum and theta-dual evaluation for lattice surfaces
+# t / L^2 at which `_sine_trace` over a side L goes from its Poisson sum to 12 terms
 _T_CROSSOVER = 0.05
 # hard cap on the Halley steps per Bessel zero; 3 or 4 suffice from the
 # asymptotic guesses
@@ -124,8 +124,10 @@ class ModelSurface:
         raise ValueError("no nonzero eigenvalue below any finite cutoff")
 
     def eigen_stream(self, cutoff: float) -> EigenStream:
-        if cutoff <= 0:
+        if not cutoff > 0:
             raise ValueError("cutoff must be positive")
+        if cutoff == math.inf:
+            raise EnumerationBudgetError(math.inf, _EIGEN_BUDGET)
         lam, mult = self._enumerate(cutoff)
         order = np.argsort(lam, kind="stable")
         return EigenStream(lam[order], mult[order])
@@ -142,10 +144,13 @@ class ModelSurface:
 
     def heat_trace(self, t):
         """tr e^{-t Lap}, including the zero mode on closed surfaces: a float
-        at a scalar t, elementwise at an array of t."""
-        return _elementwise(self._heat_trace, t)
+        at a scalar t, elementwise at an array of t; ValueError unless every
+        t is finite and > 0."""
+        ts = _times(t)
+        traces = self._heat_traces(ts.ravel())
+        return float(traces[0]) if ts.ndim == 0 else traces.reshape(ts.shape)
 
-    def _heat_trace(self, t: float) -> float:
+    def _heat_traces(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def heat_trace_residual(self, t) -> np.ndarray:
@@ -184,48 +189,21 @@ class ModelSurface:
         return float(np.mean(partials + tails))
 
 
-def _elementwise(one, t):
-    """The one-t function `one` at a scalar t, or at each entry of an array."""
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim == 0:
-        return one(float(ts))
-    return np.array([one(ti) for ti in ts.ravel().tolist()]).reshape(ts.shape)
-
-
-def _theta_dual(side: float, t_eff: float) -> float:
-    """theta = sum_{k in Z} exp(-side^2 k^2 / t_eff), the Poisson dual of a
-    lattice trace factor, summed until the exponent passes _TAIL_EXPONENT."""
-    theta = 1.0
-    k = 1
-    while side * side * k * k / t_eff < _TAIL_EXPONENT:
-        theta += 2.0 * math.exp(-side * side * k * k / t_eff)
-        k += 1
-    return theta
-
-
-def _interval_trace(t: float, length: float) -> float:
-    """Dirichlet trace sum_{n>=1} exp(-t (n pi / L)^2), by theta duality at small t."""
-    if t < _T_CROSSOVER * length * length:
-        return length / (2.0 * math.sqrt(math.pi * t)) * _theta_dual(length, t) - 0.5
-    n_max = int(math.ceil(length / math.pi * math.sqrt(_TAIL_EXPONENT / t))) + 1
-    n = np.arange(1, n_max + 1)
-    return float(np.exp(-t * (n * math.pi / length) ** 2).sum())
-
-
-def _torus_factor(t: float, period: float) -> float:
-    """sum_{m in Z} exp(-4 pi^2 t m^2 / a^2), by theta duality at small t."""
-    if t < _T_CROSSOVER * period * period:
-        return period / (2.0 * math.sqrt(math.pi * t)) * _theta_dual(period, 4.0 * t)
-    m_max = int(math.ceil(period / (2 * math.pi) * math.sqrt(_TAIL_EXPONENT / t))) + 1
-    m = np.arange(1, m_max + 1)
-    return float(1.0 + 2.0 * np.exp(-4.0 * math.pi**2 * t * m**2 / period**2).sum())
+def _times(t) -> np.ndarray:
+    """t as a float array, refused unless every entry is finite and > 0: no
+    trace is finite at t <= 0, and the Poisson sums never stop there."""
+    t = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(t) & (t > 0))
+    if bad.any():
+        raise ValueError("heat trace needs finite t > 0, got t = %g" % t[bad][0])
+    return t
 
 
 def _check_poisson_range(t, side: float) -> np.ndarray:
-    """t as a float array, refused when some t / side^2 exceeds
+    """`_times(t)`, also refused when some t / side^2 exceeds
     _POISSON_T_MAX: the Poisson sums would run for minutes, or past
     t / side^2 ~ 3e39 stop after one term with a wrong value."""
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     t_max = t.max(initial=0.0)
     if t_max > _POISSON_T_MAX * side * side:
         raise ValueError(
@@ -250,6 +228,22 @@ def _poisson_tail(scale, side: float, t: np.ndarray) -> np.ndarray:
         k += 1
 
 
+def _sine_trace(t: np.ndarray, side: float) -> np.ndarray:
+    """S = sum_{n>=1} exp(-t (n pi / side)^2) elementwise.  Below the
+    crossover it is side / (2 sqrt(pi t)) - 1/2 plus the interval's exact
+    residual; at or above it, the first 12 terms, since the 13th exponent
+    is past _TAIL_EXPONENT there.  Batches equal scalar calls: below the
+    crossover a term past an entry's own stop is < e^-60 of its sum."""
+    small = t < _T_CROSSOVER * side * side
+    ts = t[small]
+    scale = side / np.sqrt(math.pi * ts)
+    out = np.empty_like(t)
+    out[small] = scale / 2.0 - 0.5 + _poisson_tail(scale, side, ts)
+    n = np.arange(1, 13)
+    out[~small] = np.exp(-t[~small, None] * (n * math.pi / side) ** 2).sum(axis=1)
+    return out
+
+
 @dataclass(frozen=True)
 class IntervalDirichlet(ModelSurface):
     length: float = 1.0
@@ -267,8 +261,8 @@ class IntervalDirichlet(ModelSurface):
         lam = (n * math.pi / self.length) ** 2
         return lam, np.ones_like(lam)
 
-    def _heat_trace(self, t: float) -> float:
-        return _interval_trace(t, self.length)
+    def _heat_traces(self, t):
+        return _sine_trace(t, self.length)
 
     def heat_trace_residual(self, t) -> np.ndarray:
         t = _check_poisson_range(t, self.length)
@@ -312,8 +306,8 @@ class RectangleDirichlet(ModelSurface):
         lam = lam[lam <= cutoff]
         return lam, np.ones_like(lam)
 
-    def _heat_trace(self, t: float) -> float:
-        return _interval_trace(t, self.side_a) * _interval_trace(t, self.side_b)
+    def _heat_traces(self, t):
+        return _sine_trace(t, self.side_a) * _sine_trace(t, self.side_b)
 
     def heat_trace_residual(self, t) -> np.ndarray:
         t = _check_poisson_range(t, min(self.side_a, self.side_b))
@@ -349,8 +343,10 @@ class FlatTorus(ModelSurface):
         lam = lam[lam <= cutoff]
         return lam, np.ones_like(lam)
 
-    def _heat_trace(self, t: float) -> float:
-        return _torus_factor(t, self.side_a) * _torus_factor(t, self.side_b)
+    def _heat_traces(self, t):
+        # sum_{m in Z} exp(-t (2 pi m / P)^2) = 1 + 2 S(t; P / 2)
+        return ((1.0 + 2.0 * _sine_trace(t, self.side_a / 2.0))
+                * (1.0 + 2.0 * _sine_trace(t, self.side_b / 2.0)))
 
     def heat_trace_residual(self, t) -> np.ndarray:
         t = _check_poisson_range(t, min(self.side_a, self.side_b))
@@ -380,13 +376,16 @@ class RoundSphere(ModelSurface):
         ell = np.arange(0, ell_max + 1, dtype=float)
         return ell * (ell + 1) / self.radius**2, 2.0 * ell + 1.0
 
-    def _heat_trace(self, t: float) -> float:
+    def _heat_traces(self, t):
         r2 = self.radius**2
-        ell_max = int(math.ceil(math.sqrt(_TAIL_EXPONENT * r2 / t))) + 2
-        if ell_max + 1 > _EIGEN_BUDGET:
-            raise EnumerationBudgetError(ell_max + 1, _EIGEN_BUDGET)
-        ell = np.arange(0, ell_max + 1, dtype=float)
-        return float(((2 * ell + 1) * np.exp(-t * ell * (ell + 1) / r2)).sum())
+        out = []
+        for ti in t.tolist():
+            ell_max = int(math.ceil(math.sqrt(_TAIL_EXPONENT * r2 / ti))) + 2
+            if ell_max + 1 > _EIGEN_BUDGET:
+                raise EnumerationBudgetError(ell_max + 1, _EIGEN_BUDGET)
+            ell = np.arange(0, ell_max + 1, dtype=float)
+            out.append(((2 * ell + 1) * np.exp(-ti * ell * (ell + 1) / r2)).sum())
+        return np.array(out)
 
     def zeta_series(self, s: float) -> float:
         r2 = self.radius**2
@@ -578,15 +577,14 @@ class DiskDirichlet(ModelSurface):
         mult = np.where(_BESSEL_CACHE.orders[sel] == 0, 1.0, 2.0)
         return lam, mult
 
-    def heat_trace(self, t):
+    def _heat_traces(self, t):
         # one enumeration, at the cutoff of the smallest t, serves every t
         lam, mult = self._enumerate(_TAIL_EXPONENT / np.min(t))
-
-        def one(ti):
+        out = []
+        for ti in t.tolist():
             sel = lam * ti < _TAIL_EXPONENT
-            return float((mult[sel] * np.exp(-ti * lam[sel])).sum())
-
-        return _elementwise(one, t)
+            out.append((mult[sel] * np.exp(-ti * lam[sel])).sum())
+        return np.array(out)
 
 
 def parse_surface(spec: str) -> ModelSurface:

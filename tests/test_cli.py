@@ -6,6 +6,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -487,3 +488,23 @@ def test_budget_error_count_is_short(capsys):
     err = capsys.readouterr().err
     assert ("loopzeta: error: spectral enumeration needs ~2.76e+301 eigenvalues,"
             " budget is 5000000\n") in err
+
+
+def test_loop_mass_overflowing_cutoff_names_the_budget(capsys):
+    # the eigenvalue cutoff 50 / (qv_low / 4) overflows to inf
+    assert run(["loop-mass", "--surface", "torus:1000x1000", "--qv-low", "1e-306",
+                "--kappa", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("loopzeta: error: spectral enumeration needs ~inf eigenvalues,"
+            " budget is 5000000\n") in err
+
+
+def test_lattice_torus_above_the_site_budget_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert run(["lattice-torus", "--sizes", "100000,200000,400000,800000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("loopzeta: error: lattice 100000 x 100000 has 10000000000 sites,"
+            " budget is 16777216\n") in err

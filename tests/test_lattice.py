@@ -23,6 +23,15 @@ def test_spec_validation():
     assert TorusLatticeSpec(4, 8).aspect == 2.0
 
 
+def test_spec_above_the_site_budget_is_refused():
+    # 10^10 sites: refused before any array is allocated
+    with pytest.raises(ValueError, match="budget is"):
+        TorusLatticeSpec(100000, 100000)
+    for aspect in (1, 2):
+        for spec in lattice.standard_sequence(aspect):
+            assert 16 * spec.n_x * spec.n_y <= lattice._SITE_BUDGET
+
+
 def test_log_det_matches_dense_eigenvalues():
     for nx, ny in ((4, 6), (5, 5), (3, 8)):
         g = torus_graph(nx, ny)

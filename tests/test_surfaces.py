@@ -1,9 +1,13 @@
 import logging
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -109,6 +113,72 @@ def test_heat_trace_array_equals_scalar_calls(surface):
     assert np.array_equal(grid.ravel(), scalar[::-1])
 
 
+@st.composite
+def lattice_batches(draw):
+    """A lattice surface with sides in [0.05, 20], within a factor 4 of each
+    other so that the eigenvalue sum stays cheap, and a batch of t that has
+    two values below and two at or above each crossover 0.05 L^2, where L is
+    a side of the interval or rectangle, or half a torus period; every t is
+    at least 1e-3 L^2."""
+    kind = draw(st.sampled_from(["interval", "rect", "torus"]))
+    a = draw(st.floats(0.05, 20.0))
+    b = draw(st.floats(max(0.05, a / 4.0), min(20.0, 4.0 * a)))
+    if kind == "interval":
+        surface, halves = IntervalDirichlet(a), (a,)
+    elif kind == "rect":
+        surface, halves = RectangleDirichlet(a, b), (a, b)
+    else:
+        surface, halves = FlatTorus(a, b), (a / 2.0, b / 2.0)
+    below = st.floats(0.02, 1.0, exclude_max=True)
+    above = st.floats(1.0, 50.0)
+    ts = [surfaces._T_CROSSOVER * side * side * draw(factor)
+          for side in halves for factor in (below, below, above, above)]
+    return surface, np.array(draw(st.permutations(ts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_batches())
+def test_lattice_heat_trace_batches_straddling_crossovers(case):
+    surface, ts = case
+    batch = surface.heat_trace(ts)
+    assert np.array_equal(batch, [surface.heat_trace(float(t)) for t in ts])
+    stream = surface.eigen_stream(60.0 / ts.min())
+    brute = np.exp(-ts[:, None] * stream.eigenvalues) @ stream.multiplicities
+    assert np.allclose(batch, brute, rtol=1e-12, atol=0.0)
+
+
+_REFUSALS = """
+import math, sys
+from loopzeta.surfaces import parse_surface
+surface = parse_surface(sys.argv[1])
+for name in ("heat_trace_residual", "heat_trace"):
+    for t in (math.nan, 0.0, -0.1, math.inf, -math.inf, [0.1, 0.0]):
+        try:
+            getattr(surface, name)(t)
+        except ValueError as exc:
+            print("refused:", exc)
+        else:
+            print("returned:", name, t)
+"""
+
+
+@pytest.mark.parametrize("spec", ["interval:1", "rect:1x1", "torus:1x1",
+                                  "sphere:1", "disk:1"])
+def test_traces_refuse_t_that_is_not_finite_and_positive(spec):
+    # the lattice residuals' Poisson sums never stopped at nan, 0 or -0.1, so
+    # the calls run in a fresh interpreter under a timeout
+    src = str(pathlib.Path(surfaces.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _REFUSALS, spec],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 12
+    for line in lines:
+        assert line.startswith("refused: heat trace needs finite t > 0"), line
+
+
 def test_interval_spectrum_exact():
     stream = IntervalDirichlet(2.0).eigen_stream(100.0)
     n = np.arange(1, len(stream.eigenvalues) + 1)
@@ -151,6 +221,14 @@ def test_budget_error():
         RectangleDirichlet(1.0, 1.0).eigen_stream(1e9)
     with pytest.raises(ValueError):
         RoundSphere(1.0).eigen_stream(-1.0)
+
+
+@pytest.mark.parametrize("surface", ALL, ids=lambda s: type(s).__name__)
+def test_eigen_stream_refuses_a_cutoff_that_is_not_finite(surface):
+    with pytest.raises(EnumerationBudgetError, match="budget is 5000000$"):
+        surface.eigen_stream(math.inf)
+    with pytest.raises(ValueError):
+        surface.eigen_stream(math.nan)
 
 
 def test_budget_error_message_has_three_digits():
