@@ -82,6 +82,8 @@ def _load_graph(path: str) -> graphs.Graph:
 
 def cmd_graph_loops(args) -> int:
     g = _load_graph(args.graph)
+    # first, so that a max_len past the powers budget is refused at once
+    truncated = graphs.loop_mass_truncated(g, args.max_len) if g.is_killed else None
     with np.errstate(all="ignore"):  # an overflow is flagged below
         identity = list(zip(("det_laplacian_minor", "det_rw_laplacian",
                              "degree_product"), graphs.determinant_identity(g)))
@@ -92,7 +94,7 @@ def cmd_graph_loops(args) -> int:
     rows = [("quantity", "value")] + identity
     if g.is_killed:
         rows.append(("loop_mass_exact", graphs.loop_mass_exact(g)))
-        mass, tail = graphs.loop_mass_truncated(g, args.max_len)
+        mass, tail = truncated
         rows += [("loop_mass_truncated", mass), ("tail_bound", tail)]
     else:
         rows.append(("log_det_prime_rw", graphs.log_det_prime_rw(g)))

@@ -156,6 +156,22 @@ def spectral_radius_bound(p: np.ndarray) -> float:
 # enough for the graphs a run draws from repeatedly, while one-off graphs age
 # out.
 _MODEL_CACHE_SIZE = 8
+# most matrix entries the powers P^0..P^max_len of one loop computation may
+# take, (max_len + 1) n^2 for n interior vertices: 2^26 floats are 512 MB
+_POWERS_BUDGET = 1 << 26
+
+
+def _check_max_len(g: Graph, max_len: int) -> None:
+    """Refuse max_len < 1, and a max_len whose powers of P would exceed
+    _POWERS_BUDGET entries, before any power is formed."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    n = g.vertex_count - len(g.boundary)
+    if (max_len + 1) * n * n > _POWERS_BUDGET:
+        raise ValueError(
+            "max_len %d is too long for %d interior vertices: the powers of P"
+            " would exceed the budget of %d matrix entries"
+            % (max_len, n, _POWERS_BUDGET))
 
 
 class _KilledWalk:
@@ -208,8 +224,7 @@ def loop_mass_exact(g: Graph) -> float:
 
 def loop_mass_truncated(g: Graph, max_len: int):
     """(sum_{k<=max_len} tr(P^k)/k, rigorous tail bound n rho^{L+1}/((L+1)(1-rho)))."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    _check_max_len(g, max_len)
     walk = _transient_walk(g)
     p, n, rho = walk.p, walk.n, walk.rho
     if n == 0:
@@ -372,10 +387,10 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     26 KB for a 16-vertex interior at max_len 12. The flag is set when the
     truncation misses more than 1e-6 of the total mass, and always when the
     walk is not transient, so that the mass is infinite. A draw only consumes
-    the Philox stream of its seed.
+    the Philox stream of its seed. A max_len whose powers would exceed
+    `_POWERS_BUDGET` entries is refused before the model is built.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    _check_max_len(g, max_len)
     if not 0.0 < c < math.inf:
         raise ValueError("intensity must be positive and finite")
     if not g.is_killed:

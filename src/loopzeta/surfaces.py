@@ -6,7 +6,12 @@ round sphere and the Dirichlet disk.  Each surface knows its small-t heat
 coefficients, its spectrum below a cutoff, and how to evaluate tr(e^{-t Lap})
 with a truncation error far below 1e-13.  The lattice-type surfaces
 (interval, rectangle, torus) build their traces from one sine series per
-side, a Poisson sum at small t; the sphere and disk sum over eigenvalues.
+side, a Poisson sum at small t; the sphere and disk sum over eigenvalues,
+a row block of about 2^15 terms of a batch of t at a time, each t's terms
+formed and summed exactly as in a call at that t alone, so that a batch
+equals scalar calls bit for bit.  The disk's eigenvalues come from a
+process-wide cache of Bessel zeros, which refines each new band on two
+threads where two cores are available (see `_BesselZeroCache`).
 
 A surface is a frozen dataclass whose fields are lengths, each finite and
 positive.  Its geometry (area, boundary length, Euler characteristic) enters
@@ -29,7 +34,9 @@ from __future__ import annotations
 import decimal
 import logging
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -46,6 +53,12 @@ _T_CROSSOVER = 0.05
 # hard cap on the Halley steps per Bessel zero; 3 or 4 suffice from the
 # asymptotic guesses
 _BESSEL_MAX_STEPS = 20
+# threads that refine a band of Bessel zeros, the calling one included: two
+# where two cores are ours (`special.jv` runs without the GIL), else one
+_BESSEL_THREADS = (min(2, len(os.sched_getaffinity(0)))
+                   if hasattr(os, "sched_getaffinity") else 1)
+# elements of one row block of a batched heat trace (256 KB of floats)
+_BLOCK_ELEMENTS = 1 << 15
 # most eigenvalues (with multiplicity) one enumeration may produce
 _EIGEN_BUDGET = 5_000_000
 # largest t / L^2 at which a lattice residual's Poisson sum over a side L is
@@ -377,15 +390,22 @@ class RoundSphere(ModelSurface):
         return ell * (ell + 1) / self.radius**2, 2.0 * ell + 1.0
 
     def _heat_traces(self, t):
+        # the sum at t runs over l <= l_max(t); every row of a block takes the
+        # block's widest range, but sums only its own first l_max(t) + 1
+        # terms, formed in the same operand order as a sum at that t alone
         r2 = self.radius**2
-        out = []
-        for ti in t.tolist():
-            ell_max = int(math.ceil(math.sqrt(_TAIL_EXPONENT * r2 / ti))) + 2
-            if ell_max + 1 > _EIGEN_BUDGET:
-                raise EnumerationBudgetError(ell_max + 1, _EIGEN_BUDGET)
-            ell = np.arange(0, ell_max + 1, dtype=float)
-            out.append(((2 * ell + 1) * np.exp(-ti * ell * (ell + 1) / r2)).sum())
-        return np.array(out)
+        ell_max = np.ceil(np.sqrt(_TAIL_EXPONENT * r2 / t)) + 2
+        over = ell_max + 1 > _EIGEN_BUDGET
+        if over.any():
+            raise EnumerationBudgetError(int(ell_max[over][0]) + 1, _EIGEN_BUDGET)
+        ell_max = ell_max.astype(int)
+        out = np.empty(t.size)
+        for rows in _row_blocks(t.size, int(ell_max.max(initial=0)) + 1):
+            ell = np.arange(0, ell_max[rows].max() + 1, dtype=float)
+            terms = np.exp(-t[rows, None] * ell * (ell + 1) / r2)
+            terms *= 2 * ell + 1
+            out[rows] = [row[:top + 1].sum() for row, top in zip(terms, ell_max[rows])]
+        return out
 
     def zeta_series(self, s: float) -> float:
         r2 = self.radius**2
@@ -405,6 +425,13 @@ class RoundSphere(ModelSurface):
         integral, _ = quad(f, x0 - 0.5, np.inf)
         tail = integral + fp(x0 - 0.5) / 24.0
         return partial + tail
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of about _BLOCK_ELEMENTS elements, and at least one row each,
+    over `rows` rows of this width."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
 def _bessel_zero_guess(nu: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -441,9 +468,11 @@ def _bessel_zero_guess(nu: np.ndarray, k: np.ndarray) -> np.ndarray:
     return guess
 
 
-def _refine_bessel_zeros(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Halley steps on J_nu until each relative step is <= 1e-14; each zero is
-    iterated on its own, so its value does not depend on the batch."""
+def _halley(nu: np.ndarray, x: np.ndarray):
+    """Halley steps on J_nu from x until each relative step is <= 1e-14, at
+    most _BESSEL_MAX_STEPS per zero: (the zeros, how many did not converge).
+    Each zero is iterated on its own, so its value does not depend on the
+    batch."""
     x = x.copy()
     todo = np.arange(x.size)
     for _ in range(_BESSEL_MAX_STEPS):
@@ -456,11 +485,32 @@ def _refine_bessel_zeros(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         x[todo] = xi - step
         todo = todo[~(np.abs(step) <= 1e-14 * np.abs(x[todo]))]
         if todo.size == 0:
-            return x
-    raise RuntimeError(
-        "Bessel zeros: %d zeros not converged after %d Halley steps"
-        % (todo.size, _BESSEL_MAX_STEPS)
-    )
+            break
+    return x, todo.size
+
+
+def _refine_bessel_zeros(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`_halley` on the interleaved parts x[k::_BESSEL_THREADS], the calling
+    thread refining the first and one worker thread each other part; the
+    worker is joined on any exit and its exception raised here.  The parts
+    are merged back in place, so the result equals one `_halley` call bit
+    for bit."""
+    parts = [slice(k, None, _BESSEL_THREADS) for k in range(_BESSEL_THREADS)]
+    # a pool starts its threads on submit, so with one part none starts
+    with ThreadPoolExecutor(max(1, _BESSEL_THREADS - 1)) as pool:
+        others = [pool.submit(_halley, nu[part], x[part]) for part in parts[1:]]
+        results = [_halley(nu[parts[0]], x[parts[0]])]
+        results += [other.result() for other in others]
+    refined = np.empty_like(x)
+    for part, (zeros, _) in zip(parts, results):
+        refined[part] = zeros
+    missed = sum(count for _, count in results)
+    if missed:
+        raise RuntimeError(
+            "Bessel zeros: %d zeros not converged after %d Halley steps"
+            % (missed, _BESSEL_MAX_STEPS)
+        )
+    return refined
 
 
 def _interlaced(zeros: np.ndarray, orders: np.ndarray) -> bool:
@@ -486,7 +536,13 @@ class _BesselZeroCache:
     `ensure` grows the cache by the band (old j_max, new j_max] only.  For each
     order nu < j_max it takes the indices k after those held, up to the
     uniform count estimate + 3, starts each from its asymptotic value and
-    refines all of them at once by Halley steps on `special.jv`.  The band is
+    refines all of them at once by Halley steps on `special.jv`, split into
+    the interleaved halves [0::2] and [1::2] when `_BESSEL_THREADS` is 2: the
+    calling thread refines one and a worker thread, joined before `ensure`
+    goes on, the other, which overlaps because `special.jv` releases the
+    GIL.  Each zero runs its own Halley iteration, elementwise, so a zero's
+    value does not depend on which half, or which batch, it is refined in,
+    and a two-thread build equals a one-thread build bit for bit.  The band is
     certified before it is merged: strictly increasing per order, its lowest
     zero above the old j_max and its highest above the new one, so that no
     zero is cut off; the merged cache must interlace across orders.  Any
@@ -578,13 +634,28 @@ class DiskDirichlet(ModelSurface):
         return lam, mult
 
     def _heat_traces(self, t):
-        # one enumeration, at the cutoff of the smallest t, serves every t
-        lam, mult = self._enumerate(_TAIL_EXPONENT / np.min(t))
-        out = []
-        for ti in t.tolist():
-            sel = lam * ti < _TAIL_EXPONENT
-            out.append((mult[sel] * np.exp(-ti * lam[sel])).sum())
-        return np.array(out)
+        # one enumeration, at the cutoff of the smallest t, serves every t.
+        # A row keeps the terms with (-t) lam > -50, the set lam t < 50 as
+        # negation is exact, in cache order, so its order-0 terms (multiplicity
+        # 1) lead its run and the rest are doubled; each run is summed alone.
+        if not t.size:
+            return np.empty(0)
+        lam, mult = self._enumerate(_TAIL_EXPONENT / t.min())
+        order0 = np.count_nonzero(mult == 1.0)
+        out = np.empty(t.size)
+        for rows in _row_blocks(t.size, lam.size):
+            x = -t[rows, None] * lam
+            keep = x > -_TAIL_EXPONENT
+            x = x[keep]
+            np.exp(x, out=x)
+            sums, start = [], 0
+            for row in keep:
+                run = x[start:start + np.count_nonzero(row)]
+                run[np.count_nonzero(row[:order0]):] *= 2.0
+                sums.append(run.sum())
+                start += run.size
+            out[rows] = sums
+        return out
 
 
 def parse_surface(spec: str) -> ModelSurface:

@@ -249,6 +249,16 @@ def test_soup_sample_bad_parameters_exit_one(graph_file, tmp_path, capsys, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["graph-loops", "soup-sample"])
+def test_max_len_past_the_powers_budget_exits_one(graph_file, tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert run([command, "--graph", graph_file, "--max-len", "1000000000",
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("loopzeta: error: max_len 1000000000 is too long")
+    assert captured.out == "" and not out.exists()
+
+
 def test_loop_mass_small_sphere(tmp_path):
     # the sphere of radius 0.05 has its first nonzero eigenvalue at 800
     out = tmp_path / "mass.json"

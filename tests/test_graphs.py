@@ -307,6 +307,26 @@ def test_soup_guards():
     assert graphs._soup_model.cache_info() == before
 
 
+def test_powers_budget_refuses_long_max_len_before_any_power(monkeypatch):
+    g = path_graph()  # 2 interior vertices: (max_len + 1) * 4 entries
+    before = (graphs._killed_walk.cache_info(), graphs._soup_model.cache_info())
+    for max_len in (10**9, 2**63, 10**400):
+        with pytest.raises(ValueError, match="max_len %d is too long" % max_len):
+            graphs.loop_mass_truncated(g, max_len)
+        with pytest.raises(ValueError, match="budget of %d" % graphs._POWERS_BUDGET):
+            graphs.sample_loop_soup(g, 1.0, max_len, 1)
+    # refused before the walk or the soup model is built or looked up
+    assert (graphs._killed_walk.cache_info(), graphs._soup_model.cache_info()) == before
+    # the budget's edge: 4 powers of 2 x 2 pass, 5 do not
+    monkeypatch.setattr(graphs, "_POWERS_BUDGET", 16)
+    graphs.loop_mass_truncated(g, 3)
+    graphs.sample_loop_soup(g, 1.0, 3, 1)
+    for call in (lambda: graphs.loop_mass_truncated(g, 4),
+                 lambda: graphs.sample_loop_soup(g, 1.0, 4, 1)):
+        with pytest.raises(ValueError, match="^max_len 4 is too long for 2 interior"):
+            call()
+
+
 def reference_soup(g, c, max_len, seed):
     """The soup draw as it was before the per-graph model: everything is
     rebuilt per call and every root and bridge step uses Generator.choice."""

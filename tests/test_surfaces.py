@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -111,6 +112,76 @@ def test_heat_trace_array_equals_scalar_calls(surface):
     grid = surface.heat_trace(ts[::-1].reshape(3, 3))
     assert grid.shape == (3, 3)
     assert np.array_equal(grid.ravel(), scalar[::-1])
+
+
+@pytest.mark.parametrize("surface", ALL, ids=lambda s: type(s).__name__)
+def test_empty_batch_gives_empty_traces(surface):
+    for shape in ((0,), (0, 3)):
+        traces = surface.heat_trace(np.empty(shape))
+        assert traces.shape == shape and traces.dtype == float
+
+
+def reference_heat_traces(surface, t):
+    """The sphere's and the disk's former `_heat_traces`: one sum per t."""
+    out = []
+    if isinstance(surface, RoundSphere):
+        r2 = surface.radius**2
+        for ti in t.tolist():
+            ell_max = int(math.ceil(math.sqrt(surfaces._TAIL_EXPONENT * r2 / ti))) + 2
+            ell = np.arange(0, ell_max + 1, dtype=float)
+            out.append(((2 * ell + 1) * np.exp(-ti * ell * (ell + 1) / r2)).sum())
+    else:
+        lam, mult = surface._enumerate(surfaces._TAIL_EXPONENT / np.min(t))
+        for ti in t.tolist():
+            sel = lam * ti < surfaces._TAIL_EXPONENT
+            out.append((mult[sel] * np.exp(-ti * lam[sel])).sum())
+    return np.array(out)
+
+
+EIGEN_SUM_SURFACES = ([RoundSphere(r) for r in (0.5, 1.0, 1.03, 2.0, 100.0)]
+                      + [DiskDirichlet(r) for r in (0.5, 0.7, 0.83, 1.0)])
+
+
+@pytest.mark.parametrize("surface", EIGEN_SUM_SURFACES, ids=repr)
+def test_heat_traces_on_gauss_panels_equal_reference(surface):
+    # the octave panels of the head quadrature, from the head cut's floor
+    for n in (24, 48):
+        x, _ = np.polynomial.legendre.leggauss(n)
+        lo = surface.head_cut_floor
+        while lo < 5.0:
+            t = lo + (x + 1.0) * (lo / 2.0)
+            assert np.array_equal(surface.heat_trace(t), reference_heat_traces(surface, t))
+            lo *= 2.0
+
+
+def trace_width(surface, t_min):
+    """Terms per row of a batch whose smallest t is t_min."""
+    if isinstance(surface, RoundSphere):
+        r2 = surface.radius**2
+        return math.ceil(math.sqrt(surfaces._TAIL_EXPONENT * r2 / t_min)) + 3
+    return surface._enumerate(surfaces._TAIL_EXPONENT / t_min)[0].size
+
+
+@pytest.mark.parametrize("surface", [RoundSphere(1.0), DiskDirichlet(0.83)], ids=repr)
+def test_heat_traces_of_unsorted_repeated_multi_block_batches(surface):
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.3, 3.0, 400)
+    t = np.concatenate([t, t[::-1], t[:7]])
+    width = trace_width(surface, t.min())
+    t = np.resize(t, int(2.5 * (surfaces._BLOCK_ELEMENTS // width)))
+    blocks = surfaces._row_blocks(t.size, width)
+    assert len(blocks) == 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    assert np.array_equal(surface.heat_trace(t), reference_heat_traces(surface, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([RoundSphere, DiskDirichlet]), st.floats(0.3, 3.0),
+       st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=60))
+def test_heat_traces_equal_reference(kind, radius, scaled_t):
+    # t from 1e-3 r^2 to 10 r^2, in any order and with repeats
+    surface = kind(radius)
+    t = np.array(scaled_t + scaled_t[:3]) * radius**2
+    assert np.array_equal(surface.heat_trace(t), reference_heat_traces(surface, t))
 
 
 @st.composite
@@ -412,3 +483,53 @@ def test_bessel_growth_is_logged(caplog):
     held = cache.zeros.size
     assert lines[1].endswith(" s")
     assert "%d held" % held in lines[1]
+
+
+def test_two_thread_bessel_build_equals_one_thread_build(monkeypatch):
+    before = threading.active_count()
+    caches = {1: surfaces._BesselZeroCache(), 2: surfaces._BesselZeroCache()}
+    for j in LADDER:
+        for threads, cache in caches.items():
+            monkeypatch.setattr(surfaces, "_BESSEL_THREADS", threads)
+            cache.ensure(j, 5_000_000)
+        assert np.array_equal(caches[1].orders, caches[2].orders)
+        assert np.array_equal(caches[1].zeros, caches[2].zeros)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("stuck", [[10], [11], [10, 11]], ids=str)
+def test_bessel_non_convergence_in_either_half_is_one_error(monkeypatch, stuck):
+    # a nan guess never converges; index 10 is the calling thread's half,
+    # 11 the worker's
+    guess = surfaces._bessel_zero_guess
+
+    def nan_at(nu, k):
+        out = guess(nu, k)
+        out[stuck] = math.nan
+        return out
+
+    monkeypatch.setattr(surfaces, "_bessel_zero_guess", nan_at)
+    monkeypatch.setattr(surfaces, "_BESSEL_THREADS", 2)
+    before = threading.active_count()
+    message = "^Bessel zeros: %d zeros not converged after 20 Halley steps$" % len(stuck)
+    with pytest.raises(RuntimeError, match=message):
+        surfaces._BesselZeroCache().ensure(30.0, 5_000_000)
+    assert threading.active_count() == before
+
+
+def test_bessel_worker_exception_is_raised_in_the_caller(monkeypatch):
+    halley = surfaces._halley
+
+    def failing_in_worker(nu, x):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker failed")
+        return halley(nu, x)
+
+    monkeypatch.setattr(surfaces, "_halley", failing_in_worker)
+    monkeypatch.setattr(surfaces, "_BESSEL_THREADS", 2)
+    before = threading.active_count()
+    cache = surfaces._BesselZeroCache()
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        cache.ensure(30.0, 5_000_000)
+    assert threading.active_count() == before
+    assert cache.zeros.size == 0 and cache.j_max == 0.0
