@@ -123,19 +123,12 @@ def criterion_1():
         p = graphs.transition_matrix(g)
         n = len(p)
         rho = graphs.spectral_radius_bound(p)
-        ls = np.arange(1, 61)
-        tails = n * rho ** (ls + 1.0) / ((ls + 1.0) * (1.0 - rho))
+        tails = graphs._tail_bound(n, rho, np.arange(1, 61))
         crossing = 60
-        while n * rho ** (crossing + 1.0) / ((crossing + 1.0) * (1.0 - rho)) > 1e-10:
+        while graphs._tail_bound(n, rho, crossing) > 1e-10:
             crossing += 1
-        l_max = max(60, crossing)
-        pk = np.eye(n)
-        mass = 0.0
-        partials = np.empty(l_max)
-        for k in range(1, l_max + 1):
-            pk = pk @ p
-            mass += np.trace(pk) / k
-            partials[k - 1] = mass
+        partials = graphs._loop_series(
+            [np.trace(pk) for pk in graphs._powers(p, crossing)])
         diffs = np.abs(exact - partials)
         # floating slack: the bound certifies the mathematical series tail,
         # the summed partials carry ~1e-15-scale rounding on top of it

@@ -12,6 +12,9 @@ radius of P from one symmetric eigensolve, and -log det(I - P). An entry
 holds the n^2 floats of P for n interior vertices (6.5 MB for a 900-vertex
 interior). A walk with an interior component that no edge joins to the
 boundary is never killed there; its loop masses are refused.
+
+Every loop series, the soup's and criterion 1's included, is the one power
+sequence `_powers`, summed by `_loop_series` and bounded by `_tail_bound`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,20 +225,33 @@ def loop_mass_exact(g: Graph) -> float:
     return _transient_walk(g).mass
 
 
+def _powers(p: np.ndarray, max_len: int):
+    """P^1, ..., P^max_len, each the one before times P."""
+    pk = np.eye(len(p))
+    for _ in range(max_len):
+        pk = pk @ p
+        yield pk
+
+
+def _loop_series(traces) -> np.ndarray:
+    """Partial sums of tr(P^k)/k, added in order, from tr(P^1), tr(P^2), ..."""
+    return np.cumsum(traces / np.arange(1, len(traces) + 1))
+
+
+def _tail_bound(n: int, rho: float, max_len):
+    """Rigorous bound n rho^{L+1}/((L+1)(1-rho)) on the tail past L = max_len."""
+    return n * rho ** (max_len + 1) / ((max_len + 1) * (1.0 - rho))
+
+
 def loop_mass_truncated(g: Graph, max_len: int):
-    """(sum_{k<=max_len} tr(P^k)/k, rigorous tail bound n rho^{L+1}/((L+1)(1-rho)))."""
+    """(sum_{k<=max_len} tr(P^k)/k, `_tail_bound` of the rest)."""
     _check_max_len(g, max_len)
     walk = _transient_walk(g)
     p, n, rho = walk.p, walk.n, walk.rho
     if n == 0:
         return 0.0, 0.0
-    mass = 0.0
-    pk = np.eye(n)
-    for k in range(1, max_len + 1):
-        pk = pk @ p
-        mass += np.trace(pk) / k
-    tail = n * rho ** (max_len + 1) / ((max_len + 1) * (1.0 - rho))
-    return float(mass), float(tail)
+    mass = _loop_series([np.trace(pk) for pk in _powers(p, max_len)])[-1]
+    return float(mass), float(_tail_bound(n, rho, max_len))
 
 
 def penalized_loop_mass(g: Graph, alpha: float) -> float:
@@ -318,8 +334,6 @@ def spanning_tree_count(g: Graph) -> int:
 @dataclass(frozen=True)
 class LoopSoupSample:
     loops: tuple
-    intensity: float
-    truncation_length: int
     tail_warning: bool = False
 
 
@@ -353,17 +367,14 @@ class _SoupModel:
         self.n = n
         if n == 0:
             return
-        powers = [np.eye(n)]
-        for _ in range(max_len):
-            powers.append(powers[-1] @ p)
-        self.powers = powers
+        self.powers = powers = [np.eye(n), *_powers(p, max_len)]
         self.traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
         # odd k on a bipartite graph has a zero diagonal: no root distribution
         self.root_cdfs = {k: _cdf(np.diag(powers[k]).copy())
                           for k in range(1, max_len + 1) if self.traces[k] > 0}
 
         total = walk.mass
-        truncated = sum(self.traces[k] / k for k in range(1, max_len + 1))
+        truncated = _loop_series(self.traces[1:])[-1]
         self.tail_warning = bool(total == math.inf
                                  or total - truncated > 1e-6 * max(total, 1e-300))
 
@@ -398,7 +409,7 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     model = _soup_model(g, max_len)
     rng = np.random.Generator(np.random.Philox(seed))
     if model.n == 0:
-        return LoopSoupSample((), c, max_len)
+        return LoopSoupSample(())
     p, powers, interior = model.p, model.powers, model.interior
 
     loops = []
@@ -417,7 +428,7 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
                 cur = _draw(_cdf(w), rng)
                 path.append(cur)
             loops.append(tuple(interior[v] for v in path) + (interior[root],))
-    return LoopSoupSample(tuple(loops), c, max_len, model.tail_warning)
+    return LoopSoupSample(tuple(loops), model.tail_warning)
 
 
 def read_edge_list(text: str) -> Graph:

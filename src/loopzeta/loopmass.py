@@ -54,44 +54,35 @@ def _require_positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _window_exp1(x_lo: float, x_hi: float) -> float:
-    """int_{x_lo}^{x_hi} v^-1 e^-v dv, window of the exponential integral."""
-    lo = special.exp1(x_lo) if x_lo < 700 else 0.0
-    hi = special.exp1(x_hi) if x_hi < 700 else 0.0
-    return float(lo - hi)
-
-
 def loop_mass(query: LoopMassQuery) -> float:
     """Loop mass in the QV window, summed exactly per eigenvalue.
 
     The window (qv_low, qv_high) = (4 delta, 4 C) corresponds to the time
     integral int_delta^C t^-1 e^{-kappa t} tr(e^{-t Lap}) dt; each eigenvalue
-    contributes E1((lam+kappa) delta) - E1((lam+kappa) C).
+    contributes E1((lam+kappa) delta) - E1((lam+kappa) C), and the zero mode
+    E1(kappa delta) - E1(kappa C), or log(C / delta) at kappa = 0.  E1 is taken
+    with no cut: the upper term is E1(inf) = 0 when C = inf, and an argument
+    past the float range overflows to inf, where E1 is 0 as well.
     """
     delta = query.qv_low / 4.0
     cap = query.qv_high / 4.0
     surface = query.surface
     kappa = query.kappa
 
+    def window(rate):
+        if math.isinf(cap):
+            return special.exp1(rate * delta)
+        return special.exp1(rate * delta) - special.exp1(rate * cap)
+
     lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
-    total = 0.0
-    shifted = lam + kappa
-    x_lo = shifted * delta
-    keep = x_lo < 700.0
-    lo = special.exp1(x_lo[keep])
-    if math.isinf(cap):
-        hi = np.zeros_like(lo)
-    else:
-        x_hi = shifted[keep] * cap
-        hi = np.where(x_hi < 700.0, special.exp1(np.minimum(x_hi, 700.0)), 0.0)
-    total += float(np.sum(mult[keep] * (lo - hi)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(mult * window(lam + kappa)))
     if surface.zero_modes:
         if kappa > 0.0:
-            total += _window_exp1(kappa * delta, kappa * cap) if not math.isinf(
-                cap
-            ) else float(special.exp1(kappa * delta))
-        else:
-            total += math.log(cap / delta)
+            total += float(window(kappa))
+        else:  # log(C / delta), where the ratio overflows log C - log delta
+            total += (math.log(cap / delta) if cap / delta < math.inf
+                      else math.log(cap) - math.log(delta))
     return total
 
 
@@ -111,8 +102,9 @@ def loop_mass_quadrature(query: LoopMassQuery) -> float:
     def integrand(t):
         return np.exp(-kappa * t) * surface.heat_trace(t) / t
 
-    value, _ = _geometric_quadrature(integrand, delta, cap)
-    return value
+    # at huge t, -kappa t and -t lam overflow to -inf, whose exp is the limit 0
+    with np.errstate(over="ignore"):
+        return _geometric_quadrature(integrand, delta, cap)[0]
 
 
 def theorem_residual_boundary(surface: ModelSurface, delta: float) -> float:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 log = logging.getLogger("loopzeta")
 
@@ -202,6 +201,20 @@ class ModelSurface:
         return float(np.mean(partials + tails))
 
 
+def _square(radius: float) -> float:
+    """radius**2, or a ValueError that names a radius whose square overflows."""
+    try:
+        return radius**2
+    except OverflowError:
+        raise ValueError("radius %g is too large: its square overflows float64"
+                         % radius) from None
+
+
+def _count(x: float):
+    """int(x) of a count x >= 0, kept inf past the float range for a budget check."""
+    return int(x) if x < math.inf else math.inf
+
+
 def _times(t) -> np.ndarray:
     """t as a float array, refused unless every entry is finite and > 0: no
     trace is finite at t <= 0, and the Poisson sums never stop there."""
@@ -267,7 +280,7 @@ class IntervalDirichlet(ModelSurface):
         return HeatCoefficients(0.0, self.length / (2.0 * math.sqrt(math.pi)), -0.5)
 
     def _enumerate(self, cutoff):
-        n_max = int(math.floor(self.length / math.pi * math.sqrt(cutoff)))
+        n_max = _count(self.length / math.pi * math.sqrt(cutoff))
         if n_max > _EIGEN_BUDGET:
             raise EnumerationBudgetError(n_max, _EIGEN_BUDGET)
         n = np.arange(1, n_max + 1, dtype=float)
@@ -309,8 +322,8 @@ class RectangleDirichlet(ModelSurface):
 
     def _enumerate(self, cutoff):
         a, b = self.side_a, self.side_b
-        m_max = int(math.floor(a / math.pi * math.sqrt(cutoff)))
-        n_max = int(math.floor(b / math.pi * math.sqrt(cutoff)))
+        m_max = _count(a / math.pi * math.sqrt(cutoff))
+        n_max = _count(b / math.pi * math.sqrt(cutoff))
         if m_max * n_max > _EIGEN_BUDGET:
             raise EnumerationBudgetError(m_max * n_max, _EIGEN_BUDGET)
         m = np.arange(1, m_max + 1, dtype=float)
@@ -343,8 +356,8 @@ class FlatTorus(ModelSurface):
 
     def _enumerate(self, cutoff):
         a, b = self.side_a, self.side_b
-        m_max = int(math.floor(a / (2 * math.pi) * math.sqrt(cutoff)))
-        n_max = int(math.floor(b / (2 * math.pi) * math.sqrt(cutoff)))
+        m_max = _count(a / (2 * math.pi) * math.sqrt(cutoff))
+        n_max = _count(b / (2 * math.pi) * math.sqrt(cutoff))
         count = (2 * m_max + 1) * (2 * n_max + 1)
         if count > _EIGEN_BUDGET:
             raise EnumerationBudgetError(count, _EIGEN_BUDGET)
@@ -379,25 +392,26 @@ class RoundSphere(ModelSurface):
 
     def heat_coefficients(self) -> HeatCoefficients:
         """a = Vol / (4 pi) = r^2, b = 0 (no boundary), c = chi/6 = 1/3."""
-        return HeatCoefficients(self.radius**2, 0.0, 1.0 / 3.0)
+        return HeatCoefficients(_square(self.radius), 0.0, 1.0 / 3.0)
 
     def _enumerate(self, cutoff):
         # l(l+1)/r^2 <= cutoff
-        ell_max = int(math.floor((math.sqrt(1.0 + 4.0 * cutoff * self.radius**2) - 1) / 2))
+        r2 = _square(self.radius)
+        ell_max = _count((math.sqrt(1.0 + 4.0 * cutoff * r2) - 1) / 2)
         if ell_max + 1 > _EIGEN_BUDGET:
             raise EnumerationBudgetError(ell_max + 1, _EIGEN_BUDGET)
         ell = np.arange(0, ell_max + 1, dtype=float)
-        return ell * (ell + 1) / self.radius**2, 2.0 * ell + 1.0
+        return ell * (ell + 1) / r2, 2.0 * ell + 1.0
 
     def _heat_traces(self, t):
         # the sum at t runs over l <= l_max(t); every row of a block takes the
         # block's widest range, but sums only its own first l_max(t) + 1
         # terms, formed in the same operand order as a sum at that t alone
-        r2 = self.radius**2
+        r2 = _square(self.radius)
         ell_max = np.ceil(np.sqrt(_TAIL_EXPONENT * r2 / t)) + 2
         over = ell_max + 1 > _EIGEN_BUDGET
         if over.any():
-            raise EnumerationBudgetError(int(ell_max[over][0]) + 1, _EIGEN_BUDGET)
+            raise EnumerationBudgetError(_count(ell_max[over][0]) + 1, _EIGEN_BUDGET)
         ell_max = ell_max.astype(int)
         out = np.empty(t.size)
         for rows in _row_blocks(t.size, int(ell_max.max(initial=0)) + 1):
@@ -408,23 +422,18 @@ class RoundSphere(ModelSurface):
         return out
 
     def zeta_series(self, s: float) -> float:
-        r2 = self.radius**2
+        r2 = _square(self.radius)
         ell_max = 4000
         ell = np.arange(1, ell_max + 1, dtype=float)
         lam = ell * (ell + 1) / r2
         partial = float(np.sum((2 * ell + 1) * lam ** (-s)))
-        # Euler-Maclaurin in x = ell + 1/2: f(x) = 2x ((x^2 - 1/4)/r^2)^{-s}
-        def f(x):
-            return 2.0 * x * ((x * x - 0.25) / r2) ** (-s)
-
-        def fp(x):
-            lam_x = (x * x - 0.25) / r2
-            return 2.0 * lam_x ** (-s) + 2.0 * x * (-s) * lam_x ** (-s - 1) * 2 * x / r2
-
-        x0 = ell_max + 1.5  # first omitted x
-        integral, _ = quad(f, x0 - 0.5, np.inf)
-        tail = integral + fp(x0 - 0.5) / 24.0
-        return partial + tail
+        # Euler-Maclaurin in x = ell + 1/2 over the omitted ell: f(x) = 2x
+        # lam_x^{-s}, lam_x = (x^2 - 1/4)/r^2, has int_X^inf f = r^2
+        # lam_X^{1-s}/(s - 1) from X = ell_max + 1
+        x = ell_max + 1.0
+        lam_x = (x * x - 0.25) / r2
+        fp = 2.0 * lam_x ** (-s) - 4.0 * s * x * x / r2 * lam_x ** (-s - 1)
+        return partial + r2 * lam_x ** (1 - s) / (s - 1) + fp / 24.0
 
 
 def _row_blocks(rows: int, width: int):
@@ -561,7 +570,7 @@ class _BesselZeroCache:
             return
         start = time.perf_counter()
         j_max = max(j_max * 1.05, 25.0)
-        est = int(j_max * j_max / 8.0) + 100
+        est = _count(j_max * j_max / 8.0) + 100
         if est > budget:
             raise EnumerationBudgetError(est, budget)
         nu = np.arange(math.ceil(j_max))
@@ -620,7 +629,7 @@ class DiskDirichlet(ModelSurface):
         """a = Vol / (4 pi), b = -Len / (8 sqrt(pi)); the boundary is smooth,
         so c = chi/6 = 1/6."""
         return HeatCoefficients(
-            self.radius**2 / 4.0,
+            _square(self.radius) / 4.0,
             -math.sqrt(math.pi) * self.radius / 4.0,
             1.0 / 6.0,
         )

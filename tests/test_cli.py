@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import logging
 import math
@@ -10,6 +12,8 @@ import time
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopzeta import cli, gff, graphs, subdivision
 from loopzeta.surfaces import FlatTorus, IntervalDirichlet, RectangleDirichlet
@@ -378,6 +382,33 @@ def test_large_sphere_or_disk_is_refused_at_once(spec):
     assert "loopzeta: error: spectral enumeration needs ~" in err
 
 
+_OVERSIZED = ["sphere:1e200", "disk:1e200", "sphere:1e155", "disk:1e155",
+              "sphere:1e154", "disk:1e154"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["zeta-det", "--surface", spec] for spec in _OVERSIZED),
+    *(["loop-mass", "--surface", spec, "--qv-low", "1", "--kappa", "1"]
+      for spec in _OVERSIZED),
+    *(["loop-mass", "--surface", spec, "--qv-low", "1e-20", "--kappa", "1"]
+      for spec in ("interval:1e300", "rect:1e300x1", "torus:1e300x1")),
+])
+def test_size_past_the_float_range_is_refused_by_name(capsys, argv):
+    # radius**2 overflowed with "(34, 'Numerical result out of range')", and
+    # an eigenvalue count past the float range with "cannot convert float
+    # infinity to integer"
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 10.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = err.splitlines()[-1]
+    assert message.startswith("loopzeta: error: ")
+    assert ("radius" in message
+            or "spectral enumeration needs ~" in message), message
+    assert "out of range" not in err and "infinity" not in err
+
+
 def test_graph_loops_flags_overflowed_identity(tmp_path):
     # K_150 with one boundary vertex: det of the 149 x 149 Laplacian minor is
     # 150^148 and the degree product 149^149, both past float64
@@ -518,3 +549,80 @@ def test_lattice_torus_above_the_site_budget_is_refused_at_once(capsys):
     assert out == ""
     assert ("loopzeta: error: lattice 100000 x 100000 has 10000000000 sites,"
             " budget is 16777216\n") in err
+
+
+_EDGE_VALUES = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-1e308", "1e308"])
+_PLAIN_VALUES = st.sampled_from(["0.4", "1", "2.5"])
+
+
+def _run_captured(argv):
+    """cli.main in-process on argv, with warnings as errors: (exit code,
+    stdout, stderr). An exception other than argparse's SystemExit
+    propagates, which fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, out, err) -> bool:
+    """Check the exit contract; True when the command wrote its output
+    (exit 0, or 2 with flagged results rather than an argparse usage error)."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 1:
+        assert out == ""
+        assert err.splitlines()[-1].startswith("loopzeta: error: ")
+    usage = code == 2 and out == "" and "usage: loopzeta" in err
+    return not (code == 1 or usage)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["disk", "sphere", "interval", "torus", "rect"]),
+       size=st.one_of(_EDGE_VALUES, _PLAIN_VALUES),
+       qv_low=st.one_of(_EDGE_VALUES, _PLAIN_VALUES),
+       qv_high=st.one_of(st.none(), _EDGE_VALUES, _PLAIN_VALUES),
+       kappa=st.one_of(st.none(), _EDGE_VALUES, _PLAIN_VALUES))
+# C / delta past the float range: "loop_mass": null, and E1 and heat-trace
+# arguments that overflowed with numpy warnings
+@example(kind="torus", size="1", qv_low="0.4", qv_high="1e308", kappa=None)
+@example(kind="disk", size="1", qv_low="1", qv_high="1e308", kappa=None)
+@example(kind="sphere", size="1e308", qv_low="1", qv_high=None, kappa="1")
+def test_loop_mass_input_sweep(kind, size, qv_low, qv_high, kappa):
+    sizes = size if kind in ("disk", "sphere", "interval") else size + "x" + size
+    argv = ["loop-mass", "--surface", "%s:%s" % (kind, sizes), "--qv-low=" + qv_low]
+    if qv_high is not None:
+        argv.append("--qv-high=" + qv_high)
+    if kappa is not None:
+        argv.append("--kappa=" + kappa)
+    code, out, err = _run_captured(argv)
+    if _assert_clean_exit(code, out, err):
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["loop_mass"] is not None
+        assert payload["loop_mass_quadrature"] is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=st.sampled_from(["killed", "closed", "periodic"]),
+       max_len=st.one_of(st.none(), st.integers(-2, 60).map(str),
+                         st.sampled_from(["nan", "1e308", "", "9223372036854775808"])),
+       alpha=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["0.5", "1"])))
+def test_graph_loops_input_sweep(tmp_path_factory, graph, max_len, alpha):
+    g = {"killed": graphs.grid_graph(3),
+         "closed": graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+         "periodic": graphs.Graph(3, [(0, 1), (1, 2)], [0])}[graph]
+    path = tmp_path_factory.mktemp("sweep") / "graph.txt"
+    path.write_text(graphs.write_edge_list(g))
+    argv = ["graph-loops", "--graph", str(path)]
+    if max_len is not None:
+        argv.append("--max-len=" + max_len)
+    if alpha is not None:
+        argv.append("--alpha=" + alpha)
+    code, out, err = _run_captured(argv)
+    if _assert_clean_exit(code, out, err):
+        assert out.startswith("quantity,value\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -400,6 +401,69 @@ def test_soup_matches_reference_on_random_graphs():
         assert_soups_match(g, c, max_len, range(100 * i, 100 * i + 30))
         tail_warnings.add(graphs.sample_loop_soup(g, c, max_len, 0).tail_warning)
     assert tail_warnings == {False, True}
+
+
+def reference_truncated(g, max_len):
+    """loop_mass_truncated as it was with its own power loop: the partial
+    sum added term by term and the tail bound written out."""
+    walk = graphs._transient_walk(g)
+    p, n, rho = walk.p, walk.n, walk.rho
+    if n == 0:
+        return 0.0, 0.0
+    mass = 0.0
+    pk = np.eye(n)
+    for k in range(1, max_len + 1):
+        pk = pk @ p
+        mass += np.trace(pk) / k
+    tail = n * rho ** (max_len + 1) / ((max_len + 1) * (1.0 - rho))
+    return float(mass), float(tail)
+
+
+def reference_soup_model(g, max_len):
+    """The soup model's powers, traces and truncation flag as they were with
+    its own power loop and a term-by-term sum."""
+    walk = graphs._killed_walk(g)
+    p, n = walk.p, walk.n
+    powers = [np.eye(n)]
+    for _ in range(max_len):
+        powers.append(powers[-1] @ p)
+    traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
+    total = walk.mass
+    truncated = sum(traces[k] / k for k in range(1, max_len + 1))
+    tail_warning = bool(total == math.inf
+                        or total - truncated > 1e-6 * max(total, 1e-300))
+    return powers, traces, tail_warning
+
+
+@settings(max_examples=150, deadline=None)
+@given(killed_graphs(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_loop_series_match_references_bit_for_bit(g, max_len, seed):
+    try:
+        want = reference_truncated(g, max_len)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            graphs.loop_mass_truncated(g, max_len)
+    else:
+        assert graphs.loop_mass_truncated(g, max_len) == want
+    model = graphs._soup_model(g, max_len)
+    powers, traces, tail_warning = reference_soup_model(g, max_len)
+    assert all(np.array_equal(a, b) for a, b in zip(model.powers, powers, strict=True))
+    assert np.array_equal(model.traces, traces)
+    soup = graphs.sample_loop_soup(g, 1.0, max_len, seed)
+    assert soup.tail_warning == tail_warning == model.tail_warning
+    assert soup.loops == reference_soup(g, 1.0, max_len, seed)[0]
+
+
+def test_criterion_1_partials_are_the_shipped_series():
+    g = graphs.grid_graph(3)
+    walk = graphs._killed_walk(g)
+    partials = graphs._loop_series(
+        [np.trace(pk) for pk in graphs._powers(walk.p, 40)])
+    for max_len in (1, 2, 12, 40):
+        mass, tail = graphs.loop_mass_truncated(g, max_len)
+        assert mass == partials[max_len - 1]
+        assert tail == graphs._tail_bound(walk.n, walk.rho, max_len)
+        assert (mass, tail) == reference_truncated(g, max_len)
 
 
 def test_soup_model_is_reused_for_an_equal_graph():

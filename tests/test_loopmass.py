@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from loopzeta.loopmass import (
     LoopMassQuery,
@@ -15,6 +16,7 @@ from loopzeta.loopmass import (
     zeta_from_weighted_loops,
 )
 from loopzeta.surfaces import (
+    _TAIL_EXPONENT,
     DiskDirichlet,
     FlatTorus,
     IntervalDirichlet,
@@ -154,3 +156,100 @@ def test_fit_log_slope():
         for one_x in ([0.01, 0.01], [0.02]):
             with pytest.raises(ValueError, match="two distinct x"):
                 fit_log_slope(one_x, [1.0] * len(one_x))
+
+
+def reference_loop_mass(query):
+    """loop_mass as it was with its three E1 windows: an array window with a
+    cut at 700, a scalar one, and special cases for C = inf."""
+
+    def window_exp1(x_lo, x_hi):
+        lo = special.exp1(x_lo) if x_lo < 700 else 0.0
+        hi = special.exp1(x_hi) if x_hi < 700 else 0.0
+        return float(lo - hi)
+
+    delta = query.qv_low / 4.0
+    cap = query.qv_high / 4.0
+    surface = query.surface
+    kappa = query.kappa
+    lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
+    total = 0.0
+    shifted = lam + kappa
+    x_lo = shifted * delta
+    keep = x_lo < 700.0
+    lo = special.exp1(x_lo[keep])
+    if math.isinf(cap):
+        hi = np.zeros_like(lo)
+    else:
+        x_hi = shifted[keep] * cap
+        hi = np.where(x_hi < 700.0, special.exp1(np.minimum(x_hi, 700.0)), 0.0)
+    total += float(np.sum(mult[keep] * (lo - hi)))
+    if surface.zero_modes:
+        if kappa > 0.0:
+            total += window_exp1(kappa * delta, kappa * cap) if not math.isinf(
+                cap
+            ) else float(special.exp1(kappa * delta))
+        else:
+            total += math.log(cap / delta)
+    return total
+
+
+_GRID_SURFACES = [
+    IntervalDirichlet(1.0), RectangleDirichlet(1.0, 1.3), FlatTorus(1.0, 1.0),
+    FlatTorus(0.7, 1.9), RoundSphere(1.0), RoundSphere(0.3), DiskDirichlet(1.0),
+]
+
+
+@pytest.mark.parametrize("surface", _GRID_SURFACES, ids=repr)
+def test_loop_mass_matches_reference_bit_for_bit(surface):
+    # open windows with kappa > 0, capped windows, and the zero mode at
+    # kappa = 0 and kappa > 0, wherever kappa delta < 600
+    compared = 0
+    for qv_low in (0.004, 0.04, 0.4):
+        for qv_high in (1.0, 10.0, math.inf):
+            for kappa in (0.0, 1e-3, 0.5, 20.0, 1e4):
+                if surface.is_closed and qv_high == math.inf and kappa == 0.0:
+                    continue
+                if kappa * qv_low / 4.0 >= 600.0:
+                    continue
+                query = LoopMassQuery(surface, qv_low, qv_high, kappa)
+                assert loop_mass(query) == reference_loop_mass(query), query
+                compared += 1
+    assert compared >= 35
+
+
+@pytest.mark.parametrize("surface, kappa_delta, want", [
+    (DiskDirichlet(1.0), 699.5, 1.312235338113726e-308),
+    (RoundSphere(1.0), 650.0, 1.8589469097348424e-285),
+    (RoundSphere(1.0), 680.0, 1.662993244423605e-298),
+    (RoundSphere(1.0), 700.5, 2.018312066050952e-307),
+    (RoundSphere(1.0), 705.0, 2.227867493886215e-309),
+    (FlatTorus(1.0, 1.0), 650.0, 7.852479304291564e-286),
+    (FlatTorus(1.0, 1.0), 700.5, 8.524887097365681e-308),
+    (FlatTorus(1.0, 1.0), 705.0, 9.40993081887363e-310),
+    (IntervalDirichlet(1.0), 680.0, 5.015487832283972e-301),
+    (IntervalDirichlet(1.0), 705.0, 6.72053943325e-312),
+], ids=str)
+def test_loop_mass_far_penalized_windows_are_pinned(surface, kappa_delta, want):
+    # past kappa delta ~ 650 the mass is below ~1e-285; E1 is taken with no
+    # cut at 700, so a capped window and an open one agree once E1(kappa C)
+    # underflows, where the cut used to give 0.0 for C = 2 and 8.5e-308 for
+    # C = inf on the sphere at 700.5
+    for qv_high in (8.0, math.inf):
+        mass = loop_mass(LoopMassQuery(surface, 2.0, qv_high, kappa_delta / 0.5))
+        assert mass == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_loop_mass_of_a_huge_cap_is_finite_without_warnings():
+    # C / delta overflows the float range: the zero mode's log(C / delta)
+    # used to be inf, and every E1(lam C) argument overflowed with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query, want in (
+            (LoopMassQuery(FlatTorus(1.0, 1.0), 1e-5, 1e308), 32540.430436606),
+            (LoopMassQuery(FlatTorus(1.0, 1.0), 1.0, 1e308), 709.19622781686),
+            (LoopMassQuery(DiskDirichlet(1.0), 1.0, 1e308), 0.1201884566779),
+            (LoopMassQuery(RoundSphere(1.0), 1e308, kappa=1e308), 0.0),
+        ):
+            assert loop_mass(query) == pytest.approx(want, rel=1e-11, abs=1e-300)
+            assert loop_mass_quadrature(query) == pytest.approx(
+                want, rel=1e-11, abs=1e-300)

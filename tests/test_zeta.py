@@ -91,6 +91,29 @@ def test_zeta_series_vs_mellin():
                 mellin_zeta(surface, s), abs=1e-8)
 
 
+@pytest.mark.parametrize("radius", [0.05, 0.1, 0.3, 1.0])
+def test_sphere_zeta_at_two_is_radius_to_the_fourth(radius):
+    # sum_l (2l + 1) / (l (l + 1))^2 telescopes to 1, so zeta(2) = r^4; the
+    # Euler-Maclaurin tail by quadrature was 3e-8 off, with a warning at 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta(RoundSphere(radius), 2.0) == pytest.approx(
+            radius**4, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [1.5, 3.0])
+@pytest.mark.parametrize("radius", [0.05, 1.0, 100.0])
+def test_sphere_zeta_matches_an_extended_precision_sum(radius, s):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        unit = mpmath.nsum(lambda l: (2 * l + 1) * (l * (l + 1)) ** -mpmath.mpf(s),
+                           [1, mpmath.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta(RoundSphere(radius), s) == pytest.approx(
+            float(unit) * radius ** (2 * s), rel=1e-13, abs=0.0)
+
+
 def test_zeta_series_domain():
     with pytest.raises(ValueError):
         zeta(IntervalDirichlet(1.0), 1.0)
