@@ -187,7 +187,7 @@ def cmd_gff_sample(args) -> int:
         # the field file stores the seed as a signed 64-bit integer
         raise ValueError("--seed must lie in [0, 2^63), got %d" % args.seed)
     field = gff.sample_dgff(args.size, args.seed)
-    gff.write_field(field, args.out)
+    gff.write_field(field, sys.stdout.buffer if args.out == "-" else args.out)
     log.info("field variance %.4f, dirichlet energy %.1f",
              float(field.values.var()), gff.dirichlet_energy(field))
     return EXIT_OK
@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--json-out", default="-")
 
-    p = add("acceptance", cmd_acceptance, help="run the acceptance suite")
+    p = sub.add_parser("acceptance", help="run the acceptance suite")
+    p.set_defaults(fn=cmd_acceptance)
     p.add_argument("--only", help="comma-separated criterion numbers")
 
     parser.subcommands = sub.choices

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
+from .graphs import graph_laplacian, grid_graph
+
 TWO_PI = 2.0 * np.pi
 _MAGIC = b"LZGF"
 
@@ -173,30 +175,23 @@ def dirichlet_energy(field: GridField) -> float:
 
 def green_oracle(size: int) -> np.ndarray:
     """Dense normalization-scaled Green matrix 2*pi*(grid Laplacian)^-1 on the
-    interior sites; small sizes only (validation use)."""
+    interior sites, row-major; small sizes only (validation use)."""
     if size > 32:
         raise ValueError("green_oracle is budgeted for size <= 32")
     _check_size(size)
-    n = size - 1
-    lap = np.zeros((n * n, n * n))
-    idx = lambda a, b: a * n + b
-    for a in range(n):
-        for b in range(n):
-            lap[idx(a, b), idx(a, b)] = 4.0
-            for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                aa, bb = a + da, b + db
-                if 0 <= aa < n and 0 <= bb < n:
-                    lap[idx(a, b), idx(aa, bb)] = -1.0
-    return TWO_PI * np.linalg.inv(lap)
+    g = grid_graph(size - 1)
+    interior = g.interior
+    return TWO_PI * np.linalg.inv(graph_laplacian(g)[np.ix_(interior, interior)])
 
 
 def write_field(field: GridField, path) -> None:
     """Dump: 16-byte header (magic, k, seed) then row-major little-endian
-    float64 interior values."""
-    header = _MAGIC + struct.pack("<iq", field.level, field.seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(field.values.astype("<f8").tobytes())
+    float64 interior values, to a path or to an open binary file."""
+    if not hasattr(path, "write"):
+        with open(path, "wb") as fh:
+            return write_field(field, fh)
+    path.write(_MAGIC + struct.pack("<iq", field.level, field.seed))
+    path.write(field.values.astype("<f8").tobytes())
 
 
 def read_field(path) -> GridField:

@@ -123,14 +123,12 @@ def determinant_identity(g: Graph):
     """(det interior graph-Laplacian minor, det(I-P), product of interior
     degrees); the first equals the product of the last two."""
     interior = g.interior
-    lap = graph_laplacian(g)[np.ix_(interior, interior)]
-    det_graph = float(np.linalg.det(lap))
+    det_graph, det_rw = 0.0, 0.0
     if g.is_killed:
+        lap = graph_laplacian(g)[np.ix_(interior, interior)]
+        det_graph = float(np.linalg.det(lap))
         walk = _killed_walk(g)
         det_rw = float(np.linalg.det(np.eye(walk.n) - walk.p))
-    else:
-        det_rw = 0.0
-        det_graph = 0.0
     degree_product = float(np.prod(g.degrees[interior].astype(float)))
     return det_graph, det_rw, degree_product
 
@@ -424,7 +422,6 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
             for j in range(k - 1):
                 # bridge step: weight by the remaining return probability
                 w = p[cur] * powers[k - 1 - j][:, root]
-                w = np.maximum(w, 0.0)
                 cur = _draw(_cdf(w), rng)
                 path.append(cur)
             loops.append(tuple(interior[v] for v in path) + (interior[root],))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .zeta import _richardson
+
 # Catalan constant
 CATALAN = 0.91596559417721901505
 # most sites n_x n_y of one lattice: its log-determinant holds a few float
@@ -85,16 +87,9 @@ def constant_term(specs) -> ConstantTermResult:
 
     cs = [torus_constant(s) for s in specs]
     cauchy_gap = abs(cs[-1] - cs[-2])
-    # two Richardson stages at orders n^-2 and n^-4
-    table = list(cs)
-    for stage, power in enumerate((2, 4), start=1):
-        f = r**power
-        table = [
-            (f * table[i + 1] - table[i]) / (f - 1.0)
-            for i in range(len(table) - 1)
-        ]
     return ConstantTermResult(
-        limit=float(table[-1]),
+        # two Richardson stages at orders n^-2 and n^-4
+        limit=float(_richardson(cs, (r**2, r**4))[-1]),
         cauchy_gap=float(cauchy_gap),
         constants=tuple(cs),
         flagged=bool(cauchy_gap > 1e-2),

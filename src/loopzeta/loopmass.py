@@ -177,8 +177,6 @@ def zeta_from_weighted_loops(surface: ModelSurface, s: float) -> float:
     """
     if surface.is_closed:
         raise ValueError("weighted-loop zeta requires a surface with boundary")
-    if s <= 1.0:
-        raise ValueError("require s > 1")
     return mellin_zeta(surface, s)
 
 

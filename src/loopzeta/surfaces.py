@@ -9,7 +9,8 @@ with a truncation error far below 1e-13.  The lattice-type surfaces
 side, a Poisson sum at small t; the sphere and disk sum over eigenvalues,
 a row block of about 2^15 terms of a batch of t at a time, each t's terms
 formed and summed exactly as in a call at that t alone, so that a batch
-equals scalar calls bit for bit.  The disk's eigenvalues come from a
+equals scalar calls bit for bit.  The rectangle and the torus share one
+lattice spectrum, `_grid_spectrum`.  The disk's eigenvalues come from a
 process-wide cache of Bessel zeros, which refines each new band on two
 threads where two cores are available (see `_BesselZeroCache`).
 
@@ -18,8 +19,9 @@ positive.  Its geometry (area, boundary length, Euler characteristic) enters
 only through `heat_coefficients()`, whose docstring states it.  It provides
 `heat_coefficients()`, `_enumerate(cutoff)` (unsorted eigenvalues up to the
 cutoff and their multiplicities, which `eigen_stream` sorts and
-`nonzero_spectrum` strips of the zero modes; more than `_EIGEN_BUDGET`, or
-an infinite cutoff, raise EnumerationBudgetError before allocating) and
+`nonzero_spectrum` strips of the zero modes; an infinite cutoff, or a count
+that fails the one budget gate `_budgeted`, raises EnumerationBudgetError
+before allocating) and
 `_heat_traces(t)` on a 1-D array of t, which `heat_trace` calls after it
 refuses any t that is not finite and > 0 (the sphere's sum over l refuses
 more than `_EIGEN_BUDGET` terms in the same way).  Optional overrides: an
@@ -215,6 +217,30 @@ def _count(x: float):
     return int(x) if x < math.inf else math.inf
 
 
+def _budgeted(count):
+    """count, refused unless count <= _EIGEN_BUDGET (nan, as from 0 * inf, too)."""
+    if not count <= _EIGEN_BUDGET:
+        raise EnumerationBudgetError(count, _EIGEN_BUDGET)
+    return count
+
+
+def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: bool):
+    """Eigenvalues unit^2 (m^2 / a^2 + n^2 / b^2) <= cutoff, each of
+    multiplicity 1: m, n in Z on the torus (unit 2 pi), m, n >= 1 on the
+    Dirichlet rectangle (unit pi), empty there when a side has no mode."""
+    m_max = _count(a / unit * math.sqrt(cutoff))
+    n_max = _count(b / unit * math.sqrt(cutoff))
+    if not periodic and 0 in (m_max, n_max):
+        return np.empty(0), np.empty(0)
+    m0, n0 = (-m_max, -n_max) if periodic else (1, 1)
+    _budgeted((m_max - m0 + 1) * (n_max - n0 + 1))
+    m = np.arange(m0, m_max + 1, dtype=float)
+    n = np.arange(n0, n_max + 1, dtype=float)
+    lam = (unit**2 * (m[:, None] ** 2 / a**2 + n[None, :] ** 2 / b**2)).ravel()
+    lam = lam[lam <= cutoff]
+    return lam, np.ones_like(lam)
+
+
 def _times(t) -> np.ndarray:
     """t as a float array, refused unless every entry is finite and > 0: no
     trace is finite at t <= 0, and the Poisson sums never stop there."""
@@ -280,9 +306,7 @@ class IntervalDirichlet(ModelSurface):
         return HeatCoefficients(0.0, self.length / (2.0 * math.sqrt(math.pi)), -0.5)
 
     def _enumerate(self, cutoff):
-        n_max = _count(self.length / math.pi * math.sqrt(cutoff))
-        if n_max > _EIGEN_BUDGET:
-            raise EnumerationBudgetError(n_max, _EIGEN_BUDGET)
+        n_max = _budgeted(_count(self.length / math.pi * math.sqrt(cutoff)))
         n = np.arange(1, n_max + 1, dtype=float)
         lam = (n * math.pi / self.length) ** 2
         return lam, np.ones_like(lam)
@@ -321,16 +345,7 @@ class RectangleDirichlet(ModelSurface):
         )
 
     def _enumerate(self, cutoff):
-        a, b = self.side_a, self.side_b
-        m_max = _count(a / math.pi * math.sqrt(cutoff))
-        n_max = _count(b / math.pi * math.sqrt(cutoff))
-        if m_max * n_max > _EIGEN_BUDGET:
-            raise EnumerationBudgetError(m_max * n_max, _EIGEN_BUDGET)
-        m = np.arange(1, m_max + 1, dtype=float)
-        n = np.arange(1, n_max + 1, dtype=float)
-        lam = (math.pi**2 * (m[:, None] ** 2 / a**2 + n[None, :] ** 2 / b**2)).ravel()
-        lam = lam[lam <= cutoff]
-        return lam, np.ones_like(lam)
+        return _grid_spectrum(cutoff, self.side_a, self.side_b, math.pi, False)
 
     def _heat_traces(self, t):
         return _sine_trace(t, self.side_a) * _sine_trace(t, self.side_b)
@@ -355,19 +370,7 @@ class FlatTorus(ModelSurface):
         return HeatCoefficients(self.side_a * self.side_b / (4.0 * math.pi), 0.0, 0.0)
 
     def _enumerate(self, cutoff):
-        a, b = self.side_a, self.side_b
-        m_max = _count(a / (2 * math.pi) * math.sqrt(cutoff))
-        n_max = _count(b / (2 * math.pi) * math.sqrt(cutoff))
-        count = (2 * m_max + 1) * (2 * n_max + 1)
-        if count > _EIGEN_BUDGET:
-            raise EnumerationBudgetError(count, _EIGEN_BUDGET)
-        m = np.arange(-m_max, m_max + 1, dtype=float)
-        n = np.arange(-n_max, n_max + 1, dtype=float)
-        lam = (
-            4.0 * math.pi**2 * (m[:, None] ** 2 / a**2 + n[None, :] ** 2 / b**2)
-        ).ravel()
-        lam = lam[lam <= cutoff]
-        return lam, np.ones_like(lam)
+        return _grid_spectrum(cutoff, self.side_a, self.side_b, 2 * math.pi, True)
 
     def _heat_traces(self, t):
         # sum_{m in Z} exp(-t (2 pi m / P)^2) = 1 + 2 S(t; P / 2)
@@ -398,8 +401,7 @@ class RoundSphere(ModelSurface):
         # l(l+1)/r^2 <= cutoff
         r2 = _square(self.radius)
         ell_max = _count((math.sqrt(1.0 + 4.0 * cutoff * r2) - 1) / 2)
-        if ell_max + 1 > _EIGEN_BUDGET:
-            raise EnumerationBudgetError(ell_max + 1, _EIGEN_BUDGET)
+        _budgeted(ell_max + 1)
         ell = np.arange(0, ell_max + 1, dtype=float)
         return ell * (ell + 1) / r2, 2.0 * ell + 1.0
 

@@ -142,17 +142,21 @@ def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
 # the zeta function
 # ---------------------------------------------------------------------------
 
+def _check_series_domain(s: float) -> None:
+    """ValueError unless s > 1.001 (so for nan too), where both routes hold."""
+    if not s > 1.0 + 1e-3:
+        raise ValueError("outside series domain; use log_det path")
+
+
 def zeta(surface: ModelSurface, s: float) -> float:
     """Spectral zeta sum over nonzero eigenvalues, for s in the series region."""
-    if s <= 1.0 + 1e-3:
-        raise ValueError("outside series domain; use log_det path")
+    _check_series_domain(s)
     return surface.zeta_series(s)
 
 
 def mellin_zeta(surface: ModelSurface, s: float) -> float:
     """zeta(s) by Mellin quadrature of the heat trace, the dual route to zeta()."""
-    if s <= 1.0 + 1e-3:
-        raise ValueError("outside series domain; use log_det path")
+    _check_series_domain(s)
     hc = surface.heat_coefficients()
     n = surface.zero_modes
     t0 = surface.mellin_start
@@ -208,16 +212,19 @@ def zeta_at_zero(surface: ModelSurface) -> float:
     return surface.heat_coefficients().c_coef - surface.zero_modes
 
 
+def _richardson(table, factors) -> list:
+    """Richardson stages: the one at factor f maps neighbouring entries
+    (x, y) of the table to (f y - x) / (f - 1)."""
+    for f in factors:
+        table = [(f * y - x) / (f - 1.0) for x, y in zip(table, table[1:])]
+    return table
+
+
 def richardson_zeta_at_zero(surface: ModelSurface):
     """Richardson extrapolation of the continued zeta along s = 0.1 * 2^{-k},
     k = 0..4."""
     table = [zeta_continued(surface, 0.1 * 2.0**-k) for k in range(5)]
-    for j in range(1, 5):
-        table = [
-            (2.0**j * table[i + 1] - table[i]) / (2.0**j - 1.0)
-            for i in range(len(table) - 1)
-        ]
-    return table[0]
+    return _richardson(table, [2.0**j for j in range(1, 5)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -626,3 +626,123 @@ def test_graph_loops_input_sweep(tmp_path_factory, graph, max_len, alpha):
     code, out, err = _run_captured(argv)
     if _assert_clean_exit(code, out, err):
         assert out.startswith("quantity,value\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["loop-mass", "--surface", "rect:1e300x1e-20", "--qv-low", "1e-20", "--kappa", "1"],
+    ["zeta-det", "--surface", "rect:1e300x1e-20"],
+])
+def test_rectangle_with_a_side_past_the_float_range_is_refused_by_name(argv):
+    # the side counts inf and 0 multiplied to nan, which passed the budget
+    # check; np.arange(1, inf) then failed with "Maximum allowed size exceeded"
+    start = time.perf_counter()
+    code, out, err = _run_captured(argv)
+    assert time.perf_counter() - start < 10.0
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("loopzeta: error: ")
+    assert "budget is 5000000" in last or "surface too small" in last
+    assert "Maximum allowed size exceeded" not in err
+
+
+def test_gff_sample_dash_writes_the_field_to_stdout(tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gff-sample", "--size", "16", "--seed", "1"]) == 0
+    piped = capsysbinary.readouterr().out
+    assert not (tmp_path / "-").exists()
+    assert run(["gff-sample", "--size", "16", "--seed", "1", "--out", "f.bin"]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert piped == (tmp_path / "f.bin").read_bytes()
+    assert len(piped) == 16 + 8 * 15 * 15
+
+
+def test_acceptance_has_no_out_option(capsys):
+    with pytest.raises(SystemExit):
+        run(["acceptance", "--help"])
+    assert "--out" not in capsys.readouterr().out
+
+
+_SPECS = st.one_of(
+    st.tuples(st.sampled_from(["disk", "sphere", "interval", "torus", "rect"]),
+              st.one_of(_EDGE_VALUES, _PLAIN_VALUES)).map(
+        lambda ks: "%s:%s" % (ks[0], ks[1] if ks[0] in ("disk", "sphere", "interval")
+                              else ks[1] + "x" + ks[1])),
+    st.sampled_from(["", "disk", "disk:", "cone:1", "torus:1", "rect:1x", "torus:axb",
+                     "sphere:1x2", "interval:1:2", "rect:1e300x1e-20"]))
+
+
+@settings(max_examples=80, deadline=30_000)
+@given(spec=_SPECS,
+       delta=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["0.4", "0.05", "1e-5"])))
+def test_zeta_det_input_sweep(spec, delta):
+    argv = ["zeta-det", "--surface", spec]
+    if delta is not None:
+        argv.append("--delta=" + delta)
+    code, out, err = _run_captured(argv)
+    if _assert_clean_exit(code, out, err):
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["log_det"] is not None
+
+
+_INT_EDGES = st.sampled_from(["nan", "inf", "-1", "0", "1e308", "",
+                              "9223372036854775808", "-9223372036854775808"])
+
+
+@settings(max_examples=60, deadline=30_000)
+@given(graph=st.sampled_from(["killed", "closed", "periodic"]),
+       intensity=st.one_of(st.none(), _EDGE_VALUES, _PLAIN_VALUES),
+       max_len=st.one_of(st.none(), st.integers(-2, 60).map(str), _INT_EDGES),
+       seed=st.one_of(st.none(), st.integers(0, 3).map(str), _INT_EDGES))
+def test_soup_sample_input_sweep(tmp_path_factory, graph, intensity, max_len, seed):
+    g = {"killed": graphs.grid_graph(3),
+         "closed": graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+         "periodic": graphs.Graph(3, [(0, 1), (1, 2)], [0])}[graph]
+    path = tmp_path_factory.mktemp("sweep") / "graph.txt"
+    path.write_text(graphs.write_edge_list(g))
+    argv = ["soup-sample", "--graph", str(path)]
+    for flag, value in (("--intensity", intensity), ("--max-len", max_len),
+                        ("--seed", seed)):
+        if value is not None:
+            argv.append(flag + "=" + value)
+    code, out, err = _run_captured(argv)
+    if _assert_clean_exit(code, out, err):
+        assert out.startswith("loop,length,vertices\n")
+
+
+def _run_captured_binary(argv):
+    """`_run_captured` with a stdout that also takes bytes: (exit code,
+    stdout bytes, stderr)."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=30_000)
+@given(size=st.one_of(st.none(), st.sampled_from(["16", "32", "64"]), _INT_EDGES,
+                      st.sampled_from(["1", "17", "16384", "16.0"])),
+       seed=st.one_of(st.none(), st.integers(0, 3).map(str), _INT_EDGES,
+                      st.just("9223372036854775807")),
+       to_stdout=st.booleans())
+def test_gff_sample_input_sweep(tmp_path_factory, size, seed, to_stdout):
+    path = tmp_path_factory.mktemp("sweep") / "f.bin"
+    argv = ["gff-sample", "--out", "-" if to_stdout else str(path),
+            "--size", "16" if size is None else size]
+    if seed is not None:
+        argv.append("--seed=" + seed)
+    code, raw, err = _run_captured_binary(argv)
+    # latin-1 maps bytes to text one to one, so "" means no bytes were written
+    if _assert_clean_exit(code, raw.decode("latin-1"), err):
+        assert code == 0
+        if not to_stdout:
+            raw = path.read_bytes()
+        n = int(size or 16)
+        assert raw[:4] == b"LZGF" and len(raw) == 16 + 8 * (n - 1) ** 2
+    else:
+        assert to_stdout or not path.exists()

@@ -294,6 +294,26 @@ def test_budget_error():
         RoundSphere(1.0).eigen_stream(-1.0)
 
 
+def test_dirichlet_side_without_a_mode_gives_an_empty_spectrum():
+    # the side counts are inf and 0: their product nan slipped past the
+    # budget check, and np.arange(1, inf) ended the enumeration
+    lam, mult = RectangleDirichlet(1e300, 1e-20)._enumerate(2e22)
+    assert lam.size == 0 and mult.size == 0
+    assert lam.dtype == mult.dtype == np.float64
+    lam, mult = RectangleDirichlet(1e-20, 1e300)._enumerate(2e22)
+    assert lam.size == 0 and mult.size == 0
+    # one side with a mode and one without: still nothing below the cutoff
+    assert RectangleDirichlet(1.0, 1e-3).eigen_stream(1e4).eigenvalues.size == 0
+
+
+def test_budget_gate_refuses_nan_and_keeps_the_count():
+    with pytest.raises(EnumerationBudgetError, match="needs ~nan eigenvalues"):
+        surfaces._budgeted(math.nan)
+    with pytest.raises(EnumerationBudgetError, match="needs ~5e\\+06 eigenvalues"):
+        surfaces._budgeted(5_000_001)
+    assert surfaces._budgeted(5_000_000) == 5_000_000
+
+
 @pytest.mark.parametrize("surface", ALL, ids=lambda s: type(s).__name__)
 def test_eigen_stream_refuses_a_cutoff_that_is_not_finite(surface):
     with pytest.raises(EnumerationBudgetError, match="budget is 5000000$"):

@@ -29,6 +29,7 @@ from loopzeta.zeta import (
     zeta_at_zero,
     zeta_continued,
 )
+from loopzeta.loopmass import zeta_from_weighted_loops
 
 # the package binds `loopzeta.zeta` to the function; this is the module
 zeta_module = importlib.import_module("loopzeta.zeta")
@@ -89,6 +90,16 @@ def test_zeta_series_vs_mellin():
         for s in (2.0, 3.0):
             assert zeta(surface, s) == pytest.approx(
                 mellin_zeta(surface, s), abs=1e-8)
+
+
+@pytest.mark.parametrize("s", [1.0005, 1.0, 0.5, math.nan])
+def test_series_routes_share_one_domain(s):
+    # nan passed the old `s <= 1.001` checks and came back as a silent nan;
+    # the weighted-loop route had its own check at 1, with another message
+    surface = RectangleDirichlet(1.0, 1.0)
+    for route in (zeta, mellin_zeta, zeta_from_weighted_loops):
+        with pytest.raises(ValueError, match="outside series domain"):
+            route(surface, s)
 
 
 @pytest.mark.parametrize("radius", [0.05, 0.1, 0.3, 1.0])
