@@ -193,15 +193,6 @@ def cmd_gff_sample(args) -> int:
     return EXIT_OK
 
 
-def _partition_csv(part) -> str:
-    """level,i,j,flagged rows in (level, i, j) order, formatted in blocks of
-    2^16 squares."""
-    columns = np.column_stack(part.canonical_columns())
-    return "level,i,j,flagged\n" + "".join(
-        ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
-        for block in np.split(columns, np.arange(1 << 16, len(columns), 1 << 16)))
-
-
 def cmd_subdivide(args) -> int:
     if args.field:
         field = gff.read_field(args.field)
@@ -212,7 +203,7 @@ def cmd_subdivide(args) -> int:
         part = subdivision.subdivide(field, q, args.epsilon)
     else:
         part = subdivision.regime_protocol(field, args.charge, args.ratio)
-    _write_text(args.out, _partition_csv(part))
+    _write_chunks(args.out, subdivision._csv_chunks(part))
     if args.svg:
         _write_chunks(args.svg, subdivision._svg_chunks(part))
     log.info("%d squares, %d flagged, terminated=%s",

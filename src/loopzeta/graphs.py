@@ -7,11 +7,12 @@ graphs of interest stay well under a few thousand vertices.
 
 Every loop quantity of a graph reads one killed-walk model, built once per
 graph and cached for the 8 most recently used graphs: the killed transition
-matrix P (read-only), the interior map, a certified bound on the spectral
-radius of P from one symmetric eigensolve, and -log det(I - P). An entry
-holds the n^2 floats of P for n interior vertices (6.5 MB for a 900-vertex
-interior). A walk with an interior component that no edge joins to the
-boundary is never killed there; its loop masses are refused.
+matrix P (read-only), the interior map, a certified bound rho on the spectral
+radius of P from one symmetric eigensolve, and -log det(I - P). Every reported
+P and rho comes from this model. An entry holds the n^2 floats of P for n
+interior vertices (6.5 MB for a 900-vertex interior). A walk with an interior
+component that no edge joins to the boundary is never killed there; its loop
+masses are refused.
 
 Every loop series, the soup's and criterion 1's included, is the one power
 sequence `_powers`, summed by `_loop_series` and bounded by `_tail_bound`.
@@ -246,7 +247,7 @@ def loop_mass_truncated(g: Graph, max_len: int):
     _check_max_len(g, max_len)
     walk = _transient_walk(g)
     p, n, rho = walk.p, walk.n, walk.rho
-    if n == 0:
+    if n == 0:  # no loops; the budget gate bounds no max_len when n = 0
         return 0.0, 0.0
     mass = _loop_series([np.trace(pk) for pk in _powers(p, max_len)])[-1]
     return float(mass), float(_tail_bound(n, rho, max_len))
@@ -268,7 +269,7 @@ def log_det_prime_rw(g: Graph) -> float:
     connected graph (the modified determinant)."""
     if g.is_killed:
         raise ValueError("modified determinant is for closed graphs")
-    p = transition_matrix(g)
+    p = _killed_walk(g).p
     eig = np.linalg.eigvals(np.eye(len(p)) - p)
     eig = np.sort(eig.real)
     if eig[0] > 1e-10 or (len(eig) > 1 and eig[1] < 1e-10):
@@ -315,9 +316,6 @@ def spanning_tree_count(g: Graph) -> int:
     (plain Bareiss: 0.07 s, 2.3 s and about 45 s), and 1.5 s for the dense
     complete graph on 150 vertices.
     """
-    n = g.vertex_count
-    if n == 1:
-        return 1
     minor = graph_laplacian(g)[1:, 1:]
     with np.errstate(over="ignore"):
         det = float(np.linalg.det(minor))
@@ -363,7 +361,7 @@ class _SoupModel:
         self.p = p
         self.interior = walk.interior
         self.n = n
-        if n == 0:
+        if n == 0:  # no loops; the budget gate bounds no max_len when n = 0
             return
         self.powers = powers = [np.eye(n), *_powers(p, max_len)]
         self.traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])

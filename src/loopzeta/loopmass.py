@@ -1,9 +1,10 @@
 """Brownian loop masses on model surfaces and the determinant expansions.
 
 The mass of loops in a quadratic-variation window reduces, per eigenvalue, to
-differences of exponential integrals; the expansion residuals subtract the
-volume, boundary and constant terms together with the zeta determinant and
-should vanish at the theorem's stated rates as the window opens up.
+differences of exponential integrals. The three expansion residuals subtract
+one expansion, a/delta + 2b/sqrt(delta) - c (log delta + gamma) - log det plus
+a zero-mode term (0 with boundary, log C + gamma closed and capped at QV = 4C,
+-log kappa under the penalty), and should vanish at the theorem's stated rates.
 """
 
 from __future__ import annotations
@@ -107,26 +108,35 @@ def loop_mass_quadrature(query: LoopMassQuery) -> float:
         return _geometric_quadrature(integrand, delta, cap)[0]
 
 
+def _expansion_residual(query: LoopMassQuery, zero_mode_term: float) -> float:
+    """loop_mass(query) minus its expansion in delta = qv_low / 4,
+    a/delta + 2b/sqrt(delta) - c (log delta + gamma) + zero_mode_term - log det."""
+    surface = query.surface
+    delta = query.qv_low / 4.0
+    hc = surface.heat_coefficients()
+    lhs = loop_mass(query)
+    log_det = log_det_zeta(surface, _SPLIT_DELTA).log_det
+    # volume and boundary terms written via the signed heat coefficients:
+    # a/delta = Vol/(4 pi delta); 2b/sqrt(delta) = -Len/(4 sqrt(pi delta))
+    # since b < 0 for Dirichlet boundary (b = 0 when closed); the constant uses
+    # c_coef (chi/6 for smooth boundary, corner-corrected for the rectangle)
+    rhs = (
+        hc.a_coef / delta
+        + 2.0 * hc.b_coef / math.sqrt(delta)
+        - hc.c_coef * (math.log(delta) + EULER_GAMMA)
+        + zero_mode_term
+        - log_det
+    )
+    return lhs - rhs
+
+
 def theorem_residual_boundary(surface: ModelSurface, delta: float) -> float:
     """Residual of the boundary-case expansion of the mass of loops with
     QV > 4 delta; should be O(sqrt(delta))."""
     if surface.is_closed:
         raise ValueError("boundary-case residual needs a surface with boundary")
     _require_positive("delta", delta)
-    hc = surface.heat_coefficients()
-    lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta))
-    log_det = log_det_zeta(surface, _SPLIT_DELTA).log_det
-    # volume and boundary terms written via the signed heat coefficients:
-    # a/delta = Vol/(4 pi delta); 2b/sqrt(delta) = -Len/(4 sqrt(pi delta))
-    # since b < 0 for Dirichlet boundary; the constant uses c_coef (chi/6 for
-    # smooth boundary, corner-corrected for the rectangle)
-    rhs = (
-        hc.a_coef / delta
-        + 2.0 * hc.b_coef / math.sqrt(delta)
-        - log_det
-        - hc.c_coef * (math.log(delta) + EULER_GAMMA)
-    )
-    return lhs - rhs
+    return _expansion_residual(LoopMassQuery(surface, 4.0 * delta), 0.0)
 
 
 def theorem_residual_closed(surface: ModelSurface, delta: float, cap_c: float) -> float:
@@ -136,17 +146,8 @@ def theorem_residual_closed(surface: ModelSurface, delta: float, cap_c: float) -
         raise ValueError("closed-case residual needs a closed surface")
     _require_positive("delta", delta)
     _require_positive("cap_c", cap_c)
-    hc = surface.heat_coefficients()
-    lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta, 4.0 * cap_c))
-    log_det = log_det_zeta(surface, _SPLIT_DELTA).log_det
-    rhs = (
-        hc.a_coef / delta
-        - hc.c_coef * (math.log(delta) + EULER_GAMMA)
-        + math.log(cap_c)
-        + EULER_GAMMA
-        - log_det
-    )
-    return lhs - rhs
+    return _expansion_residual(LoopMassQuery(surface, 4.0 * delta, 4.0 * cap_c),
+                               math.log(cap_c) + EULER_GAMMA)
 
 
 def decay_residual(surface: ModelSurface, delta: float, kappa: float) -> float:
@@ -156,16 +157,8 @@ def decay_residual(surface: ModelSurface, delta: float, kappa: float) -> float:
         raise ValueError("decay residual needs a closed surface")
     _require_positive("delta", delta)
     _require_positive("kappa", kappa)
-    hc = surface.heat_coefficients()
-    lhs = loop_mass(LoopMassQuery(surface, 4.0 * delta, math.inf, kappa))
-    log_det = log_det_zeta(surface, _SPLIT_DELTA).log_det
-    rhs = (
-        hc.a_coef / delta
-        - hc.c_coef * (math.log(delta) + EULER_GAMMA)
-        - math.log(kappa)
-        - log_det
-    )
-    return lhs - rhs
+    return _expansion_residual(LoopMassQuery(surface, 4.0 * delta, math.inf, kappa),
+                               -math.log(kappa))
 
 
 def zeta_from_weighted_loops(surface: ModelSurface, s: float) -> float:

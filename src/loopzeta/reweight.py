@@ -160,6 +160,20 @@ def _pooled_chi_square(counts_a: np.ndarray, counts_b: np.ndarray,
     return stat, float(stats.chi2.sf(stat, dof))
 
 
+def _ess(w: np.ndarray) -> float:
+    """Effective sample size (sum w)^2 / sum w^2 of the weights w; 0 for none."""
+    return float(w.sum() ** 2 / np.sum(w**2)) if len(w) else 0.0
+
+
+def _level_test(levels_a: np.ndarray, levels_b: np.ndarray, w: np.ndarray):
+    """Pooled chi-square of the summed level histograms, one row per sample,
+    of the direct levels_a against levels_b weighted by w, on levels reached."""
+    direct = levels_a.sum(axis=0)
+    weighted = (levels_b * w[:, None]).sum(axis=0)
+    nz = (direct + weighted) > 0
+    return _pooled_chi_square(direct[nz], weighted[nz], len(levels_a), _ess(w))
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     count_chi2: float
@@ -215,31 +229,21 @@ def reweighting_experiment(grid_size: int, epsilon: float, c: float,
             + len(part2) * math.log(params_new.Q / params.Q)
 
     w = np.exp(logw - logw.max())
-    ess = float(w.sum() ** 2 / np.sum(w**2))
+    ess = _ess(w)
 
     all_counts = np.union1d(counts_a, counts_b)
     ca = np.array([np.sum(counts_a == k) for k in all_counts], dtype=float)
     cb = np.array([np.sum(w[counts_b == k]) for k in all_counts])
     count_chi2, count_p = _pooled_chi_square(ca, cb, n_samples, ess)
 
-    direct_levels = levels_a.sum(axis=0)
-    weighted_levels = (levels_b * w[:, None]).sum(axis=0)
-    nz = (direct_levels + weighted_levels) > 0
-    level_chi2, level_p = _pooled_chi_square(
-        direct_levels[nz], weighted_levels[nz], n_samples, ess)
+    level_chi2, level_p = _level_test(levels_a, levels_b, w)
 
     # the most frequent direct count; ties go to the one seen first
     values, first, freq = np.unique(counts_a, return_index=True, return_counts=True)
     seen = np.argsort(first)
     modal = values[seen[np.argmax(freq[seen])]]
     in_a, sel = counts_a == modal, counts_b == modal
-    slice_w = w[sel]
-    slice_levels = (levels_b[sel] * slice_w[:, None]).sum(axis=0)
-    direct_slice_levels = levels_a[in_a].sum(axis=0)
-    ess_slice = float(slice_w.sum() ** 2 / np.sum(slice_w**2)) if sel.any() else 0.0
-    nz = (direct_slice_levels + slice_levels) > 0
-    slice_chi2, slice_p = _pooled_chi_square(
-        direct_slice_levels[nz], slice_levels[nz], int(in_a.sum()), ess_slice)
+    slice_chi2, slice_p = _level_test(levels_a[in_a], levels_b[sel], w[sel])
 
     mean_direct = float(counts_a.sum() / n_samples)
     mean_weighted = float(np.sum(w * counts_b) / w.sum())

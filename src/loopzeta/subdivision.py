@@ -4,7 +4,9 @@ Starting from the unit square, any square whose quantum size exceeds epsilon
 is replaced by its four dyadic children; the surviving squares are the
 maximal ones with A_h at most epsilon. For matter central charge c > 1 the
 recursion need not terminate, so a depth cap flags over-threshold squares
-instead of refining past the grid resolution.
+instead of refining past the grid resolution. Both output formats, the CSV
+rows of `_csv_chunks` and the SVG rects of `_svg_chunks`, are streamed one
+block of at most `_FORMAT_BLOCK` squares at a time.
 """
 
 from __future__ import annotations
@@ -193,9 +195,20 @@ def adjacency_graph(partition: DyadicPartition) -> Graph:
     return Graph(n, zip((keys // n).tolist(), (keys % n).tolist()))
 
 
+_FORMAT_BLOCK = 1 << 16  # most squares formatted at once, as CSV rows or SVG rects
+
 _PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
             "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
             "#2f4b7c", "#a05195", "#d45087", "#f95d6a"]
+
+
+def _csv_chunks(partition: DyadicPartition):
+    """`subdivide`'s CSV in the pieces it is formatted in: the header
+    level,i,j,flagged, then one block of rows at a time, in (level, i, j) order."""
+    columns = np.column_stack(partition.canonical_columns())
+    yield "level,i,j,flagged\n"
+    for block in np.split(columns, np.arange(_FORMAT_BLOCK, len(columns), _FORMAT_BLOCK)):
+        yield ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
 
 
 def render_svg(partition: DyadicPartition) -> str:
@@ -212,9 +225,9 @@ def _svg_chunks(partition: DyadicPartition):
     top = int(levels[-1])
     coords = np.array(["%.10g" % (k * 2.0**-top) for k in range(1 << top)],
                       dtype=object)
-    # blocks of at most 2^16 squares of one level, each formatted at once
+    # blocks of at most _FORMAT_BLOCK squares of one level, each formatted at once
     cuts = np.union1d(np.flatnonzero(np.diff(levels)) + 1,
-                      np.arange(1 << 16, len(levels), 1 << 16))
+                      np.arange(_FORMAT_BLOCK, len(levels), _FORMAT_BLOCK))
     yield ('<svg xmlns="http://www.w3.org/2000/svg" width="1024" height="1024" '
            'viewBox="0 0 1 1">')
     for block, ii, jj in zip(np.split(levels, cuts), np.split(rows, cuts),

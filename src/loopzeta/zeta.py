@@ -73,6 +73,11 @@ def _gauss_panel(f, lo: float, hi: float, n: int) -> float:
     return float(half * np.dot(w, f(mid + half * x)))
 
 
+def _gauss_pair(f, lo: float, hi: float):
+    """(24-point, 48-point) Gauss values of int_lo^hi f."""
+    return _gauss_panel(f, lo, hi, 24), _gauss_panel(f, lo, hi, 48)
+
+
 def _panel_sum(panel, lo: float, hi: float):
     """Sum the (24-point, 48-point) Gauss values `panel(a, b)` over the
     octave panels [hi/2, hi], [hi/4, hi/2], ... of [lo, hi], top down, the
@@ -93,8 +98,7 @@ def _panel_sum(panel, lo: float, hi: float):
 def _geometric_quadrature(f, lo: float, hi: float):
     """Integrate f over [lo, hi] on per-octave 48-point Gauss panels; returns
     value and the gap to 24-point panels as error estimate."""
-    return _panel_sum(
-        lambda a, b: (_gauss_panel(f, a, b, 24), _gauss_panel(f, a, b, 48)), lo, hi)
+    return _panel_sum(lambda a, b: _gauss_pair(f, a, b), lo, hi)
 
 
 @functools.lru_cache(maxsize=_HEAD_PANEL_CACHE_SIZE)
@@ -108,7 +112,7 @@ def _head_panel(surface: ModelSurface, lo: float, hi: float, s: float):
     def integrand(t):
         return t ** (s - 1.0) * heat_trace_residual(surface, t)
 
-    return _gauss_panel(integrand, lo, hi, 24), _gauss_panel(integrand, lo, hi, 48)
+    return _gauss_pair(integrand, lo, hi)
 
 
 def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):

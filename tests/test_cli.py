@@ -608,14 +608,16 @@ def test_loop_mass_input_sweep(kind, size, qv_low, qv_high, kappa):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graph=st.sampled_from(["killed", "closed", "periodic"]),
+@example(graph="all-boundary", max_len="9223372036854775808", alpha=None)
+@given(graph=st.sampled_from(["killed", "closed", "periodic", "all-boundary"]),
        max_len=st.one_of(st.none(), st.integers(-2, 60).map(str),
                          st.sampled_from(["nan", "1e308", "", "9223372036854775808"])),
        alpha=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["0.5", "1"])))
 def test_graph_loops_input_sweep(tmp_path_factory, graph, max_len, alpha):
     g = {"killed": graphs.grid_graph(3),
          "closed": graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
-         "periodic": graphs.Graph(3, [(0, 1), (1, 2)], [0])}[graph]
+         "periodic": graphs.Graph(3, [(0, 1), (1, 2)], [0]),
+         "all-boundary": graphs.Graph(3, [(0, 1), (1, 2)], [0, 1, 2])}[graph]
     path = tmp_path_factory.mktemp("sweep") / "graph.txt"
     path.write_text(graphs.write_edge_list(g))
     argv = ["graph-loops", "--graph", str(path)]
@@ -689,14 +691,16 @@ _INT_EDGES = st.sampled_from(["nan", "inf", "-1", "0", "1e308", "",
 
 
 @settings(max_examples=60, deadline=30_000)
-@given(graph=st.sampled_from(["killed", "closed", "periodic"]),
+@example(graph="all-boundary", intensity=None, max_len="9223372036854775808", seed=None)
+@given(graph=st.sampled_from(["killed", "closed", "periodic", "all-boundary"]),
        intensity=st.one_of(st.none(), _EDGE_VALUES, _PLAIN_VALUES),
        max_len=st.one_of(st.none(), st.integers(-2, 60).map(str), _INT_EDGES),
        seed=st.one_of(st.none(), st.integers(0, 3).map(str), _INT_EDGES))
 def test_soup_sample_input_sweep(tmp_path_factory, graph, intensity, max_len, seed):
     g = {"killed": graphs.grid_graph(3),
          "closed": graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
-         "periodic": graphs.Graph(3, [(0, 1), (1, 2)], [0])}[graph]
+         "periodic": graphs.Graph(3, [(0, 1), (1, 2)], [0]),
+         "all-boundary": graphs.Graph(3, [(0, 1), (1, 2)], [0, 1, 2])}[graph]
     path = tmp_path_factory.mktemp("sweep") / "graph.txt"
     path.write_text(graphs.write_edge_list(g))
     argv = ["soup-sample", "--graph", str(path)]
@@ -746,3 +750,109 @@ def test_gff_sample_input_sweep(tmp_path_factory, size, seed, to_stdout):
         assert raw[:4] == b"LZGF" and len(raw) == 16 + 8 * (n - 1) ** 2
     else:
         assert to_stdout or not path.exists()
+
+
+def test_all_boundary_graph_has_zero_masses_and_an_empty_soup(tmp_path):
+    # every vertex absorbs: the killed walk's interior is empty
+    graph = tmp_path / "graph.txt"
+    graph.write_text("# boundary: 0 1 2\n0 1\n1 2\n")
+    code, out, err = _run_captured(["graph-loops", "--graph", str(graph)])
+    assert code == 0
+    assert out == ("quantity,value\ndet_laplacian_minor,1\ndet_rw_laplacian,1\n"
+                   "degree_product,1\nloop_mass_exact,0\nloop_mass_truncated,0\n"
+                   "tail_bound,0\nspanning_trees,1\n")
+    code, out, err = _run_captured(["soup-sample", "--graph", str(graph)])
+    assert (code, out) == (0, "loop,length,vertices\n")
+
+
+def test_all_boundary_graph_takes_any_max_len_at_once(tmp_path):
+    # (max_len + 1) n^2 is 0 for every max_len when n = 0, so the powers
+    # budget refuses none; no power of the 0x0 P may be formed
+    graph = tmp_path / "graph.txt"
+    graph.write_text("# boundary: 0 1 2\n0 1\n1 2\n")
+    start = time.perf_counter()
+    code, out, err = _run_captured(["graph-loops", "--graph", str(graph),
+                                    "--max-len", "9223372036854775808"])
+    assert (code, out) == (0, _run_captured(["graph-loops", "--graph", str(graph)])[1])
+    code, out, err = _run_captured(["soup-sample", "--graph", str(graph),
+                                    "--max-len", "9223372036854775808"])
+    assert (code, out) == (0, "loop,length,vertices\n")
+    assert time.perf_counter() - start < 10.0
+
+
+def test_partition_csv_streams_in_blocks():
+    part = subdivision.regime_protocol(gff.sample_dgff(512, 7), 23.5)
+    assert len(part) > 1 << 16
+    chunks = list(subdivision._csv_chunks(part))
+    assert chunks[0] == "level,i,j,flagged\n"
+    assert len(chunks) >= 3
+    assert "".join(chunks) == reference_subdivide_csv(part)
+
+
+_DELTA_LISTS = st.lists(st.one_of(_EDGE_VALUES, st.sampled_from(["0.4", "0.01", "1"])),
+                        min_size=1, max_size=3).map(",".join)
+
+
+@settings(max_examples=100, deadline=30_000)
+@given(case=st.sampled_from(["boundary", "closed", "decay"]),
+       kind=st.sampled_from(["disk", "sphere", "interval", "torus", "rect"]),
+       size=st.one_of(_EDGE_VALUES, _PLAIN_VALUES),
+       deltas=st.one_of(st.none(), _DELTA_LISTS, st.sampled_from(["", ",", "0.4,,0.1"])),
+       cap=st.one_of(st.none(), _EDGE_VALUES, _PLAIN_VALUES),
+       kappa=st.one_of(st.none(), _EDGE_VALUES, _PLAIN_VALUES))
+@example(case="boundary", kind="disk", size="1", deltas=None, cap=None, kappa=None)
+@example(case="closed", kind="torus", size="1", deltas="0.01,0.4", cap="2.5", kappa=None)
+@example(case="decay", kind="sphere", size="0.4", deltas="0.01", cap=None, kappa="1")
+def test_verify_theorem_input_sweep(case, kind, size, deltas, cap, kappa):
+    sizes = size if kind in ("disk", "sphere", "interval") else size + "x" + size
+    argv = ["verify-theorem", "--case", case, "--surface", "%s:%s" % (kind, sizes),
+            "--deltas=" + ("0.4,0.1" if deltas is None else deltas)]
+    for flag, value in (("--cap", cap), ("--kappa", kappa)):
+        if value is not None:
+            argv.append(flag + "=" + value)
+    code, out, err = _run_captured(argv)
+    if _assert_clean_exit(code, out, err):
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "delta,residual"
+        payload = json.loads(lines[-1], parse_constant=_reject_constant)
+        assert payload["case"] == case
+        assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:-1])
+
+
+@settings(max_examples=60, deadline=30_000)
+@given(size=st.one_of(st.none(), st.sampled_from(["16", "32", "64"]), _INT_EDGES),
+       seed=st.one_of(st.none(), st.integers(0, 3).map(str), _INT_EDGES),
+       charge=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["0", "1.5", "23.5"])),
+       ratio=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["0.001", "0.5"])),
+       epsilon=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["0.01", "0.4"])),
+       field=st.sampled_from([None, "whole", "truncated", "empty"]),
+       svg=st.booleans())
+def test_subdivide_input_sweep(tmp_path_factory, size, seed, charge, ratio, epsilon,
+                               field, svg):
+    tmp = tmp_path_factory.mktemp("sweep")
+    svg_path = tmp / "part.svg"
+    argv = ["subdivide", "--size", "16" if size is None else size]
+    if field is not None:
+        raw = io.BytesIO()
+        gff.write_field(gff.sample_dgff(32, 1), raw)
+        raw = raw.getvalue()
+        (tmp / "f.bin").write_bytes({"whole": raw, "truncated": raw[:len(raw) // 2],
+                                     "empty": b""}[field])
+        argv.append("--field=" + str(tmp / "f.bin"))
+    for flag, value in (("--seed", seed), ("--charge", charge), ("--ratio", ratio),
+                        ("--epsilon", epsilon)):
+        if value is not None:
+            argv.append(flag + "=" + value)
+    if svg:
+        argv.append("--svg=" + str(svg_path))
+    code, out, err = _run_captured(argv)
+    if _assert_clean_exit(code, out, err):
+        lines = out.splitlines()
+        assert lines[0] == "level,i,j,flagged" and len(lines) > 1
+        if svg:
+            text = svg_path.read_text()
+            assert text.startswith("<svg") and text.endswith("</svg>")
+            assert text.count("<rect") == len(lines) - 1
+    else:
+        assert not svg_path.exists()

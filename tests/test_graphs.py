@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopzeta import graphs
+from loopzeta import acceptance, graphs
 from loopzeta.graphs import Graph
 
 
@@ -533,3 +534,47 @@ def test_grid_graph_shape():
     p = graphs.transition_matrix(g)
     assert p.shape == (9, 9)
     assert graphs.spectral_radius_bound(p) < 1.0
+
+
+def all_boundary_graph():
+    # every vertex absorbs, so the killed walk has an empty interior
+    return Graph(3, [(0, 1), (1, 2)], [0, 1, 2])
+
+
+def test_empty_interior_has_no_loops():
+    g = all_boundary_graph()
+    assert graphs.loop_mass_exact(g) == 0.0
+    for max_len in (1, 12, 40):
+        mass, tail = graphs.loop_mass_truncated(g, max_len)
+        assert (mass, tail) == (0.0, 0.0)
+        assert math.copysign(1.0, mass) == math.copysign(1.0, tail) == 1.0
+    for seed in range(5):
+        soup = graphs.sample_loop_soup(g, 2.0, 12, seed)
+        assert soup == graphs.LoopSoupSample((), False)
+    assert graphs.determinant_identity(g) == (1.0, 1.0, 1.0)
+    assert graphs.spanning_tree_count(g) == 1
+    assert graphs.spanning_tree_count(Graph(1, [])) == 1
+
+
+def test_empty_interior_takes_any_max_len_at_once():
+    # the powers budget refuses no max_len when n = 0: none may cost a power
+    g = all_boundary_graph()
+    big = 1 << 63
+    assert graphs.loop_mass_truncated(g, big) == (0.0, 0.0)
+    assert graphs.sample_loop_soup(g, 2.0, big, 0) == graphs.LoopSoupSample((), False)
+
+
+def test_criterion_1_checks_the_shipped_spectral_radius_bound(monkeypatch):
+    # a walk model whose rho is half the certified one gives tail bounds the
+    # series breaks; the gate must see the bound the library ships
+    real = graphs._killed_walk
+
+    def halved(g):
+        walk = copy.copy(real(g))
+        walk.rho /= 2.0
+        return walk
+
+    monkeypatch.setattr(graphs, "_killed_walk", halved)
+    passed, detail = acceptance.criterion_1()
+    assert not passed
+    assert detail.startswith("tail bound violated on corpus graph")
