@@ -17,6 +17,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import sys
 
 import numpy as np
@@ -237,8 +238,18 @@ def cmd_acceptance(args) -> int:
 # argument parsing and config merging
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that also takes "-1e-3", "-inf" and "-nan" for values,
+    not option names, as it takes "-12.5"; its subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopzeta",
         description="loop measures, zeta determinants and square subdivisions")
     parser.add_argument("--config", help="INI config file ([loopzeta] section)")
@@ -322,10 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(parser, args, argv):
-    """Fill in values from the INI file for the chosen subcommand's options
-    that are not given on the command line (flags win). Values are converted
-    as argparse converts the option's; keys that name no option of the
-    subcommand are skipped."""
+    """Parse argv again with the INI file's values as the chosen subcommand's
+    defaults, so that flags win, abbreviated or not. Values are converted as
+    argparse converts the option's; keys that name no option are skipped."""
     if not args.config:
         return args
     ini = configparser.ConfigParser()
@@ -333,16 +343,15 @@ def _merge_config(parser, args, argv):
         raise ValueError("unreadable config file: %s" % args.config)
     if not ini.has_section("loopzeta"):
         raise ValueError("config file lacks a [loopzeta] section")
-    given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-             for tok in argv if tok.startswith("--")}
-    options = {a.dest: a for a in parser.subcommands[args.command]._actions
+    subparser = parser.subcommands[args.command]
+    options = {a.dest: a for a in subparser._actions
                if a.option_strings and a.dest != "help"}
     for key, value in ini.items("loopzeta"):
         action = options.get(key.replace("-", "_"))
-        if action is None or action.dest in given:
-            continue
-        setattr(args, action.dest, value if action.type is None else action.type(value))
-    return args
+        if action is not None:
+            subparser.set_defaults(**{action.dest: value if action.type is None
+                                      else action.type(value)})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -350,20 +350,15 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
 
 
 class _SoupModel:
-    """What every soup draw on (g, max_len) shares: the killed walk's
-    transition matrix and interior map, the powers P^0..P^max_len, their
-    traces, the root distribution of each loop length with nonzero trace, and
-    the truncation flag."""
+    """What every soup draw on (g, max_len) shares: the killed walk, the
+    powers P^0..P^max_len, their traces, the root distribution of each loop
+    length with nonzero trace, and the truncation flag."""
 
     def __init__(self, g: Graph, max_len: int):
-        walk = _killed_walk(g)
-        p, n = walk.p, walk.n
-        self.p = p
-        self.interior = walk.interior
-        self.n = n
-        if n == 0:  # no loops; the budget gate bounds no max_len when n = 0
+        self.walk = walk = _killed_walk(g)
+        if walk.n == 0:  # no loops; the budget gate bounds no max_len when n = 0
             return
-        self.powers = powers = [np.eye(n), *_powers(p, max_len)]
+        self.powers = powers = [np.eye(walk.n), *_powers(walk.p, max_len)]
         self.traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
         # odd k on a bipartite graph has a zero diagonal: no root distribution
         self.root_cdfs = {k: _cdf(np.diag(powers[k]).copy())
@@ -404,9 +399,9 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
         raise ValueError("loop soup requires a killed graph")
     model = _soup_model(g, max_len)
     rng = np.random.Generator(np.random.Philox(seed))
-    if model.n == 0:
+    if model.walk.n == 0:
         return LoopSoupSample(())
-    p, powers, interior = model.p, model.powers, model.interior
+    p, interior, powers = model.walk.p, model.walk.interior, model.powers
 
     loops = []
     for k in range(1, max_len + 1):

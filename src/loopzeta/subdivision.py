@@ -42,8 +42,9 @@ def charge_to_params(c: float) -> ChargeParams:
     q = math.sqrt((25.0 - c) / 6.0)
     gamma = None
     if c <= 1.0:
-        # gamma^2 - 2 Q gamma + 4 = 0, branch in (0, 2]
-        gamma = q - math.sqrt(q * q - 4.0)
+        # gamma^2 - 2 Q gamma + 4 = 0, branch in (0, 2]: Q - sqrt(Q^2 - 4)
+        # without its cancellation, as Q^2 - 4 = (1 - c) / 6
+        gamma = 4.0 / (q + math.sqrt((1.0 - c) / 6.0))
     return ChargeParams(c=c, Q=q, gamma=gamma)
 
 

@@ -23,12 +23,13 @@ cutoff and their multiplicities, which `eigen_stream` sorts and
 that fails the one budget gate `_budgeted`, raises EnumerationBudgetError
 before allocating) and
 `_heat_traces(t)` on a 1-D array of t, which `heat_trace` calls after it
-refuses any t that is not finite and > 0 (the sphere's sum over l refuses
-more than `_EIGEN_BUDGET` terms in the same way).  Optional overrides: an
-exact `heat_trace_residual(t)` (the lattice ones refuse the same t, and
-t / L^2 > `_POISSON_T_MAX` for a side L) and a closed-form `zeta_series(s)`;
-optional class constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio`,
-`head_cut_floor`, `mellin_start` and `zeta_series_cutoff`.
+refuses any t that is not finite and > 0 (the sphere's sum over l passes
+its term count through `_budgeted` too).  Optional overrides: an exact
+`heat_trace_residual(t)` (the lattice ones refuse the same t, t / L^2 >
+`_POISSON_T_MAX` for a side L, and L^2 / t past the float range) and a
+closed-form `zeta_series(s)`; optional class constants: `zero_modes`,
+`smooth_boundary`, `head_cut_ratio`, `head_cut_floor` (from which the Mellin
+route derives its start, see `zeta.mellin_zeta`) and `zeta_series_cutoff`.
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ class ModelSurface:
     #: lattice residuals decay faster than any power, so it goes almost to 0
     head_cut_ratio = 2.0**-40
     head_cut_floor = 0.0
-    mellin_start = 1e-6
     #: top of the band of cutoffs of the Weyl-band zeta series
     zeta_series_cutoff = 4.0e7
 
@@ -251,16 +251,24 @@ def _times(t) -> np.ndarray:
     return t
 
 
-def _check_poisson_range(t, side: float) -> np.ndarray:
+def _check_poisson_range(t, *sides: float) -> np.ndarray:
     """`_times(t)`, also refused when some t / side^2 exceeds
-    _POISSON_T_MAX: the Poisson sums would run for minutes, or past
-    t / side^2 ~ 3e39 stop after one term with a wrong value."""
+    _POISSON_T_MAX for the shortest side: the Poisson sums would run for
+    minutes, or past t / side^2 ~ 3e39 stop after one term with a wrong
+    value; and when side^2 / t overflows for the longest side, as the
+    sums' exponents (side k)^2 / t would."""
     t = _times(t)
     t_max = t.max(initial=0.0)
+    side = min(sides)
     if t_max > _POISSON_T_MAX * side * side:
         raise ValueError(
             "surface too small: the heat-trace residual needs t / side^2 <= %g,"
             " got side %g at t = %g" % (_POISSON_T_MAX, side, t_max))
+    longest, t_min = max(sides), float(t.min(initial=math.inf))
+    if not longest * longest / t_min < math.inf:
+        raise ValueError(
+            "surface too large: the heat-trace residual needs side^2 / t within"
+            " float64, got side %g at t = %g" % (longest, t_min))
     return t
 
 
@@ -319,14 +327,8 @@ class IntervalDirichlet(ModelSurface):
         return _poisson_tail(self.length / np.sqrt(math.pi * t), self.length, t)
 
     def zeta_series(self, s: float) -> float:
-        scale = (self.length / math.pi) ** (2 * s)
-        n_max = 4000
-        n = np.arange(1, n_max + 1, dtype=float)
-        partial = float(np.sum(n ** (-2 * s)))
-        # midpoint Euler-Maclaurin tail
-        x = n_max + 0.5
-        tail = x ** (1 - 2 * s) / (2 * s - 1) - (2 * s) * x ** (-2 * s - 1) / 24.0
-        return scale * (partial + tail)
+        """(L / pi)^(2s) times the Riemann zeta at 2s."""
+        return float((self.length / math.pi) ** (2 * s) * special.zeta(2 * s))
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,7 @@ class RectangleDirichlet(ModelSurface):
         return _sine_trace(t, self.side_a) * _sine_trace(t, self.side_b)
 
     def heat_trace_residual(self, t) -> np.ndarray:
-        t = _check_poisson_range(t, min(self.side_a, self.side_b))
+        t = _check_poisson_range(t, self.side_a, self.side_b)
         r1 = _poisson_tail(self.side_a / np.sqrt(math.pi * t), self.side_a, t)
         r2 = _poisson_tail(self.side_b / np.sqrt(math.pi * t), self.side_b, t)
         b1 = self.side_a / (2.0 * math.sqrt(math.pi))
@@ -378,7 +380,7 @@ class FlatTorus(ModelSurface):
                 * (1.0 + 2.0 * _sine_trace(t, self.side_b / 2.0)))
 
     def heat_trace_residual(self, t) -> np.ndarray:
-        t = _check_poisson_range(t, min(self.side_a, self.side_b))
+        t = _check_poisson_range(t, self.side_a, self.side_b)
         four_t = 4.0 * t
         ua = _poisson_tail(2.0, self.side_a, four_t)
         ub = _poisson_tail(2.0, self.side_b, four_t)
@@ -411,9 +413,7 @@ class RoundSphere(ModelSurface):
         # terms, formed in the same operand order as a sum at that t alone
         r2 = _square(self.radius)
         ell_max = np.ceil(np.sqrt(_TAIL_EXPONENT * r2 / t)) + 2
-        over = ell_max + 1 > _EIGEN_BUDGET
-        if over.any():
-            raise EnumerationBudgetError(_count(ell_max[over][0]) + 1, _EIGEN_BUDGET)
+        _budgeted(_count(ell_max.max(initial=0.0)) + 1)
         ell_max = ell_max.astype(int)
         out = np.empty(t.size)
         for rows in _row_blocks(t.size, int(ell_max.max(initial=0)) + 1):
@@ -621,10 +621,6 @@ class DiskDirichlet(ModelSurface):
     radius: float = 1.0
     head_cut_ratio = 2.0**-8
     head_cut_floor = 1e-4
-    # 4 x the floor keeps the Mellin head's cut at the floor; a start at the
-    # floor would move the cut to floor / 4 and the Bessel-zero build to 4x
-    # as many zeros
-    mellin_start = 4e-4
     zeta_series_cutoff = 2.0e6
 
     def heat_coefficients(self) -> HeatCoefficients:

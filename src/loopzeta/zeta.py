@@ -4,11 +4,13 @@ The determinant is computed through the split-integral analytic continuation:
 the Mellin integral of the heat trace is cut at a split point delta, the
 large-t part is summed exactly per eigenvalue (exponential integrals), and
 the small-t part is integrated after subtracting the a/t + b/sqrt(t) + c
-expansion, whose contribution is continued in closed form.  The result is
-independent of the split point, which the report's error estimate certifies.
+expansion, whose contribution is continued in closed form (its constant
+term is `zeta_at_zero`, c - n).  The result is independent of the split
+point, which the report's error estimate certifies.
 
 The small-t integral runs over the octave panels [delta/2^(k+1), delta/2^k]
 down to a cut t_lo <= delta / 4, below which a fitted expansion takes over.
+`mellin_zeta` derives its start t0 from the surface's `head_cut_floor`.
 Each panel's pair of 24- and 48-point Gauss values is memoized, keyed by
 (surface, lo, hi, s), in an LRU cache of `_HEAD_PANEL_CACHE_SIZE` entries.
 Surfaces compare by value and halving is exact in binary, so a sweep over
@@ -163,12 +165,14 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     _check_series_domain(s)
     hc = surface.heat_coefficients()
     n = surface.zero_modes
-    t0 = surface.mellin_start
+    # 4 x the floor keeps the head's cut, t0 / 4, at the floor; at the floor
+    # the cut would move to floor / 4 and the disk's build to 4x the zeros
+    t0 = max(1e-6, 4.0 * surface.head_cut_floor)
     # analytic contribution of a/t + b/sqrt(t) + (c - n) on (0, t0]
     head = (
         hc.a_coef * t0 ** (s - 1) / (s - 1)
         + hc.b_coef * t0 ** (s - 0.5) / (s - 0.5)
-        + (hc.c_coef - n) * t0**s / s
+        + zeta_at_zero(surface) * t0**s / s
     )
     # residual part of the head, bounded by the leading residual power
     head_resid, _ = head_integral(surface, t0, s=s)
@@ -194,21 +198,21 @@ def zeta_continued(surface: ModelSurface, s: float) -> float:
     if not 0.0 <= s < math.inf:
         raise ValueError("zeta_continued needs finite s >= 0, got %r" % (s,))
     hc = surface.heat_coefficients()
-    n = surface.zero_modes
     poles = ((hc.a_coef, 1.0), (hc.b_coef, 0.5))
     for coef, pole in poles:
         if coef != 0 and s == pole:
             raise ValueError("zeta has a pole at s = %g" % pole)
     delta = _SPLIT_DELTA
+    # the head first: its smallest t needs the most eigenvalues
+    head_resid, _ = head_integral(surface, delta, s=s)
     lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
     tail_sum = float(np.sum(mult * lam ** (-s) * special.gammaincc(s, lam * delta)))
-    head_resid, _ = head_integral(surface, delta, s=s)
     g = special.gamma(s)
     value = tail_sum + head_resid / g
     for coef, pole in poles:
         if coef != 0:
             value += coef * delta ** (s - pole) / ((s - pole) * g)
-    return value + (hc.c_coef - n) * delta**s / special.gamma(s + 1)
+    return value + zeta_at_zero(surface) * delta**s / special.gamma(s + 1)
 
 
 def zeta_at_zero(surface: ModelSurface) -> float:
@@ -246,18 +250,18 @@ def log_det_zeta(surface: ModelSurface, delta: float = 0.1) -> ZetaDetReport:
     if not 1e-5 <= delta <= 0.5:
         raise ValueError("delta must lie in [1e-5, 0.5]")
     hc = surface.heat_coefficients()
-    n = surface.zero_modes
+    # the head first: its smallest t needs the most eigenvalues
+    integral_head, head_err = head_integral(surface, delta)
 
     lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
     integral_tail = float(np.sum(mult * special.exp1(lam * delta)))
     # one part in 1e20 per eigenvalue summed, zero modes included
-    tail_trunc_err = 1e-20 * max(1.0, int(mult.sum()) + n)
+    tail_trunc_err = 1e-20 * max(1.0, int(mult.sum()) + surface.zero_modes)
 
-    integral_head, head_err = head_integral(surface, delta)
     correction = (
         -hc.a_coef / delta
         - 2.0 * hc.b_coef / math.sqrt(delta)
-        + (math.log(delta) + EULER_GAMMA) * (hc.c_coef - n)
+        + (math.log(delta) + EULER_GAMMA) * zeta_at_zero(surface)
     )
     zeta_prime_0 = integral_tail + integral_head + correction
     # the refinement-based head estimate under-reports by small factors on

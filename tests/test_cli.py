@@ -856,3 +856,114 @@ def test_subdivide_input_sweep(tmp_path_factory, size, seed, charge, ratio, epsi
             assert text.count("<rect") == len(lines) - 1
     else:
         assert not svg_path.exists()
+
+
+def test_abbreviated_flag_wins_over_the_config_file(tmp_path):
+    # the given flags were found by scanning argv for "--delta", which
+    # missed the abbreviation argparse accepts, so the config's 0.2 won
+    ini = tmp_path / "conf.ini"
+    ini.write_text("[loopzeta]\ndelta = 0.2\n")
+    code, out, err = _run_captured(["--config", str(ini), "zeta-det",
+                                    "--surface", "interval:1", "--del", "0.3"])
+    assert code == 0
+    assert json.loads(out)["delta_split"] == 0.3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["loop-mass", "--surface", "disk:1", "--qv-low", "0.4", "--kappa", "-1e-3"],
+     "kappa must be finite and >= 0"),
+    (["loop-mass", "--surface", "disk:1", "--qv-low", "-4E+2"],
+     "require finite qv_low with 0 < qv_low < qv_high"),
+    (["subdivide", "--size", "16", "--charge", "-inf"], "central charge must be finite"),
+    (["subdivide", "--size", "16", "--ratio", "-NaN"], "ratio must be finite and positive, got nan"),
+    (["zeta-det", "--surface", "interval:1", "--delta", "-1.5e-3"],
+     "delta must lie in [1e-5, 0.5]"),
+])
+def test_negative_exponent_form_values_parse_as_separate_tokens(argv, message):
+    # argparse's own negative-number pattern has no exponent and no inf or
+    # nan, so these ended in "expected one argument" (exit 2)
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "loopzeta: error: " + message
+
+
+def test_very_negative_charge_subdivides(tmp_path):
+    # gamma = Q - sqrt(Q^2 - 4) was 0.0 here: "float division by zero"
+    out = tmp_path / "p.csv"
+    code, _, err = _run_captured(["subdivide", "--size", "16", "--charge", "-1e150",
+                                  "--out", str(out)])
+    assert code in (0, 2) and "division by zero" not in err
+    assert out.read_text().startswith("level,i,j,flagged\n")
+
+
+def test_small_delta_disk_is_refused_at_once():
+    # the tail's 4.3 million Bessel zeros were built before the head's fit
+    # asked for 1.7e7 and was refused, 53 s in
+    code, out, err = _run_subprocess(["zeta-det", "--surface", "disk:2.5", "--delta", "1e-5"],
+                                     timeout=10)
+    assert code == 1 and out == ""
+    assert "loopzeta: error: spectral enumeration needs ~" in err
+
+
+@pytest.mark.parametrize("spec", ["interval:1e308", "rect:1e300x1", "torus:1e300x1",
+                                  "interval:1e154", "rect:1e150x1e150", "torus:1e150x1e150"])
+def test_lattice_side_past_the_float_range_is_refused_by_name(spec):
+    # with the head before the tail these reach the Poisson residuals, whose
+    # (side k)^2 raised "(34, 'Numerical result out of range')" or whose
+    # (side k)^2 / t overflowed with a RuntimeWarning
+    code, out, err = _run_captured(["zeta-det", "--surface", spec])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("loopzeta: error: surface too large: ")
+    assert " side 1e+" in err.splitlines()[-1]
+
+
+@settings(max_examples=60, deadline=30_000)
+@given(aspect=st.one_of(st.none(), st.sampled_from(["1", "2", "-2", "1.5"]), _INT_EDGES),
+       sizes=st.one_of(st.none(), st.sampled_from(["8,16,32,64", "4,8,16", "8,16,32,64,128"]),
+                       st.lists(st.one_of(st.sampled_from(["8", "16", "32", "-8"]), _INT_EDGES),
+                                min_size=1, max_size=5).map(",".join)))
+def test_lattice_torus_input_sweep(aspect, sizes):
+    argv = ["lattice-torus", "--sizes", "8,16,32,64" if sizes is None else sizes]
+    if aspect is not None:
+        argv += ["--aspect", aspect]
+    code, out, err = _run_captured(argv)
+    if _assert_clean_exit(code, out, err):
+        lines = out.splitlines()
+        assert lines[0] == "n_x,n_y,log_det_prime,constant"
+        payload = json.loads(lines[-1], parse_constant=_reject_constant)
+        assert payload["aspect"] == int(aspect or 1)
+        assert all(math.isfinite(float(x)) for line in lines[1:-1] for x in line.split(","))
+
+
+@settings(max_examples=30, deadline=30_000)
+@given(size=st.one_of(st.none(), st.sampled_from(["8", "-16", "32.0"]), _INT_EDGES),
+       charge=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["-12.5", "1.5"])),
+       delta_charge=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["-6", "-1e3"])),
+       epsilon=st.one_of(st.none(), _EDGE_VALUES, st.sampled_from(["0.45", "0.3"])),
+       samples=st.one_of(st.none(), _INT_EDGES, st.sampled_from(["999", "-1000", "500001"])),
+       seed=st.one_of(st.none(), st.integers(0, 3).map(str), _INT_EDGES))
+def test_reweight_test_input_sweep(size, charge, delta_charge, epsilon, samples, seed):
+    argv = ["reweight-test", "--size", "16" if size is None else size,
+            "--samples", "1000" if samples is None else samples]
+    for flag, value in (("--charge", charge), ("--delta-charge", delta_charge),
+                        ("--epsilon", epsilon), ("--seed", seed)):
+        if value is not None:
+            argv += [flag, value]
+    code, out, err = _run_captured(argv)
+    if _assert_clean_exit(code, out, err):
+        report, _, table = out.partition("}\n")
+        payload = json.loads(report + "}", parse_constant=_reject_constant)
+        assert None not in (payload["count_p"], payload["level_p"], payload["ess"])
+        assert table.startswith("statistic,direct,weighted\nmean_count,")
+
+
+@settings(max_examples=30, deadline=60_000)
+@given(only=st.lists(st.sampled_from(["3", "5", "15", " 5", "0", "-1", "-15", "19", "",
+                                      "nan", "1e308", "-1e3", "3.0"]),
+                     min_size=1, max_size=3).map(",".join))
+def test_acceptance_input_sweep(only):
+    code, out, err = _run_captured(["acceptance", "--only", only])
+    if _assert_clean_exit(code, out, err):
+        assert code == 0
+        for index in {int(tok) for tok in only.split(",")}:
+            assert "PASS criterion %2d" % index in out

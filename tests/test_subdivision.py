@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -34,6 +35,25 @@ def test_gamma_coupling_identity():
         p = charge_to_params(c)
         assert p.gamma / 2.0 + 2.0 / p.gamma == pytest.approx(p.Q, abs=1e-10)
         assert 0.0 < p.gamma <= 2.0
+
+
+@pytest.mark.parametrize("c", [-1e3, -1e10, -1e16, -1e20, -1e150, -1e308])
+def test_gamma_has_no_cancellation_at_very_negative_charge(c):
+    # Q - sqrt(Q^2 - 4) cancelled: 9% off at c = -1e16 and 0.0 from about
+    # c = -1e20, where the regime protocol then divided by gamma Q = 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        q = ((25 - decimal.Decimal(c)) / 6).sqrt()
+        exact = 4 / (q + (q * q - 4).sqrt())
+    assert charge_to_params(c).gamma == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.0, -0.5, -1.0, -10.0, -12.5])
+def test_gamma_is_bit_identical_at_the_gated_charges(c):
+    # criterion 17, the fields digests and the pinned CLI outputs read gamma
+    # at these charges; the stable form must not move a bit there
+    q = math.sqrt((25.0 - c) / 6.0)
+    assert charge_to_params(c).gamma == q - math.sqrt(q * q - 4.0)
 
 
 @pytest.fixture(scope="module")

@@ -341,6 +341,25 @@ def test_huge_sphere_trace_is_refused_before_allocating():
         RoundSphere(1e4).heat_trace(1.5e-6)
 
 
+@pytest.mark.parametrize("surface", [IntervalDirichlet(1e200), RectangleDirichlet(1e200, 1.0),
+                                     FlatTorus(1e200, 1.0)], ids=repr)
+def test_side_whose_square_overflows_is_refused_by_name(surface):
+    # (side k)^2 in the Poisson tail raised "(34, 'Numerical result out of range')"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"surface too large: .* side 1e\+200 "):
+            mellin_zeta(surface, 2.0)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("length", [0.3, 1.0, 2.5])
+def test_interval_zeta_matches_an_extended_precision_value(length, s):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = (mpmath.mpf(length) / mpmath.pi) ** (2 * s) * mpmath.zeta(2 * s)
+    assert zeta(IntervalDirichlet(length), s) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # the octave-panel memo of head_integral
 # ---------------------------------------------------------------------------
