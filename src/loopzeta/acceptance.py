@@ -69,7 +69,7 @@ def _random_killed_graph(seed: int) -> graphs.Graph:
         interior = g.interior
         if not interior or any(deg[v] == 0 for v in interior):
             continue
-        if graphs.spectral_radius_bound(graphs._killed_walk(g).p) <= 0.9:
+        if graphs.spectral_radius_bound(graphs.transition_matrix(g)) <= 0.9:
             return g
 
 

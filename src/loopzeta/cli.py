@@ -239,13 +239,15 @@ def cmd_acceptance(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that also takes "-1e-3", "-inf" and "-nan" for values,
-    not option names, as it takes "-12.5"; its subparsers inherit it."""
+    """ArgumentParser that also takes "-1e-3", "-inf", "-nan" and comma lists
+    such as "-8,16" for values, not option names, as it takes "-12.5"; its
+    subparsers inherit it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        number = r"((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)"
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+            r"^-%s(,-?%s)*$" % (number, number), re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -95,9 +95,8 @@ def loop_mass_quadrature(query: LoopMassQuery) -> float:
     surface = query.surface
     kappa = query.kappa
     if math.isinf(cap):
-        rate = surface.spectral_gap() + kappa
-        if surface.zero_modes and kappa > 0.0:
-            rate = kappa  # the zero mode decays only through the penalty
+        # a closed surface's zero mode decays only through its kappa > 0
+        rate = kappa if surface.is_closed else surface.spectral_gap() + kappa
         cap = delta + _TAIL_EXPONENT / rate
 
     def integrand(t):
@@ -116,13 +115,9 @@ def _expansion_residual(query: LoopMassQuery, zero_mode_term: float) -> float:
     hc = surface.heat_coefficients()
     lhs = loop_mass(query)
     log_det = log_det_zeta(surface, _SPLIT_DELTA).log_det
-    # volume and boundary terms written via the signed heat coefficients:
-    # a/delta = Vol/(4 pi delta); 2b/sqrt(delta) = -Len/(4 sqrt(pi delta))
-    # since b < 0 for Dirichlet boundary (b = 0 when closed); the constant uses
-    # c_coef (chi/6 for smooth boundary, corner-corrected for the rectangle)
+    # c_coef is chi/6 with a smooth boundary, corner-corrected for the rectangle
     rhs = (
-        hc.a_coef / delta
-        + 2.0 * hc.b_coef / math.sqrt(delta)
+        hc.divergent(delta)
         - hc.c_coef * (math.log(delta) + EULER_GAMMA)
         + zero_mode_term
         - log_det

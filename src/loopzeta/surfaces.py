@@ -11,15 +11,17 @@ a row block of about 2^15 terms of a batch of t at a time, each t's terms
 formed and summed exactly as in a call at that t alone, so that a batch
 equals scalar calls bit for bit.  The rectangle and the torus share one
 lattice spectrum, `_grid_spectrum`.  The disk's eigenvalues come from a
-process-wide cache of Bessel zeros, which refines each new band on two
-threads where two cores are available (see `_BesselZeroCache`).
+process-wide cache of Bessel zeros, which one thread at a time grows under a
+lock and which refines each new band on two threads where two cores are
+available (see `_BesselZeroCache`).
 
 A surface is a frozen dataclass whose fields are lengths, each finite and
 positive.  Its geometry (area, boundary length, Euler characteristic) enters
 only through `heat_coefficients()`, whose docstring states it.  It provides
 `heat_coefficients()`, `_enumerate(cutoff)` (unsorted eigenvalues up to the
-cutoff and their multiplicities, which `eigen_stream` sorts and
-`nonzero_spectrum` strips of the zero modes; an infinite cutoff, or a count
+cutoff and their multiplicities, which `eigen_stream` sorts, so that the zero
+modes, exact zeros, are its first `zero_modes` entries, the ones
+`nonzero_spectrum` drops; an infinite cutoff, or a count
 that fails the one budget gate `_budgeted`, raises EnumerationBudgetError
 before allocating) and
 `_heat_traces(t)` on a 1-D array of t, which `heat_trace` calls after it
@@ -38,6 +40,7 @@ import decimal
 import logging
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -89,6 +92,25 @@ class HeatCoefficients:
     a_coef: float
     b_coef: float
     c_coef: float
+
+    def divergent(self, delta: float) -> float:
+        """a/delta + 2b/sqrt(delta), the integral of t^-1 (a/t + b/sqrt(t)) over
+        t > delta; with b < 0 for a Dirichlet boundary (b = 0 when closed) it
+        reads Vol/(4 pi delta) - Len/(4 sqrt(pi delta))."""
+        return self.a_coef / delta + 2.0 * self.b_coef / math.sqrt(delta)
+
+    def mellin_head(self, delta: float, s: float) -> float:
+        """int_0^delta t^{s-1} (a/t + b/sqrt(t)) dt, continued in s; a term whose
+        coefficient is 0 is skipped (at its pole it would read 0/0), and at the
+        pole of another, s = 1 or 1/2, ValueError is raised."""
+        head = 0.0
+        for coef, pole in ((self.a_coef, 1.0), (self.b_coef, 0.5)):
+            if coef == 0:
+                continue
+            if s == pole:
+                raise ValueError("zeta has a pole at s = %g" % pole)
+            head += coef * delta ** (s - pole) / (s - pole)
+        return head
 
 
 @dataclass(frozen=True)
@@ -147,11 +169,11 @@ class ModelSurface:
         return EigenStream(lam[order], mult[order])
 
     def nonzero_spectrum(self, cutoff: float):
-        """(eigenvalues, multiplicities) of `eigen_stream(cutoff)` without the
-        zero modes, in increasing order."""
+        """(eigenvalues, multiplicities) of `eigen_stream(cutoff)` without its
+        first `zero_modes` entries, the zero modes, in increasing order."""
         stream = self.eigen_stream(cutoff)
-        nz = stream.eigenvalues > 1e-14
-        return stream.eigenvalues[nz], stream.multiplicities[nz]
+        return (stream.eigenvalues[self.zero_modes:],
+                stream.multiplicities[self.zero_modes:])
 
     def _enumerate(self, cutoff: float):
         raise NotImplementedError
@@ -559,17 +581,27 @@ class _BesselZeroCache:
     zero is cut off; the merged cache must interlace across orders.  Any
     violation raises RuntimeError: a lost zero would shift every disk
     determinant.  Held zeros are never recomputed, and a zero's value depends
-    only on (nu, k), so a grown cache equals a cold build.
+    only on (nu, k), so a grown cache equals a cold build.  A lock lets one
+    thread at a time grow the cache, so that each band is certified against
+    the j_max it was built from.
     """
 
     def __init__(self):
         self.j_max = 0.0
         self.zeros = np.empty(0)  # zero values
         self.orders = np.empty(0, dtype=int)  # corresponding nu
+        self._lock = threading.Lock()
 
     def ensure(self, j_max: float, budget: int):
-        if j_max <= self.j_max:
-            return
+        """(zeros, orders) of a cache that covers j_max, grown first if it does
+        not; one thread grows it at a time, and the pair is read under the
+        lock, so another thread's growth cannot split it."""
+        with self._lock:
+            if j_max > self.j_max:
+                self._grow(j_max, budget)
+            return self.zeros, self.orders
+
+    def _grow(self, j_max: float, budget: int):
         start = time.perf_counter()
         j_max = max(j_max * 1.05, 25.0)
         est = _count(j_max * j_max / 8.0) + 100
@@ -634,10 +666,10 @@ class DiskDirichlet(ModelSurface):
 
     def _enumerate(self, cutoff):
         j_max = self.radius * math.sqrt(cutoff)
-        _BESSEL_CACHE.ensure(j_max, _EIGEN_BUDGET)
-        sel = _BESSEL_CACHE.zeros <= j_max
-        lam = (_BESSEL_CACHE.zeros[sel] / self.radius) ** 2
-        mult = np.where(_BESSEL_CACHE.orders[sel] == 0, 1.0, 2.0)
+        zeros, orders = _BESSEL_CACHE.ensure(j_max, _EIGEN_BUDGET)
+        sel = zeros <= j_max
+        lam = (zeros[sel] / self.radius) ** 2
+        mult = np.where(orders[sel] == 0, 1.0, 2.0)
         return lam, mult
 
     def _heat_traces(self, t):

@@ -169,11 +169,7 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     # the cut would move to floor / 4 and the disk's build to 4x the zeros
     t0 = max(1e-6, 4.0 * surface.head_cut_floor)
     # analytic contribution of a/t + b/sqrt(t) + (c - n) on (0, t0]
-    head = (
-        hc.a_coef * t0 ** (s - 1) / (s - 1)
-        + hc.b_coef * t0 ** (s - 0.5) / (s - 0.5)
-        + zeta_at_zero(surface) * t0**s / s
-    )
+    head = hc.mellin_head(t0, s) + zeta_at_zero(surface) * t0**s / s
     # residual part of the head, bounded by the leading residual power
     head_resid, _ = head_integral(surface, t0, s=s)
     gap = surface.spectral_gap()
@@ -190,29 +186,21 @@ def zeta_continued(surface: ModelSurface, s: float) -> float:
     """The analytically continued zeta for finite s >= 0, in particular for
     0 < s < 1, split at t = _SPLIT_DELTA.
 
-    Its poles are s = 1 when a != 0 and s = 1/2 when b != 0, where it raises
-    ValueError; a term whose coefficient is 0 is skipped, since at its pole
-    it would read 0/0. Negative s raises ValueError: the tail's incomplete
-    gamma function Q(s, x) is not defined there.
+    At the poles of `HeatCoefficients.mellin_head` it raises ValueError, and
+    at negative s, where the tail's incomplete gamma function Q(s, x) is not
+    defined.
     """
     if not 0.0 <= s < math.inf:
         raise ValueError("zeta_continued needs finite s >= 0, got %r" % (s,))
-    hc = surface.heat_coefficients()
-    poles = ((hc.a_coef, 1.0), (hc.b_coef, 0.5))
-    for coef, pole in poles:
-        if coef != 0 and s == pole:
-            raise ValueError("zeta has a pole at s = %g" % pole)
     delta = _SPLIT_DELTA
+    # refuses a pole before any panel is computed
+    head = surface.heat_coefficients().mellin_head(delta, s)
     # the head first: its smallest t needs the most eigenvalues
     head_resid, _ = head_integral(surface, delta, s=s)
     lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
     tail_sum = float(np.sum(mult * lam ** (-s) * special.gammaincc(s, lam * delta)))
-    g = special.gamma(s)
-    value = tail_sum + head_resid / g
-    for coef, pole in poles:
-        if coef != 0:
-            value += coef * delta ** (s - pole) / ((s - pole) * g)
-    return value + zeta_at_zero(surface) * delta**s / special.gamma(s + 1)
+    return (tail_sum + (head + head_resid) / special.gamma(s)
+            + zeta_at_zero(surface) * delta**s / special.gamma(s + 1))
 
 
 def zeta_at_zero(surface: ModelSurface) -> float:
@@ -249,7 +237,6 @@ def log_det_zeta(surface: ModelSurface, delta: float = 0.1) -> ZetaDetReport:
     """
     if not 1e-5 <= delta <= 0.5:
         raise ValueError("delta must lie in [1e-5, 0.5]")
-    hc = surface.heat_coefficients()
     # the head first: its smallest t needs the most eigenvalues
     integral_head, head_err = head_integral(surface, delta)
 
@@ -258,11 +245,8 @@ def log_det_zeta(surface: ModelSurface, delta: float = 0.1) -> ZetaDetReport:
     # one part in 1e20 per eigenvalue summed, zero modes included
     tail_trunc_err = 1e-20 * max(1.0, int(mult.sum()) + surface.zero_modes)
 
-    correction = (
-        -hc.a_coef / delta
-        - 2.0 * hc.b_coef / math.sqrt(delta)
-        + (math.log(delta) + EULER_GAMMA) * zeta_at_zero(surface)
-    )
+    correction = (-surface.heat_coefficients().divergent(delta)
+                  + (math.log(delta) + EULER_GAMMA) * zeta_at_zero(surface))
     zeta_prime_0 = integral_tail + integral_head + correction
     # the refinement-based head estimate under-reports by small factors on
     # the eigen-sum surfaces; a x4 safety margin keeps the report conservative

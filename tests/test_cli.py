@@ -887,6 +887,33 @@ def test_negative_exponent_form_values_parse_as_separate_tokens(argv, message):
     assert err.splitlines()[-1] == "loopzeta: error: " + message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lattice-torus", "--sizes", "-8,16,32,64"], "need n_x, n_y >= 2"),
+    (["verify-theorem", "--case", "boundary", "--surface", "disk:1", "--deltas", "-0.1,0.2"],
+     "delta must be finite and positive, got -0.1"),
+])
+def test_negative_comma_lists_parse_as_separate_tokens(argv, message):
+    # a list that starts with a negative number was taken for an option and
+    # ended in "expected one argument" (exit 2), where "--sizes=-8,..." parsed
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "loopzeta: error: " + message
+
+
+def test_penalized_loop_mass_of_a_large_torus_matches_the_unit_torus():
+    # the quadrature searched for the spectral gap from cutoff 200, and then
+    # discarded it for kappa: "needs ~2.03e+09 eigenvalues"
+    masses = []
+    for argv in (["--surface", "torus:1e4x1e4", "--qv-low", "1e6", "--kappa", "4e-6"],
+                 ["--surface", "torus:1x1", "--qv-low", "1e-2", "--kappa", "4e2"]):
+        code, out, err = _run_captured(["loop-mass"] + argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        masses.append((payload["loop_mass"], payload["loop_mass_quadrature"]))
+    assert masses[0] == pytest.approx(masses[1], rel=1e-12, abs=0.0)
+    assert masses[0][0] == pytest.approx(4.726758801048129, rel=1e-15, abs=0.0)
+
+
 def test_very_negative_charge_subdivides(tmp_path):
     # gamma = Q - sqrt(Q^2 - 4) was 0.0 here: "float division by zero"
     out = tmp_path / "p.csv"

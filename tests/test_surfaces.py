@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -286,6 +287,22 @@ def test_eigen_stream_sorted_and_counted():
             assert abs(stream.multiplicities.sum() - weyl) < 0.25 * weyl
 
 
+@pytest.mark.parametrize("surface, cutoff", [(s, 200.0) for s in ALL] + [
+    (IntervalDirichlet(1e8), 1e-12), (RectangleDirichlet(1e8, 1.5e8), 1e-12),
+    (FlatTorus(1e8, 2e8), 1e-12), (RoundSphere(1e8), 1e-12), (DiskDirichlet(1e8), 1e-12),
+], ids=repr)
+def test_nonzero_spectrum_drops_exactly_the_zero_modes(surface, cutoff):
+    # past side ~1e7 the first eigenvalues lie below 1e-14, which an absolute
+    # cut dropped along with the zero mode
+    stream = surface.eigen_stream(cutoff)
+    lam, mult = surface.nonzero_spectrum(cutoff)
+    assert lam.size == stream.eigenvalues.size - surface.zero_modes > 0
+    assert np.array_equal(lam, stream.eigenvalues[surface.zero_modes:])
+    assert np.array_equal(mult, stream.multiplicities[surface.zero_modes:])
+    assert np.all(stream.eigenvalues[:surface.zero_modes] == 0.0)
+    assert np.all(lam > 0.0)
+
+
 def test_budget_error():
     with pytest.raises(EnumerationBudgetError):
         # ~1e8 eigenvalues: refused before anything is allocated
@@ -553,3 +570,43 @@ def test_bessel_worker_exception_is_raised_in_the_caller(monkeypatch):
         cache.ensure(30.0, 5_000_000)
     assert threading.active_count() == before
     assert cache.zeros.size == 0 and cache.j_max == 0.0
+
+
+def test_bessel_cache_grown_from_two_threads_at_once(monkeypatch):
+    # two disks growing one fresh cache at once: the later band was checked
+    # against the j_max the earlier one had just stored, "the band up to
+    # j_max = 2969.85 is not certified"
+    cache = surfaces._BesselZeroCache()
+    monkeypatch.setattr(surfaces, "_BESSEL_CACHE", cache)
+    disks = [DiskDirichlet(1.0), DiskDirichlet(4.0)]
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(disk.heat_trace, 1e-4) for disk in disks]
+        traces = [future.result(timeout=300) for future in futures]
+    assert cache.j_max == pytest.approx(1.05 * 4.0 * math.sqrt(5e5), rel=1e-12)
+    assert surfaces._interlaced(cache.zeros, cache.orders)
+    assert traces == [disk.heat_trace(1e-4) for disk in disks]
+
+
+def test_bessel_cache_grown_by_many_threads_equals_a_cold_build(monkeypatch):
+    # more threads than cores, switching often: every request is served by a
+    # certified cache, and the cache ends as a cold build at its j_max
+    ladder = [30.0 * 1.2**k for k in range(8)]
+    requests = [j for k in range(4) for j in ladder[k::2]]
+    cache = surfaces._BesselZeroCache()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(cache.ensure, j, 5_000_000) for j in requests]
+            pairs = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    cold = surfaces._BesselZeroCache()
+    cold.ensure(ladder[-1], 5_000_000)
+    assert cache.j_max == cold.j_max == 1.05 * ladder[-1]
+    assert np.array_equal(cache.orders, cold.orders)
+    assert np.array_equal(cache.zeros, cold.zeros)
+    # each returned pair holds every zero up to its request
+    for (zeros, orders), j in zip(pairs, requests):
+        assert np.array_equal(zeros[zeros <= j], cold.zeros[cold.zeros <= j])
+        assert np.array_equal(orders[zeros <= j], cold.orders[cold.zeros <= j])
