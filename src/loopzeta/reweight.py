@@ -9,7 +9,9 @@ The projection is solved in the sine-mode basis that diagonalizes the
 Dirichlet five-point Laplacian (orthonormal DST-I). A square's average is a
 separable functional of the sites, so its mode coefficients are an outer
 product of two 1-D transforms, and the Schur complement over the squares is
-one matrix product; nothing is cached between calls.
+one matrix product. Between calls only the mode tables of a field that fits
+one row block are kept (`gff._per_size`), read-only, once per size: its
+eigenvalues and 1/sqrt(lambda). A larger field's table is built per call.
 """
 
 from __future__ import annotations
@@ -49,6 +51,13 @@ def _window_profiles(size: int, starts: np.ndarray, w: np.ndarray) -> np.ndarray
     return (counts * (0.5 / width))[:, 1:-1]  # drop the boundary sites
 
 
+@gff._per_size
+def _inverse_root(size: int) -> np.ndarray:
+    """1/sqrt(lambda) of every sine mode (j, k), lambda = lam[j] + lam[k]."""
+    lam1 = gff._mode_eigenvalues(size)
+    return 1.0 / np.sqrt(lam1[:, None] + lam1[None, :])
+
+
 def _lagrange_solve(field: GridField, partition: DyadicPartition):
     """Solve the Lagrange system of the projection onto the partition.
 
@@ -66,8 +75,7 @@ def _lagrange_solve(field: GridField, partition: DyadicPartition):
         raise ValueError("resolution exhausted: square finer than the grid")
     rows = _window_profiles(size, partition._rows * w, w)
     cols = _window_profiles(size, partition._cols * w, w)
-    lam1 = gff._mode_eigenvalues(size)
-    inv_root = 1.0 / np.sqrt(lam1[:, None] + lam1[None, :])
+    inv_root = _inverse_root(size)
     rows_hat = sfft.dst(rows, type=1, norm="ortho", axis=1)
     cols_hat = sfft.dst(cols, type=1, norm="ortho", axis=1)
     x = np.einsum("sj,sk->sjk", rows_hat, cols_hat)

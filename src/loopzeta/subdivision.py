@@ -85,8 +85,10 @@ class DyadicPartition:
                 self._flags[order])
 
     def level_histogram(self) -> dict:
-        levels, counts = np.unique(self._levels, return_counts=True)
-        return {int(l): int(c) for l, c in zip(levels, counts)}
+        """{level: number of squares} over the levels present, in increasing
+        order; the int8 levels are >= 0, so a bincount does it without a sort."""
+        counts = np.bincount(self._levels).tolist()
+        return {l: c for l, c in enumerate(counts) if c}
 
     def area_check(self) -> bool:
         """Exact area identity via integer arithmetic on levels."""
@@ -157,13 +159,11 @@ def subdivide(field: GridField, q: float, epsilon: float) -> DyadicPartition:
         jj = (2 * big_j[:, None] + _CHILD_COLS).ravel()
         level += 1
 
-    levels = np.concatenate([np.full(len(r), l, dtype=np.int8)
-                             for l, r, _, _ in chunks])
-    rows = np.concatenate([r for _, r, _, _ in chunks])
-    cols = np.concatenate([c for _, _, c, _ in chunks])
-    flags = np.concatenate([np.full(len(r), fl, dtype=bool)
-                            for l, r, _, fl in chunks])
-    return DyadicPartition(levels, rows, cols, flags)
+    chunk_levels, rows, cols, chunk_flags = zip(*chunks)
+    lengths = [len(r) for r in rows]
+    return DyadicPartition(np.repeat(np.array(chunk_levels, dtype=np.int8), lengths),
+                           np.concatenate(rows), np.concatenate(cols),
+                           np.repeat(np.array(chunk_flags, dtype=bool), lengths))
 
 
 def adjacency_graph(partition: DyadicPartition) -> Graph:

@@ -149,9 +149,13 @@ class ModelSurface:
         raise NotImplementedError
 
     def spectral_gap(self) -> float:
-        """Smallest nonzero eigenvalue. The search cutoff doubles until it
-        reaches one: on small surfaces the gap lies far above the default."""
-        cutoff = 200.0
+        """Smallest nonzero eigenvalue. The search starts at cutoff 200 / L^2,
+        L the surface's largest length, and doubles until it reaches one:
+        eigenvalues scale as L^-2, so every size enumerates as many as unit
+        size does from 200. Past L ~ 1e155 the start underflows, and the
+        least positive float starts it."""
+        length = max(getattr(self, fd.name) for fd in fields(self))
+        cutoff = max(200.0 / length / length, math.ulp(0.0))
         while math.isfinite(cutoff):
             lam, _ = self.nonzero_spectrum(cutoff)
             if lam.size:

@@ -1,5 +1,8 @@
+import io
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -47,6 +50,22 @@ def test_sample_matches_row_loop_reference(size):
         assert np.array_equal(field.values, values)
         assert np.array_equal(field.prefix, prefix)
         assert field.prefix.tobytes() == prefix.tobytes()
+
+
+def test_mode_tables_are_cached_read_only_for_one_block_sizes():
+    # sizes up to 128 fit one row block; 256 and up keep the row blocks
+    assert [size for size in (1 << k for k in range(4, 14))
+            if gff._fits_one_block(size)] == [16, 32, 64, 128]
+    for table in (gff._mode_eigenvalues, gff._coefficient_scale):
+        for size in (16, 128):
+            first = table(size)
+            assert table(size) is first and not first.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                first[0] = 1.0
+        assert table(256) is not table(256) and table(256).flags.writeable
+    lam1 = gff._mode_eigenvalues(64)
+    assert np.array_equal(gff._coefficient_scale(64),
+                          np.sqrt(gff.TWO_PI / (lam1[:, None] + lam1)))
 
 
 def test_size_validation():
@@ -162,6 +181,49 @@ def test_field_io_round_trip(tmp_path):
         path.write_bytes(data)
         with pytest.raises(ValueError, match=message):
             gff.read_field(path)
+
+
+def reference_field_bytes(field):
+    """The copying writer: header, then `astype("<f8").tobytes()`."""
+    return (b"LZGF" + struct.pack("<iq", field.level, field.seed)
+            + field.values.astype("<f8").tobytes())
+
+
+def test_write_field_bytes_match_the_copying_writer(tmp_path):
+    sampled = gff.sample_dgff(64, 5)
+    # a transposed view: field_from_values keeps it, so the writer must
+    # lay it out row-major itself
+    transposed = gff.field_from_values(sampled.values.T, seed=3)
+    assert not transposed.values.flags.c_contiguous
+    for field in (sampled, transposed):
+        path = tmp_path / "field.bin"
+        gff.write_field(field, path)
+        assert path.read_bytes() == reference_field_bytes(field)
+        buffer = io.BytesIO()
+        gff.write_field(field, buffer)
+        assert buffer.getvalue() == reference_field_bytes(field)
+
+
+def test_read_field_from_a_pipe(tmp_path):
+    # a named pipe has no size to stat: the payload is counted as it is read
+    field = gff.sample_dgff(64, 5)
+    fifo = tmp_path / "field.fifo"
+    os.mkfifo(fifo)
+    for data, error in ((reference_field_bytes(field), None),
+                        (reference_field_bytes(field) + b"\0", "payload is 31753 bytes")):
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            if error is None:
+                back = gff.read_field(fifo)
+            else:
+                with pytest.raises(ValueError, match=error):
+                    gff.read_field(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+    assert np.array_equal(back.values, field.values)
+    assert np.array_equal(back.prefix, field.prefix)
 
 
 @settings(max_examples=200, deadline=None)

@@ -295,3 +295,14 @@ def test_loop_masses_follow_the_scaling_law(kind, s, qv_low, ratio, kappa):
     except EnumerationBudgetError:
         reject()
     assert masses[1] == pytest.approx(masses[0], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, s", [("interval", 1e8), ("disk", 1e4)])
+def test_open_windows_with_a_boundary_follow_the_scaling_law(kind, s):
+    # the quadrature's spectral gap searched from the absolute cutoff 200:
+    # `loop-mass --surface interval:1e8 --qv-low 1e12` was refused with
+    # "needs ~4.5e+08 eigenvalues" (disk:1e4 --qv-low 1e4, ~2.76e+09)
+    unit = _UNIT_SURFACES[kind]
+    queries = (LoopMassQuery(unit, 1e-4), LoopMassQuery(_scaled(unit, s), 1e-4 * s * s))
+    masses = [(loop_mass(q), loop_mass_quadrature(q)) for q in queries]
+    assert masses[1] == pytest.approx(masses[0], rel=1e-12, abs=0.0)

@@ -268,3 +268,14 @@ def reference_experiment(grid_size, epsilon, c, c_prime, n_samples, seed):
 ])
 def test_experiment_equals_reference_tallies(args):
     assert reweight.reweighting_experiment(*args) == reference_experiment(*args)
+
+
+def test_inverse_root_table_is_cached_read_only_for_one_block_sizes():
+    for size in (16, 64, 128):
+        table = reweight._inverse_root(size)
+        assert reweight._inverse_root(size) is table and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        lam1 = gff._mode_eigenvalues(size)
+        assert np.array_equal(table, 1.0 / np.sqrt(lam1[:, None] + lam1[None, :]))
+    assert reweight._inverse_root(256) is not reweight._inverse_root(256)

@@ -263,6 +263,29 @@ def test_ball_growth_on_uniform_partition():
     assert np.bincount(dist).tolist() == [1, 2, 3, 4, 3, 2, 1]
 
 
+def reference_level_histogram(part):
+    """The sorted route: np.unique over every level."""
+    levels, counts = np.unique(part._levels, return_counts=True)
+    return {int(l): int(c) for l, c in zip(levels, counts)}
+
+
+def test_level_histogram_matches_unique_reference():
+    q = charge_to_params(0.0).Q
+    terminating = subdivide(gff.sample_dgff(64, 9), q, 0.2)
+    depth_capped = subdivide(gff.sample_dgff(32, 3), q, 1e-9)
+    mixed = subdivide(gff.sample_dgff(16, 2), q, 2.0**-4)
+    capped = subdivision.regime_protocol(gff.sample_dgff(1024, 17), 23.5)
+    assert terminating.terminated
+    assert depth_capped.flagged_count == len(depth_capped)
+    assert 0 < mixed.flagged_count < len(mixed) and not capped.terminated
+    empty = DyadicPartition([], [], [], [])
+    for part in (terminating, depth_capped, mixed, capped, empty):
+        hist, want = part.level_histogram(), reference_level_histogram(part)
+        assert hist == want and list(hist) == list(want)
+        assert all(type(k) is int and type(v) is int for k, v in hist.items())
+    assert capped.area_check() and not empty.area_check()
+
+
 def test_regime_protocol_smoke():
     f = gff.sample_dgff(512, 3)
     part = subdivision.regime_protocol(f, 0.0)

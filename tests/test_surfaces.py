@@ -24,6 +24,7 @@ from loopzeta.surfaces import (
     RoundSphere,
     parse_surface,
 )
+from loopzeta.zeta import scaled_surface
 
 ALL = [
     IntervalDirichlet(1.0),
@@ -354,6 +355,24 @@ def test_spectral_gap():
     assert IntervalDirichlet(1.0).spectral_gap() == pytest.approx(math.pi**2)
     # the gap 2/r^2 = 800 lies above the first search cutoff of 200
     assert RoundSphere(0.05).spectral_gap() == pytest.approx(2 / 0.05**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("surface", ALL, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("size", [0.05, 0.3, 7.0, 1e4, 1e8])
+def test_spectral_gap_follows_the_scaling_law(surface, size):
+    # the search started at the absolute cutoff 200, so a surface of side
+    # 1e8 (1e4 for the disk) asked for ~4.5e8 eigenvalues or more to find one
+    sigma = math.log(size)
+    want = surface.spectral_gap() * math.exp(-2.0 * sigma)
+    assert scaled_surface(surface, sigma).spectral_gap() == pytest.approx(
+        want, rel=1e-15, abs=0.0)
+
+
+def test_spectral_gap_of_a_surface_past_the_float_range_is_refused():
+    # 200 / L^2 underflows to 0 there, which eigen_stream would refuse as
+    # "cutoff must be positive"
+    with pytest.raises(EnumerationBudgetError, match="needs ~"):
+        IntervalDirichlet(1e200).spectral_gap()
 
 
 def test_validation():

@@ -458,3 +458,11 @@ def test_panel_memo_stays_within_its_bound():
         length += 1.0 / 64.0
     _assert_memo_within_bound()
     assert _head_panel.cache_info().currsize == zeta_module._HEAD_PANEL_CACHE_SIZE
+
+
+def test_mellin_zeta_on_a_large_interval_follows_the_scaling_law():
+    # the spectral gap's search started at the absolute cutoff 200 and was
+    # refused on IntervalDirichlet(1e8) with "needs ~4.5e+08 eigenvalues"
+    unit = mellin_zeta(IntervalDirichlet(1.0), 2.0)
+    assert mellin_zeta(IntervalDirichlet(1e8), 2.0) == pytest.approx(
+        unit * 1e32, rel=1e-14)
