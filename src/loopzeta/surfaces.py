@@ -9,7 +9,10 @@ with a truncation error far below 1e-13.  The lattice-type surfaces
 side, a Poisson sum at small t; the sphere and disk sum over eigenvalues,
 a row block of about 2^15 terms of a batch of t at a time, each t's terms
 formed and summed exactly as in a call at that t alone, so that a batch
-equals scalar calls bit for bit.  The rectangle and the torus share one
+equals scalar calls bit for bit.  The disk enumerates its eigenvalues once
+per octave of t / min(t), at the cutoff of that octave's smallest t, so
+that a batch over many octaves scans no more terms per row than calls of
+one octave each would.  The rectangle and the torus share one
 lattice spectrum, `_grid_spectrum`.  The disk's eigenvalues come from a
 process-wide cache of Bessel zeros, which one thread at a time grows under a
 lock and which refines each new band on two threads where two cores are
@@ -148,13 +151,19 @@ class ModelSurface:
     def heat_coefficients(self) -> HeatCoefficients:
         raise NotImplementedError
 
+    @property
+    def largest_length(self) -> float:
+        """L, the largest of the surface's lengths: eigenvalues scale as
+        L^-2, so a cutoff or a time sized at unit size scales by L^-2 or L^2."""
+        return max(getattr(self, fd.name) for fd in fields(self))
+
     def spectral_gap(self) -> float:
         """Smallest nonzero eigenvalue. The search starts at cutoff 200 / L^2,
-        L the surface's largest length, and doubles until it reaches one:
-        eigenvalues scale as L^-2, so every size enumerates as many as unit
-        size does from 200. Past L ~ 1e155 the start underflows, and the
-        least positive float starts it."""
-        length = max(getattr(self, fd.name) for fd in fields(self))
+        L the `largest_length`, and doubles until it reaches one: every size
+        enumerates as many eigenvalues as unit size does from 200. Past
+        L ~ 1e155 the start underflows, and the least positive float starts
+        it."""
+        length = self.largest_length
         cutoff = max(200.0 / length / length, math.ulp(0.0))
         while math.isfinite(cutoff):
             lam, _ = self.nonzero_spectrum(cutoff)
@@ -209,9 +218,13 @@ class ModelSurface:
         would need more eigenvalues than the enumeration budget, its top is
         lowered until they fit: the eigenvalue count, not the cutoff, sets
         the estimator's accuracy, since scaling a surface scales its spectrum.
+        For the same reason a surface whose `largest_length` L is below 1 has
+        its band raised by 1 / L^2, so that it holds as many eigenvalues as
+        at unit size.  ValueError if the band holds no nonzero eigenvalue.
         """
         hc = self.heat_coefficients()
-        cutoff = self.zeta_series_cutoff
+        length = self.largest_length
+        cutoff = self.zeta_series_cutoff * max(1.0, 1.0 / length / length)
         while True:
             try:
                 stream = self.nonzero_spectrum(cutoff)
@@ -219,6 +232,9 @@ class ModelSurface:
             except EnumerationBudgetError as exc:
                 cutoff *= 0.85 * exc.budget / exc.required
         lam, mult = stream
+        if not lam.size:
+            raise ValueError("zeta series: no nonzero eigenvalue below the band's"
+                             " top cutoff %g" % cutoff)
         csum = np.cumsum(mult * lam ** (-s))
         cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
         idx = np.searchsorted(lam, cuts, side="right")
@@ -677,12 +693,23 @@ class DiskDirichlet(ModelSurface):
         return lam, mult
 
     def _heat_traces(self, t):
+        # one enumeration per octave of t / min(t), the lowest octave first,
+        # so that the cache grows once; a wide batch then scans as many
+        # eigenvalues per row as calls of one octave each would
+        out = np.empty(t.size)
+        if not t.size:
+            return out
+        _, octave = np.frexp(t / t.min())
+        for k in np.unique(octave):
+            rows = np.flatnonzero(octave == k)
+            out[rows] = self._octave_traces(t[rows])
+        return out
+
+    def _octave_traces(self, t):
         # one enumeration, at the cutoff of the smallest t, serves every t.
         # A row keeps the terms with (-t) lam > -50, the set lam t < 50 as
         # negation is exact, in cache order, so its order-0 terms (multiplicity
         # 1) lead its run and the rest are doubled; each run is summed alone.
-        if not t.size:
-            return np.empty(0)
         lam, mult = self._enumerate(_TAIL_EXPONENT / t.min())
         order0 = np.count_nonzero(mult == 1.0)
         out = np.empty(t.size)

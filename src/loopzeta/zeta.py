@@ -16,6 +16,14 @@ Each panel's pair of 24- and 48-point Gauss values is memoized, keyed by
 Surfaces compare by value and halving is exact in binary, so a sweep over
 split points delta, delta/2, ... computes each shared panel once, and the
 panels are added in the same top-down order, so every sum is unchanged.
+
+Each quadrature calls its integrand once: `_geometric_quadrature` (the loop
+mass and the Mellin body) on the nodes of both rules of all its octave
+panels, and each head panel on the 24 + 48 nodes of its two rules.  This is
+exact: the integrands, t^{s-1} r(t) and e^{-kappa t} tr / t, act
+elementwise, and a heat trace or residual on a batch of t equals its scalar
+calls bit for bit, so each rule's value, reduced from its own slice, is the
+one that a call of the integrand on that rule alone gives.
 """
 
 from __future__ import annotations
@@ -69,38 +77,59 @@ def heat_trace_residual(surface: ModelSurface, t: np.ndarray) -> np.ndarray:
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
 
 
+def _gauss_nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    """Nodes mid + half x of the n-point Gauss rule on [lo, hi]."""
+    x, _ = _leggauss(n)
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+
+
 def _gauss_panel(f, lo: float, hi: float, n: int) -> float:
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return float(half * np.dot(w, f(mid + half * x)))
+    """n-point Gauss value of int_lo^hi f: half w . f(`_gauss_nodes`)."""
+    _, w = _leggauss(n)
+    return float(0.5 * (hi - lo) * np.dot(w, f(_gauss_nodes(lo, hi, n))))
 
 
-def _gauss_pair(f, lo: float, hi: float):
-    """(24-point, 48-point) Gauss values of int_lo^hi f."""
-    return _gauss_panel(f, lo, hi, 24), _gauss_panel(f, lo, hi, 48)
+def _gauss_pairs(f, panels):
+    """(24-point, 48-point) Gauss values of int_a^b f on each panel (a, b),
+    from one call of f on the nodes of every rule of every panel.
+
+    Each rule's `_gauss_panel` then reduces its own slice of the values in
+    place of a call of f: f acts elementwise, so every value is the one that
+    a call of f on that rule alone gives."""
+    rules = [(a, b, n) for a, b in panels for n in (24, 48)]
+    nodes = [_gauss_nodes(*rule) for rule in rules]
+    values = np.split(f(np.concatenate(nodes)),
+                      np.cumsum([t.size for t in nodes[:-1]]))
+    sums = [_gauss_panel(lambda _, v=v: v, *rule) for rule, v in zip(rules, values)]
+    return list(zip(sums[0::2], sums[1::2]))
 
 
-def _panel_sum(panel, lo: float, hi: float):
-    """Sum the (24-point, 48-point) Gauss values `panel(a, b)` over the
-    octave panels [hi/2, hi], [hi/4, hi/2], ... of [lo, hi], top down, the
-    last one cut at lo; returns the 48-point sum and its gap to the 24-point
-    sum as error estimate."""
+def _octave_panels(lo: float, hi: float):
+    """The octave panels [hi/2, hi], [hi/4, hi/2], ... of [lo, hi], top
+    down, the last one cut at lo."""
     edges = [hi]
     while edges[-1] > 2.0 * lo:
         edges.append(edges[-1] / 2.0)
     edges.append(lo)
+    return list(zip(edges[1:], edges[:-1]))
+
+
+def _panel_sum(pairs):
+    """Sum the (24-point, 48-point) Gauss values of the octave panels in
+    their top-down order; returns the 48-point sum and its gap to the
+    24-point sum as error estimate."""
     total, total_fine = 0.0, 0.0
-    for a, b in zip(edges[1:], edges[:-1]):
-        coarse, fine = panel(a, b)
+    for coarse, fine in pairs:
         total += coarse
         total_fine += fine
     return total_fine, abs(total_fine - total)
 
 
 def _geometric_quadrature(f, lo: float, hi: float):
-    """Integrate f over [lo, hi] on per-octave 48-point Gauss panels; returns
-    value and the gap to 24-point panels as error estimate."""
-    return _panel_sum(lambda a, b: _gauss_pair(f, a, b), lo, hi)
+    """Integrate f over [lo, hi] on per-octave 48-point Gauss panels, with
+    one call of f; returns value and the gap to 24-point panels as error
+    estimate."""
+    return _panel_sum(_gauss_pairs(f, _octave_panels(lo, hi)))
 
 
 @functools.lru_cache(maxsize=_HEAD_PANEL_CACHE_SIZE)
@@ -114,7 +143,7 @@ def _head_panel(surface: ModelSurface, lo: float, hi: float, s: float):
     def integrand(t):
         return t ** (s - 1.0) * heat_trace_residual(surface, t)
 
-    return _gauss_pair(integrand, lo, hi)
+    return _gauss_pairs(integrand, [(lo, hi)])[0]
 
 
 def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
@@ -140,7 +169,7 @@ def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
     if not np.isfinite(stub):
         stub, stub_err = 0.0, abs(r_fit[0])
     body, body_err = _panel_sum(
-        lambda a, b: _head_panel(surface, a, b, s), t_lo, delta)
+        _head_panel(surface, a, b, s) for a, b in _octave_panels(t_lo, delta))
     return body + stub, body_err + abs(stub_err)
 
 
@@ -161,13 +190,20 @@ def zeta(surface: ModelSurface, s: float) -> float:
 
 
 def mellin_zeta(surface: ModelSurface, s: float) -> float:
-    """zeta(s) by Mellin quadrature of the heat trace, the dual route to zeta()."""
+    """zeta(s) by Mellin quadrature of the heat trace, the dual route to zeta().
+
+    The quadrature starts at t0 = max(1e-6, 4 `head_cut_floor`), times L^2
+    when the surface's `largest_length` L is below 1, so that t0 / L^2, and
+    with it the fit of the head's stub and the enumeration at its smallest
+    t, stay where they are at unit size.
+    """
     _check_series_domain(s)
     hc = surface.heat_coefficients()
     n = surface.zero_modes
     # 4 x the floor keeps the head's cut, t0 / 4, at the floor; at the floor
     # the cut would move to floor / 4 and the disk's build to 4x the zeros
-    t0 = max(1e-6, 4.0 * surface.head_cut_floor)
+    length = surface.largest_length
+    t0 = max(1e-6, 4.0 * surface.head_cut_floor) * min(1.0, length * length)
     # analytic contribution of a/t + b/sqrt(t) + (c - n) on (0, t0]
     head = hc.mellin_head(t0, s) + zeta_at_zero(surface) * t0**s / s
     # residual part of the head, bounded by the leading residual power

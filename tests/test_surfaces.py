@@ -375,6 +375,13 @@ def test_spectral_gap_of_a_surface_past_the_float_range_is_refused():
         IntervalDirichlet(1e200).spectral_gap()
 
 
+def test_zeta_series_of_a_surface_without_a_mode_in_its_band_is_refused():
+    # the short side 1e-4 puts the lowest eigenvalue near 1e9, above the
+    # band's top 4e7, which the long side 1e4 does not raise
+    with pytest.raises(ValueError, match="no nonzero eigenvalue"):
+        RectangleDirichlet(1e-4, 1e4).zeta_series(2.0)
+
+
 def test_validation():
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
