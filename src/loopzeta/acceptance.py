@@ -17,10 +17,8 @@ import numpy as np
 
 from . import gff, graphs, lattice, reweight, subdivision
 from .loopmass import (
-    LoopMassQuery,
     decay_residual,
     fit_log_slope,
-    loop_mass,
     theorem_residual_boundary,
     theorem_residual_closed,
     zeta_from_weighted_loops,

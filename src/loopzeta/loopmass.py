@@ -71,8 +71,6 @@ def loop_mass(query: LoopMassQuery) -> float:
     kappa = query.kappa
 
     def window(rate):
-        if math.isinf(cap):
-            return special.exp1(rate * delta)
         return special.exp1(rate * delta) - special.exp1(rate * cap)
 
     lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)

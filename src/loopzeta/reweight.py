@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import stats
+from scipy import special
 
 from . import gff
 from .gff import GridField, TWO_PI
@@ -165,7 +165,7 @@ def _pooled_chi_square(counts_a: np.ndarray, counts_b: np.ndarray,
     dof = int(mask.sum()) - 1
     if dof <= 0:
         return 0.0, 1.0
-    return stat, float(stats.chi2.sf(stat, dof))
+    return stat, float(special.chdtrc(dof, stat))
 
 
 def _ess(w: np.ndarray) -> float:

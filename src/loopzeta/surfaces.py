@@ -220,11 +220,15 @@ class ModelSurface:
         the estimator's accuracy, since scaling a surface scales its spectrum.
         For the same reason a surface whose `largest_length` L is below 1 has
         its band raised by 1 / L^2, so that it holds as many eigenvalues as
-        at unit size.  ValueError if the band holds no nonzero eigenvalue.
+        at unit size.  ValueError if the band holds no nonzero eigenvalue, or
+        if its top overflows (L below about 5e-151).
         """
         hc = self.heat_coefficients()
         length = self.largest_length
         cutoff = self.zeta_series_cutoff * max(1.0, 1.0 / length / length)
+        if cutoff == math.inf:
+            raise ValueError("surface too small: the zeta series band's top"
+                             " overflows float64 at largest length %g" % length)
         while True:
             try:
                 stream = self.nonzero_spectrum(cutoff)
@@ -246,12 +250,17 @@ class ModelSurface:
 
 
 def _square(radius: float) -> float:
-    """radius**2, or a ValueError that names a radius whose square overflows."""
+    """radius**2, or a ValueError that names a radius whose square overflows
+    or underflows to 0."""
     try:
-        return radius**2
+        square = radius**2
     except OverflowError:
         raise ValueError("radius %g is too large: its square overflows float64"
                          % radius) from None
+    if square == 0.0:
+        raise ValueError("radius %g is too small: its square underflows float64"
+                         % radius)
+    return square
 
 
 def _count(x: float):

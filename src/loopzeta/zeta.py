@@ -195,7 +195,8 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     The quadrature starts at t0 = max(1e-6, 4 `head_cut_floor`), times L^2
     when the surface's `largest_length` L is below 1, so that t0 / L^2, and
     with it the fit of the head's stub and the enumeration at its smallest
-    t, stay where they are at unit size.
+    t, stay where they are at unit size; ValueError where t0 underflows to
+    0 (L below about 1e-159).
     """
     _check_series_domain(s)
     hc = surface.heat_coefficients()
@@ -204,6 +205,9 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     # the cut would move to floor / 4 and the disk's build to 4x the zeros
     length = surface.largest_length
     t0 = max(1e-6, 4.0 * surface.head_cut_floor) * min(1.0, length * length)
+    if t0 == 0.0:
+        raise ValueError("surface too small: the Mellin start underflows float64"
+                         " at largest length %g" % length)
     # analytic contribution of a/t + b/sqrt(t) + (c - n) on (0, t0]
     head = hc.mellin_head(t0, s) + zeta_at_zero(surface) * t0**s / s
     # residual part of the head, bounded by the leading residual power

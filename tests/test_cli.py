@@ -409,6 +409,33 @@ def test_size_past_the_float_range_is_refused_by_name(capsys, argv):
     assert "out of range" not in err and "infinity" not in err
 
 
+@pytest.mark.parametrize("spec", ["sphere:1e-170", "disk:1e-170"])
+def test_radius_whose_square_underflows_is_refused_by_name(spec):
+    # r^2 underflowed to 0: the sphere printed a null log_det and exited 0,
+    # the disk exited 2 with a value computed from a zero area
+    code, out, err = _run_subprocess(["zeta-det", "--surface", spec], timeout=60)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        "loopzeta: error: radius 1e-170 is too small: its square underflows float64")
+
+
+def test_import_loads_no_scipy_subpackage_but_special_and_fft():
+    # scipy.stats served one chi-square tail and loaded nine more scipy
+    # subpackages, about 0.65 s of every command's start
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # a module of scipy.stats is loaded only with the package scipy.stats
+    probe = ("import sys, loopzeta, loopzeta.cli\n"
+             "print(*(name for name, module in sys.modules.items()\n"
+             "        if name.startswith('scipy.') and hasattr(module, '__path__')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    subpackages = {name for name in proc.stdout.split()
+                   if name.count(".") == 1 and not name.startswith("scipy._")}
+    assert subpackages == {"scipy.fft", "scipy.special"}
+
+
 def test_graph_loops_flags_overflowed_identity(tmp_path):
     # K_150 with one boundary vertex: det of the 149 x 149 Laplacian minor is
     # 150^148 and the degree product 149^149, both past float64

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import fft as sfft
 
 from loopzeta import gff, reweight, subdivision
@@ -172,6 +174,58 @@ def test_pooled_chi_square_basics():
     far = np.array([10.0, 20.0, 30.0, 40.0])
     stat2, p2 = reweight._pooled_chi_square(counts, far, 1000.0, 1000.0)
     assert stat2 > 0 and p2 < 0.01
+
+
+def _pooled_chi_square_through_stats(counts_a, counts_b, n_a, n_b):
+    """The pooled chi-square as it read with its tail from scipy.stats."""
+    from scipy import stats
+
+    p = counts_a / counts_a.sum()
+    qq = counts_b / counts_b.sum()
+    pool = (n_a * p + n_b * qq) / (n_a + n_b)
+    order = np.argsort(-pool)
+    p, qq, pool = p[order], qq[order], pool[order]
+    keep = pool * min(n_a, n_b) >= 5.0
+    if not keep.all():
+        first = int(np.argmax(~keep))
+        p = np.append(p[:first], p[first:].sum())
+        qq = np.append(qq[:first], qq[first:].sum())
+        pool = np.append(pool[:first], pool[first:].sum())
+    mask = pool > 0
+    stat = float(np.sum((p[mask] - qq[mask]) ** 2
+                        / (pool[mask] * (1.0 / n_a + 1.0 / n_b))))
+    dof = int(mask.sum()) - 1
+    if dof <= 0:
+        return 0.0, 1.0
+    return stat, float(stats.chi2.sf(stat, dof))
+
+
+@st.composite
+def _category_counts(draw):
+    """Direct counts, weighted counts (counts times per-category weights)
+    and two effective sample sizes, all positive in total."""
+    k = draw(st.integers(1, 40))
+    counts = st.lists(st.integers(0, 2000), min_size=k, max_size=k)
+    direct = np.array(draw(counts), dtype=float)
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)))
+    weighted = np.array(draw(counts), dtype=float) * weights
+    if direct.sum() == 0:
+        direct[0] = 1.0
+    if weighted.sum() == 0:
+        weighted[-1] = 1.0
+    sizes = st.floats(1.0, 1e5)
+    return direct, weighted, draw(sizes), draw(sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_category_counts())
+@example((np.array([7.0]), np.array([3.5]), 10.0, 10.0))  # one category: dof 0
+@example((np.array([400.0, 300.0, 2.0, 1.0, 0.0]),
+          np.array([380.0, 310.0, 0.5, 3.0, 1.0]), 700.0, 40.0))  # merged tail
+@example((np.array([1.0, 2.0, 1.0]), np.array([2.0, 1.0, 1.0]), 4.0, 3.0))  # all merged
+def test_pooled_chi_square_matches_the_stats_route(inputs):
+    # special.chdtrc(dof, x) is the function scipy.stats.chi2.sf(x, dof) calls
+    assert reweight._pooled_chi_square(*inputs) == _pooled_chi_square_through_stats(*inputs)
 
 
 def test_experiment_guards():

@@ -351,6 +351,40 @@ def test_side_whose_square_overflows_is_refused_by_name(surface):
             mellin_zeta(surface, 2.0)
 
 
+_TINY = 1e-170
+
+
+@pytest.mark.parametrize("route, surface", [
+    (mellin_zeta, IntervalDirichlet(_TINY)),
+    *((route, surface) for route in (zeta, mellin_zeta)
+      for surface in (DiskDirichlet(_TINY), FlatTorus(_TINY, _TINY),
+                      RoundSphere(_TINY), RectangleDirichlet(_TINY, _TINY))),
+], ids=lambda value: getattr(value, "__name__", repr(value)))
+def test_size_whose_scale_leaves_float64_is_refused_by_name(route, surface):
+    # the band top 4e7 / L^2 overflowed (`cutoff must be positive`), the
+    # Mellin start t0 L^2 underflowed (`Geometric sequence cannot include
+    # zero`) and the sphere's r^2 underflowed (ZeroDivisionError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"1e-170 is too small|too small: .*1e-170"):
+            route(surface, 2.0)
+
+
+@pytest.mark.parametrize("surface", [
+    IntervalDirichlet(1e-100), DiskDirichlet(1e-100), FlatTorus(1e-100, 1e-100),
+    RoundSphere(1e-100), RectangleDirichlet(1e-100, 1e-100),
+], ids=repr)
+def test_tiny_representable_size_keeps_its_underflowed_zeta(surface):
+    # zeta(2) scales as L^4: 1e-400 is 0.0 in float64 on both routes
+    assert zeta(surface, 2.0) == 0.0
+    assert mellin_zeta(surface, 2.0) == 0.0
+
+
+def test_interval_closed_form_zeta_needs_no_scale():
+    # (L / pi)^4 zeta(4) underflows to the right 0.0 even where L^2 does
+    assert zeta(IntervalDirichlet(_TINY), 2.0) == 0.0
+
+
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("length", [0.3, 1.0, 2.5])
 def test_interval_zeta_matches_an_extended_precision_value(length, s):
