@@ -136,18 +136,32 @@ def determinant_identity(g: Graph):
 
 def spectral_radius_bound(p: np.ndarray) -> float:
     """Certified upper bound on the spectral radius of the nonnegative matrix
-    P: power iteration to approach the Perron vector, then the row-max
-    Collatz-Wielandt quotient, padded by 1e-12."""
+    P: 200 power iterations to approach the Perron vector, then the row-max
+    Collatz-Wielandt quotient, padded by 1e-12.
+
+    The step x -> (P x) / max(P x) is a fixed function of x in floating
+    point, so once an iterate repeats bit for bit, at step k of one first
+    seen at step f, the iterates are periodic with period k - f from step f
+    on, and none of the remaining steps can take the norm == 0 exit. The
+    200th iterate is then the one at step f + (200 - f) % (k - f), and the
+    loop stops there: the bound is == to the full 200 steps."""
     n = len(p)
     if n == 0:
         return 0.0
     x = np.ones(n) / n
-    for _ in range(200):
+    history = [x]
+    first_seen = {x.tobytes(): 0}
+    for k in range(1, 201):
         y = p @ x
         norm = y.max()
         if norm == 0:
             return 1e-12
         x = y / norm
+        f = first_seen.setdefault(x.tobytes(), k)
+        if f != k:
+            x = history[f + (200 - f) % (k - f)]
+            break
+        history.append(x)
     x = np.maximum(x, 1e-300)
     quotients = (p @ x) / x
     return float(quotients.max()) + 1e-12

@@ -475,17 +475,27 @@ class RoundSphere(ModelSurface):
         return out
 
     def zeta_series(self, s: float) -> float:
+        """Sum over l <= ell_max plus its Euler-Maclaurin tail from X =
+        ell_max + 1; ValueError, naming the radius, where 4 s X^2 / r^2
+        overflows float64 (r below about 7e-151 at s = 1.5), since the tail
+        would take inf times an underflowed power, a nan."""
         r2 = _square(self.radius)
         ell_max = 4000
+        x = ell_max + 1.0
+        # in Python floats, where an overflow is inf rather than a warning
+        scale = 4.0 * float(s) * x * x / float(r2)
+        if scale == math.inf:
+            raise ValueError("radius %g is too small for the zeta series at s = %g:"
+                             " 4 s l^2 / r^2 at l = %d overflows float64"
+                             % (self.radius, s, x))
         ell = np.arange(1, ell_max + 1, dtype=float)
         lam = ell * (ell + 1) / r2
         partial = float(np.sum((2 * ell + 1) * lam ** (-s)))
         # Euler-Maclaurin in x = ell + 1/2 over the omitted ell: f(x) = 2x
         # lam_x^{-s}, lam_x = (x^2 - 1/4)/r^2, has int_X^inf f = r^2
         # lam_X^{1-s}/(s - 1) from X = ell_max + 1
-        x = ell_max + 1.0
         lam_x = (x * x - 0.25) / r2
-        fp = 2.0 * lam_x ** (-s) - 4.0 * s * x * x / r2 * lam_x ** (-s - 1)
+        fp = 2.0 * lam_x ** (-s) - scale * lam_x ** (-s - 1)
         return partial + r2 * lam_x ** (1 - s) / (s - 1) + fp / 24.0
 
 

@@ -181,6 +181,94 @@ def test_spectral_radius_is_certified_upper_bound():
         assert true <= bound <= true + 1e-6
 
 
+def _reference_bound(p):
+    # the oracle: all 200 power iterations, then the padded row-max
+    # Collatz-Wielandt quotient
+    n = len(p)
+    if n == 0:
+        return 0.0
+    x = np.ones(n) / n
+    for _ in range(200):
+        y = p @ x
+        norm = y.max()
+        if norm == 0:
+            return 1e-12
+        x = y / norm
+    x = np.maximum(x, 1e-300)
+    quotients = (p @ x) / x
+    return float(quotients.max()) + 1e-12
+
+
+def _substochastic(draw, rows, cols):
+    """rows x cols nonnegative matrix, each nonzero row summing to a drawn
+    0.05-1."""
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows * cols,
+                                max_size=rows * cols))).reshape(rows, cols)
+    scale = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=rows, max_size=rows)))
+    sums = w.sum(axis=1, keepdims=True)
+    return np.divide(w, sums, out=np.zeros_like(w), where=sums > 0) * scale[:, None]
+
+
+def _scaled_to_radius(draw, n, radius):
+    block = _substochastic(draw, n, n)
+    rho = float(np.abs(np.linalg.eigvals(block)).max())
+    assume(rho > 1e-3)
+    return block * (radius / rho)
+
+
+@st.composite
+def bound_matrices(draw):
+    """Matrices for each way the power iteration ends: random substochastic
+    ones; bipartite ones (iterates of period 2); weighted directed cycles
+    of length 3-10 (period m); strictly upper triangular ones (the norm ==
+    0 exit); block-diagonal ones with equal radii, whose iterates mostly
+    never repeat; and n = 0."""
+    family = draw(st.sampled_from(
+        ["substochastic", "bipartite", "cycle", "triangular", "equal radii", "empty"]))
+    if family == "substochastic":
+        n = draw(st.integers(1, 8))
+        return _substochastic(draw, n, n)
+    if family == "bipartite":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        p = np.zeros((a + b, a + b))
+        p[:a, a:] = _substochastic(draw, a, b)
+        p[a:, :a] = _substochastic(draw, b, a)
+        return p
+    if family == "cycle":
+        m = draw(st.integers(3, 10))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        p = np.zeros((m, m))
+        p[np.arange(m), (np.arange(m) + 1) % m] = weights
+        return p
+    if family == "triangular":
+        n = draw(st.integers(1, 8))
+        return np.triu(_substochastic(draw, n, n), k=1)
+    if family == "equal radii":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        radius = draw(st.floats(0.05, 0.95))
+        p = np.zeros((a + b, a + b))
+        p[:a, :a] = _scaled_to_radius(draw, a, radius)
+        p[a:, a:] = _scaled_to_radius(draw, b, radius)
+        return p
+    return np.zeros((0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_matrices())
+def test_spectral_radius_bound_equals_the_full_200_steps(p):
+    assert graphs.spectral_radius_bound(p) == _reference_bound(p)
+
+
+def test_corpus_screen_keeps_its_graphs_with_the_full_200_steps(monkeypatch):
+    # criteria 1 and 2 draw their corpus through the bound's <= 0.9 screen
+    seeds = range(1000, 1100)
+    shipped = [acceptance._random_killed_graph(seed) for seed in seeds]
+    results = acceptance.criterion_1(), acceptance.criterion_2()
+    monkeypatch.setattr(graphs, "spectral_radius_bound", _reference_bound)
+    assert [acceptance._random_killed_graph(seed) for seed in seeds] == shipped
+    assert (acceptance.criterion_1(), acceptance.criterion_2()) == results
+
+
 def test_penalized_mass_limit():
     # -log det(I - alpha P) + log(1 - alpha) + log det'(I - P) -> 0
     g = cycle_graph(4)

@@ -370,6 +370,17 @@ def test_size_whose_scale_leaves_float64_is_refused_by_name(route, surface):
             route(surface, 2.0)
 
 
+@pytest.mark.parametrize("s", [1.01, 2.0, 10.0])
+@pytest.mark.parametrize("radius", [1e-152, 1e-156, 1e-161])
+def test_sphere_series_whose_eigenvalues_overflow_is_refused_by_name(radius, s):
+    # r^2 is representable (subnormal below ~1.5e-154), but l(l+1)/r^2
+    # overflowed and the sum read nan with an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radius %g is too small" % radius):
+            zeta(RoundSphere(radius), s)
+
+
 @pytest.mark.parametrize("surface", [
     IntervalDirichlet(1e-100), DiskDirichlet(1e-100), FlatTorus(1e-100, 1e-100),
     RoundSphere(1e-100), RectangleDirichlet(1e-100, 1e-100),
