@@ -16,6 +16,13 @@ masses are refused.
 
 Every loop series, the soup's and criterion 1's included, is the one power
 sequence `_powers`, summed by `_loop_series` and bounded by `_tail_bound`.
+
+Soup draws also read a soup model per (graph, max_len), cached for the 8 most
+recently used pairs: the powers P^0..P^max_len, their traces, the root
+distribution of each loop length and a memo of bridge-step distributions. The
+memo holds at most (max_len + 1) n rows of n floats, so an entry holds at most
+2 (max_len + 1) n^2 floats. With the memo warm, a bridge step is a dict lookup
+and a binary search on one uniform of the draw's per-length block.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +176,16 @@ def spectral_radius_bound(p: np.ndarray) -> float:
 
 
 # Each cached walk model holds the n^2 floats of P, and each cached soup model
-# (max_len + 1) n^2 floats of its powers, so the caches keep only a few graphs:
-# enough for the graphs a run draws from repeatedly, while one-off graphs age
-# out.
+# (max_len + 1) n^2 floats of its powers and at most as many in its step memo,
+# so the caches keep only a few graphs: enough for the graphs a run draws from
+# repeatedly, while one-off graphs age out.
 _MODEL_CACHE_SIZE = 8
 # most matrix entries the powers P^0..P^max_len of one loop computation may
 # take, (max_len + 1) n^2 for n interior vertices: 2^26 floats are 512 MB
 _POWERS_BUDGET = 1 << 26
+# most loop vertices, c sum_{k<=max_len} tr(P^k), one soup draw may expect:
+# `soup-sample` at the budget takes about 3 s and 180 MB on 2 cores
+_SOUP_BUDGET = 10**6
 
 
 def _check_max_len(g: Graph, max_len: int) -> None:
@@ -358,15 +369,22 @@ def _cdf(w: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """The index Generator.choice draws from cdf, with the same one uniform."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw(cdf: np.ndarray, u: float) -> int:
+    """The index Generator.choice draws from cdf with the uniform u."""
+    return int(cdf.searchsorted(u, side="right"))
 
 
 class _SoupModel:
     """What every soup draw on (g, max_len) shares: the killed walk, the
-    powers P^0..P^max_len, their traces, the root distribution of each loop
-    length with nonzero trace, and the truncation flag."""
+    powers P^0..P^max_len, their traces and sum, the root distribution of
+    each loop length with nonzero trace, the truncation flag, and a memo of
+    bridge steps.
+
+    The memo maps (cur, m, root) to the step distribution from cur with m
+    steps left back to root, the `_cdf` of p[cur] * (P^m)[:, root]. It is
+    filled on first use and holds at most (max_len + 1) n rows of n floats,
+    no more than the powers beside it; once it is full, a step computes its
+    row and does not store it."""
 
     def __init__(self, g: Graph, max_len: int):
         self.walk = walk = _killed_walk(g)
@@ -374,14 +392,29 @@ class _SoupModel:
             return
         self.powers = powers = [np.eye(walk.n), *_powers(walk.p, max_len)]
         self.traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
+        # the expected number of loop vertices of a soup at intensity 1
+        self.loop_vertices = float(self.traces[1:].sum())
         # odd k on a bipartite graph has a zero diagonal: no root distribution
         self.root_cdfs = {k: _cdf(np.diag(powers[k]).copy())
                           for k in range(1, max_len + 1) if self.traces[k] > 0}
+        self.steps = {}
+        self._steps_cap = (max_len + 1) * walk.n
+        self._steps_lock = threading.Lock()
 
         total = walk.mass
         truncated = _loop_series(self.traces[1:])[-1]
         self.tail_warning = bool(total == math.inf
                                  or total - truncated > 1e-6 * max(total, 1e-300))
+
+    def step_cdf(self, cur: int, m: int, root: int) -> np.ndarray:
+        """The bridge step from cur with m steps left back to root: weighted
+        by the remaining return probability, and memoized while the memo has
+        room."""
+        cdf = _cdf(self.walk.p[cur] * self.powers[m][:, root])
+        with self._steps_lock:
+            if len(self.steps) < self._steps_cap:
+                self.steps[cur, m, root] = cdf
+        return cdf
 
 
 _soup_model = functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)(_SoupModel)
@@ -397,14 +430,21 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     The draw reads the graph's cached killed-walk model (P, the interior map,
     the spectral-radius bound and -log det(I - P); n^2 floats for n interior
     vertices, shared with `loop_mass_exact` and the other loop quantities).
-    The powers of P, their traces, the root distributions and the truncation
-    flag are built once per (graph, max_len) and cached for the 8 most
-    recently used pairs; each entry holds (max_len + 1) n^2 floats, e.g.
-    26 KB for a 16-vertex interior at max_len 12. The flag is set when the
+    The powers of P, their traces, the root distributions, the truncation
+    flag and the memo of bridge steps are built once per (graph, max_len) and
+    cached for the 8 most recently used pairs; each entry holds (max_len + 1)
+    n^2 floats of powers, e.g. 26 KB for a 16-vertex interior at max_len 12,
+    and at most as many again in memoized step rows. The flag is set when the
     truncation misses more than 1e-6 of the total mass, and always when the
-    walk is not transient, so that the mass is infinite. A draw only consumes
-    the Philox stream of its seed. A max_len whose powers would exceed
-    `_POWERS_BUDGET` entries is refused before the model is built.
+    walk is not transient, so that the mass is infinite.
+
+    A draw only consumes the Philox stream of its seed: for each length k
+    with a positive mean, one Poisson count, then one block of count * k
+    uniforms, k per loop (the root, then its k - 1 bridge steps), the doubles
+    that as many scalar draws would give. A max_len whose powers would exceed
+    `_POWERS_BUDGET` entries is refused before the model is built, and an
+    intensity whose expected loop vertices c sum_{k<=max_len} tr(P^k) exceed
+    `_SOUP_BUDGET` before anything is drawn.
     """
     _check_max_len(g, max_len)
     if not 0.0 < c < math.inf:
@@ -415,21 +455,31 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     rng = np.random.Generator(np.random.Philox(seed))
     if model.walk.n == 0:
         return LoopSoupSample(())
-    p, interior, powers = model.walk.p, model.walk.interior, model.powers
+    if c * model.loop_vertices > _SOUP_BUDGET:
+        raise ValueError(
+            "intensity %g is too high for this graph at max_len %d: the soup"
+            " would draw about %.3g loop vertices, past the budget of %d loop"
+            " vertices" % (c, max_len, c * model.loop_vertices, _SOUP_BUDGET))
+    interior, steps = model.walk.interior, model.steps
 
     loops = []
     for k in range(1, max_len + 1):
         mean = c * model.traces[k] / k
         if mean <= 0:
             continue
-        for _ in range(rng.poisson(mean)):
-            root = _draw(model.root_cdfs[k], rng)
+        count = rng.poisson(mean)
+        if not count:
+            continue
+        uniforms = rng.random(count * k)
+        root_cdf = model.root_cdfs[k]
+        for i in range(0, count * k, k):
+            root = cur = _draw(root_cdf, uniforms[i])
             path = [root]
-            cur = root
-            for j in range(k - 1):
-                # bridge step: weight by the remaining return probability
-                w = p[cur] * powers[k - 1 - j][:, root]
-                cur = _draw(_cdf(w), rng)
+            for j in range(1, k):
+                cdf = steps.get((cur, k - j, root))
+                if cdf is None:
+                    cdf = model.step_cdf(cur, k - j, root)
+                cur = _draw(cdf, uniforms[i + j])
                 path.append(cur)
             loops.append(tuple(interior[v] for v in path) + (interior[root],))
     return LoopSoupSample(tuple(loops), model.tail_warning)

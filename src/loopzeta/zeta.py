@@ -184,9 +184,21 @@ def _check_series_domain(s: float) -> None:
 
 
 def zeta(surface: ModelSurface, s: float) -> float:
-    """Spectral zeta sum over nonzero eigenvalues, for s in the series region."""
+    """Spectral zeta sum over nonzero eigenvalues, for s in the series region.
+
+    ValueError, naming s and the surface's largest length, where the value is
+    not finite: past the float64 range the closed forms' Python powers raise
+    OverflowError and the eigenvalue sums read inf or nan."""
     _check_series_domain(s)
-    return surface.zeta_series(s)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = surface.zeta_series(s)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("zeta at s = %g is past the float64 range at largest"
+                         " length %g" % (s, surface.largest_length))
+    return value
 
 
 def mellin_zeta(surface: ModelSurface, s: float) -> float:

@@ -1,6 +1,9 @@
 import copy
 import math
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -490,6 +493,82 @@ def test_soup_matches_reference_on_random_graphs():
         assert_soups_match(g, c, max_len, range(100 * i, 100 * i + 30))
         tail_warnings.add(graphs.sample_loop_soup(g, c, max_len, 0).tail_warning)
     assert tail_warnings == {False, True}
+
+
+def test_soup_draws_on_a_warm_memo_match_the_reference():
+    g, c, max_len = graphs.grid_graph(4), 10.0, 12
+    model = graphs._soup_model(g, max_len)
+    model.steps.clear()
+    sizes = []
+    for seed in range(5000, 5200):
+        soup = graphs.sample_loop_soup(g, c, max_len, seed)
+        assert (soup.loops, soup.tail_warning) == reference_soup(g, c, max_len, seed)
+        sizes.append(len(model.steps))
+    # filled on first use, then read by the later draws
+    assert sizes == sorted(sizes)
+    assert 0 < sizes[0] < sizes[-1] <= (max_len + 1) * model.walk.n
+
+
+def test_soup_draws_past_a_full_memo_match_the_reference():
+    g, c, max_len = graphs.grid_graph(8), 30.0, 12
+    model = graphs._soup_model(g, max_len)
+    model.steps.clear()
+    cap = (max_len + 1) * model.walk.n
+    full_at = None
+    for seed in range(300):
+        soup = graphs.sample_loop_soup(g, c, max_len, seed)
+        assert soup.loops == reference_soup(g, c, max_len, seed)[0]
+        assert len(model.steps) <= cap
+        if full_at is None and len(model.steps) == cap:
+            full_at = seed
+        if full_at is not None and seed == full_at + 20:
+            break
+    else:
+        pytest.fail("the memo never reached its cap of %d rows" % cap)
+
+
+def test_soup_memo_shared_by_threads_stays_exact_and_bounded():
+    g, c, max_len = graphs.grid_graph(3), 40.0, 11
+    seeds = range(48)
+    want = {seed: reference_soup(g, c, max_len, seed)[0] for seed in seeds}
+    model = graphs._soup_model(g, max_len)
+    model.steps.clear()
+    got = {}
+
+    def draw(part):
+        for seed in part:
+            got[seed] = graphs.sample_loop_soup(g, c, max_len, seed).loops
+
+    threads = [threading.Thread(target=draw, args=(seeds[i::4],)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+    assert len(model.steps) == (max_len + 1) * model.walk.n
+
+
+def test_soup_work_budget_refuses_an_intensity_by_name_before_any_draw(monkeypatch):
+    g = graphs.grid_graph(3)
+    start = time.perf_counter()
+    for c in (1e12, 1e308):
+        with pytest.raises(ValueError, match="^intensity %s .* budget of %d loop vertices" % (
+                re.escape("%g" % c), graphs._SOUP_BUDGET)):
+            graphs.sample_loop_soup(g, c, 40, 1)
+    assert time.perf_counter() - start < 5.0
+    # the budget's edge: an expected c sum_k tr(P^k) at the budget is drawn
+    expected = 2.0 * graphs._soup_model(g, 12).traces[1:].sum()
+    monkeypatch.setattr(graphs, "_SOUP_BUDGET", expected)
+    assert graphs.sample_loop_soup(g, 2.0, 12, 1).loops == reference_soup(g, 2.0, 12, 1)[0]
+    monkeypatch.setattr(graphs, "_SOUP_BUDGET", math.nextafter(expected, 0.0))
+    with pytest.raises(ValueError, match="budget"):
+        graphs.sample_loop_soup(g, 2.0, 12, 1)
 
 
 def reference_truncated(g, max_len):

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -379,6 +380,31 @@ def test_sphere_series_whose_eigenvalues_overflow_is_refused_by_name(radius, s):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="radius %g is too small" % radius):
             zeta(RoundSphere(radius), s)
+
+
+@pytest.mark.parametrize("surface, s", [
+    (IntervalDirichlet(1e6), 1000.0), (RoundSphere(1e6), 1000.0),
+    (FlatTorus(1e6, 1e6), 1000.0), (RectangleDirichlet(1e6, 1e6), 1000.0),
+    (DiskDirichlet(1e6), 1000.0),
+    # r^(2s) zeta_1(s) is past float64 here, and the sum read inf
+    (RoundSphere(10.0), 200.0),
+], ids=repr)
+def test_zeta_past_the_float_range_is_refused_by_name(surface, s):
+    # the interval and the sphere raised OverflowError (34, 'Numerical result
+    # out of range'); the disk, torus and rectangle returned nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at s = %s .* largest length %s" % (
+                re.escape("%g" % s), re.escape("%g" % surface.largest_length))):
+            zeta(surface, s)
+
+
+@pytest.mark.parametrize("surface", [
+    IntervalDirichlet(10.0), DiskDirichlet(10.0), FlatTorus(10.0, 10.0),
+    RectangleDirichlet(10.0, 10.0), RoundSphere(10.0)], ids=repr)
+def test_zeta_near_the_float_range_is_the_series_value(surface):
+    for s in (2.0, 150.0):
+        assert zeta(surface, s) == surface.zeta_series(s)
 
 
 @pytest.mark.parametrize("surface", [
