@@ -20,9 +20,10 @@ sequence `_powers`, summed by `_loop_series` and bounded by `_tail_bound`.
 Soup draws also read a soup model per (graph, max_len), cached for the 8 most
 recently used pairs: the powers P^0..P^max_len, their traces, the root
 distribution of each loop length and a memo of bridge-step distributions. The
-memo holds at most (max_len + 1) n rows of n floats, so an entry holds at most
-2 (max_len + 1) n^2 floats. With the memo warm, a bridge step is a dict lookup
-and a binary search on one uniform of the draw's per-length block.
+memo is an LRU cache of at most (max_len + 1) n rows of n floats that keeps
+its most recently used rows, so an entry holds at most 2 (max_len + 1) n^2
+floats. A bridge step whose row the memo holds is a cache lookup and a binary
+search on one uniform of the draw's per-length block.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +177,7 @@ def spectral_radius_bound(p: np.ndarray) -> float:
 
 # Each cached walk model holds the n^2 floats of P, and each cached soup model
 # (max_len + 1) n^2 floats of its powers and at most as many in its step memo,
+# an LRU cache of (max_len + 1) n rows that keeps its most recently used rows,
 # so the caches keep only a few graphs: enough for the graphs a run draws from
 # repeatedly, while one-off graphs age out.
 _MODEL_CACHE_SIZE = 8
@@ -380,11 +381,11 @@ class _SoupModel:
     each loop length with nonzero trace, the truncation flag, and a memo of
     bridge steps.
 
-    The memo maps (cur, m, root) to the step distribution from cur with m
-    steps left back to root, the `_cdf` of p[cur] * (P^m)[:, root]. It is
-    filled on first use and holds at most (max_len + 1) n rows of n floats,
-    no more than the powers beside it; once it is full, a step computes its
-    row and does not store it."""
+    The memo, `step_cdf(cur, m, root)`, is the step distribution from cur
+    with m steps left back to root, the `_cdf` of p[cur] * (P^m)[:, root]. It
+    is an LRU cache of at most (max_len + 1) n rows of n floats, no more than
+    the powers beside it, that keeps its most recently used rows; a row that
+    `_cdf` refuses is not cached."""
 
     def __init__(self, g: Graph, max_len: int):
         self.walk = walk = _killed_walk(g)
@@ -397,24 +398,13 @@ class _SoupModel:
         # odd k on a bipartite graph has a zero diagonal: no root distribution
         self.root_cdfs = {k: _cdf(np.diag(powers[k]).copy())
                           for k in range(1, max_len + 1) if self.traces[k] > 0}
-        self.steps = {}
-        self._steps_cap = (max_len + 1) * walk.n
-        self._steps_lock = threading.Lock()
+        self.step_cdf = functools.lru_cache(maxsize=(max_len + 1) * walk.n)(
+            lambda cur, m, root: _cdf(walk.p[cur] * powers[m][:, root]))
 
         total = walk.mass
         truncated = _loop_series(self.traces[1:])[-1]
         self.tail_warning = bool(total == math.inf
                                  or total - truncated > 1e-6 * max(total, 1e-300))
-
-    def step_cdf(self, cur: int, m: int, root: int) -> np.ndarray:
-        """The bridge step from cur with m steps left back to root: weighted
-        by the remaining return probability, and memoized while the memo has
-        room."""
-        cdf = _cdf(self.walk.p[cur] * self.powers[m][:, root])
-        with self._steps_lock:
-            if len(self.steps) < self._steps_cap:
-                self.steps[cur, m, root] = cdf
-        return cdf
 
 
 _soup_model = functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)(_SoupModel)
@@ -434,9 +424,10 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     flag and the memo of bridge steps are built once per (graph, max_len) and
     cached for the 8 most recently used pairs; each entry holds (max_len + 1)
     n^2 floats of powers, e.g. 26 KB for a 16-vertex interior at max_len 12,
-    and at most as many again in memoized step rows. The flag is set when the
-    truncation misses more than 1e-6 of the total mass, and always when the
-    walk is not transient, so that the mass is infinite.
+    and at most as many again in step rows: the memo is an LRU cache of at
+    most (max_len + 1) n rows that keeps its most recently used rows. The
+    flag is set when the truncation misses more than 1e-6 of the total mass,
+    and always when the walk is not transient, so that the mass is infinite.
 
     A draw only consumes the Philox stream of its seed: for each length k
     with a positive mean, one Poisson count, then one block of count * k
@@ -460,7 +451,7 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
             "intensity %g is too high for this graph at max_len %d: the soup"
             " would draw about %.3g loop vertices, past the budget of %d loop"
             " vertices" % (c, max_len, c * model.loop_vertices, _SOUP_BUDGET))
-    interior, steps = model.walk.interior, model.steps
+    interior, step_cdf = model.walk.interior, model.step_cdf
 
     loops = []
     for k in range(1, max_len + 1):
@@ -476,10 +467,7 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
             root = cur = _draw(root_cdf, uniforms[i])
             path = [root]
             for j in range(1, k):
-                cdf = steps.get((cur, k - j, root))
-                if cdf is None:
-                    cdf = model.step_cdf(cur, k - j, root)
-                cur = _draw(cdf, uniforms[i + j])
+                cur = _draw(step_cdf(cur, k - j, root), uniforms[i + j])
                 path.append(cur)
             loops.append(tuple(interior[v] for v in path) + (interior[root],))
     return LoopSoupSample(tuple(loops), model.tail_warning)

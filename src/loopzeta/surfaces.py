@@ -221,7 +221,8 @@ class ModelSurface:
         For the same reason a surface whose `largest_length` L is below 1 has
         its band raised by 1 / L^2, so that it holds as many eigenvalues as
         at unit size.  ValueError if the band holds no nonzero eigenvalue, or
-        if its top overflows (L below about 5e-151).
+        if its top overflows (L below about 5e-151).  OverflowError, before
+        the band is built, where the term of the spectral gap overflows.
         """
         hc = self.heat_coefficients()
         length = self.largest_length
@@ -229,6 +230,12 @@ class ModelSurface:
         if cutoff == math.inf:
             raise ValueError("surface too small: the zeta series band's top"
                              " overflows float64 at largest length %g" % length)
+        # the sum is at least its first term; math.pow raises even for numpy s.
+        # A gap past the budget's reach is left to the band's own refusal.
+        try:
+            math.pow(self.spectral_gap(), -s)
+        except EnumerationBudgetError:
+            pass
         while True:
             try:
                 stream = self.nonzero_spectrum(cutoff)

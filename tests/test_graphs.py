@@ -498,12 +498,12 @@ def test_soup_matches_reference_on_random_graphs():
 def test_soup_draws_on_a_warm_memo_match_the_reference():
     g, c, max_len = graphs.grid_graph(4), 10.0, 12
     model = graphs._soup_model(g, max_len)
-    model.steps.clear()
+    model.step_cdf.cache_clear()
     sizes = []
     for seed in range(5000, 5200):
         soup = graphs.sample_loop_soup(g, c, max_len, seed)
         assert (soup.loops, soup.tail_warning) == reference_soup(g, c, max_len, seed)
-        sizes.append(len(model.steps))
+        sizes.append(model.step_cdf.cache_info().currsize)
     # filled on first use, then read by the later draws
     assert sizes == sorted(sizes)
     assert 0 < sizes[0] < sizes[-1] <= (max_len + 1) * model.walk.n
@@ -512,14 +512,14 @@ def test_soup_draws_on_a_warm_memo_match_the_reference():
 def test_soup_draws_past_a_full_memo_match_the_reference():
     g, c, max_len = graphs.grid_graph(8), 30.0, 12
     model = graphs._soup_model(g, max_len)
-    model.steps.clear()
+    model.step_cdf.cache_clear()
     cap = (max_len + 1) * model.walk.n
     full_at = None
     for seed in range(300):
         soup = graphs.sample_loop_soup(g, c, max_len, seed)
         assert soup.loops == reference_soup(g, c, max_len, seed)[0]
-        assert len(model.steps) <= cap
-        if full_at is None and len(model.steps) == cap:
+        assert model.step_cdf.cache_info().currsize <= cap
+        if full_at is None and model.step_cdf.cache_info().currsize == cap:
             full_at = seed
         if full_at is not None and seed == full_at + 20:
             break
@@ -532,7 +532,7 @@ def test_soup_memo_shared_by_threads_stays_exact_and_bounded():
     seeds = range(48)
     want = {seed: reference_soup(g, c, max_len, seed)[0] for seed in seeds}
     model = graphs._soup_model(g, max_len)
-    model.steps.clear()
+    model.step_cdf.cache_clear()
     got = {}
 
     def draw(part):
@@ -551,7 +551,7 @@ def test_soup_memo_shared_by_threads_stays_exact_and_bounded():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == want
-    assert len(model.steps) == (max_len + 1) * model.walk.n
+    assert model.step_cdf.cache_info().currsize == (max_len + 1) * model.walk.n
 
 
 def test_soup_work_budget_refuses_an_intensity_by_name_before_any_draw(monkeypatch):

@@ -3,11 +3,13 @@ import importlib
 import itertools
 import math
 import re
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from loopzeta import surfaces
 from loopzeta.surfaces import (
     DiskDirichlet,
     EnumerationBudgetError,
@@ -397,6 +399,16 @@ def test_zeta_past_the_float_range_is_refused_by_name(surface, s):
         with pytest.raises(ValueError, match="at s = %s .* largest length %s" % (
                 re.escape("%g" % s), re.escape("%g" % surface.largest_length))):
             zeta(surface, s)
+
+
+def test_disk_zeta_past_the_float_range_is_refused_before_its_band_is_built(monkeypatch):
+    # the first eigenvalue's power already overflows; the band would take
+    # about 5 M Bessel zeros, some 30 s on a cold cache
+    monkeypatch.setattr(surfaces, "_BESSEL_CACHE", surfaces._BesselZeroCache())
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="past the float64 range"):
+        zeta(DiskDirichlet(1e6), 1000.0)
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("surface", [
