@@ -19,15 +19,20 @@ sequence `_powers`, summed by `_loop_series` and bounded by `_tail_bound`.
 
 Soup draws also read a soup model per (graph, max_len), cached for the 8 most
 recently used pairs: the powers P^0..P^max_len, their traces, the root
-distribution of each loop length and a memo of bridge-step distributions. The
-memo is an LRU cache of at most (max_len + 1) n rows of n floats that keeps
-its most recently used rows, so an entry holds at most 2 (max_len + 1) n^2
-floats. A bridge step whose row the memo holds is a cache lookup and a binary
-search on one uniform of the draw's per-length block.
+distribution of each loop length, built the first time a draw needs it, and
+a memo of bridge-step distributions. The memo is an LRU cache of at most
+max((max_len + 1) n, _STEP_MEMO_FLOOR // n) rows of n floats that keeps its
+most recently used rows: no more floats than the powers beside it, or 2^16
+floats (512 KB) where the powers are smaller, so that a small graph at a
+short max_len keeps every row it draws from. An entry holds (max_len + 1) n^2
+floats of powers and at most max((max_len + 1) n^2, 2^16) floats of rows. A
+bridge step whose row the memo holds is a cache lookup and a C bisect of one
+uniform of the draw's per-length block.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -176,11 +181,15 @@ def spectral_radius_bound(p: np.ndarray) -> float:
 
 
 # Each cached walk model holds the n^2 floats of P, and each cached soup model
-# (max_len + 1) n^2 floats of its powers and at most as many in its step memo,
-# an LRU cache of (max_len + 1) n rows that keeps its most recently used rows,
-# so the caches keep only a few graphs: enough for the graphs a run draws from
-# repeatedly, while one-off graphs age out.
+# (max_len + 1) n^2 floats of its powers and at most max((max_len + 1) n^2,
+# _STEP_MEMO_FLOOR) floats in its step memo, an LRU cache of rows that keeps
+# its most recently used ones, so the caches keep only a few graphs: enough
+# for the graphs a run draws from repeatedly, while one-off graphs age out.
 _MODEL_CACHE_SIZE = 8
+# floats a soup model's step memo may hold where its powers take fewer, 2^16
+# floats (512 KB) of rows: grid_graph(4) at max_len 12 keeps all of its
+# n^2 (max_len - 1) = 2816 possible rows
+_STEP_MEMO_FLOOR = 1 << 16
 # most matrix entries the powers P^0..P^max_len of one loop computation may
 # take, (max_len + 1) n^2 for n interior vertices: 2^26 floats are 512 MB
 _POWERS_BUDGET = 1 << 26
@@ -370,22 +379,25 @@ def _cdf(w: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw(cdf: np.ndarray, u: float) -> int:
-    """The index Generator.choice draws from cdf with the uniform u."""
-    return int(cdf.searchsorted(u, side="right"))
-
-
 class _SoupModel:
     """What every soup draw on (g, max_len) shares: the killed walk, the
-    powers P^0..P^max_len, their traces and sum, the root distribution of
-    each loop length with nonzero trace, the truncation flag, and a memo of
-    bridge steps.
+    powers P^0..P^max_len, their traces and sum, the truncation flag, the
+    root distributions and a memo of bridge steps. Each row is a memoryview
+    of a `_cdf` array, which `bisect.bisect_right` searches with the float64
+    comparisons of `searchsorted(side="right")`, the search
+    Generator.choice makes.
+
+    `root_cdf(k)` is the root distribution of loop length k, the `_cdf` of
+    the diagonal of P^k, built the first time a draw asks for it; a draw
+    asks only for lengths with nonzero trace (odd k on a bipartite graph
+    has a zero diagonal and no root distribution).
 
     The memo, `step_cdf(cur, m, root)`, is the step distribution from cur
     with m steps left back to root, the `_cdf` of p[cur] * (P^m)[:, root]. It
-    is an LRU cache of at most (max_len + 1) n rows of n floats, no more than
-    the powers beside it, that keeps its most recently used rows; a row that
-    `_cdf` refuses is not cached."""
+    is an LRU cache of at most max((max_len + 1) n, _STEP_MEMO_FLOOR // n)
+    rows of n floats, no more than the powers beside it or 2^16 floats
+    (512 KB), whichever is more, that keeps its most recently used rows; a
+    row that `_cdf` refuses is not cached."""
 
     def __init__(self, g: Graph, max_len: int):
         self.walk = walk = _killed_walk(g)
@@ -395,11 +407,11 @@ class _SoupModel:
         self.traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
         # the expected number of loop vertices of a soup at intensity 1
         self.loop_vertices = float(self.traces[1:].sum())
-        # odd k on a bipartite graph has a zero diagonal: no root distribution
-        self.root_cdfs = {k: _cdf(np.diag(powers[k]).copy())
-                          for k in range(1, max_len + 1) if self.traces[k] > 0}
-        self.step_cdf = functools.lru_cache(maxsize=(max_len + 1) * walk.n)(
-            lambda cur, m, root: _cdf(walk.p[cur] * powers[m][:, root]))
+        self.root_cdf = functools.cache(
+            lambda k: memoryview(_cdf(np.diag(powers[k]).copy())))
+        rows = max((max_len + 1) * walk.n, _STEP_MEMO_FLOOR // walk.n)
+        self.step_cdf = functools.lru_cache(maxsize=rows)(
+            lambda cur, m, root: memoryview(_cdf(walk.p[cur] * powers[m][:, root])))
 
         total = walk.mass
         truncated = _loop_series(self.traces[1:])[-1]
@@ -420,12 +432,15 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     The draw reads the graph's cached killed-walk model (P, the interior map,
     the spectral-radius bound and -log det(I - P); n^2 floats for n interior
     vertices, shared with `loop_mass_exact` and the other loop quantities).
-    The powers of P, their traces, the root distributions, the truncation
-    flag and the memo of bridge steps are built once per (graph, max_len) and
-    cached for the 8 most recently used pairs; each entry holds (max_len + 1)
-    n^2 floats of powers, e.g. 26 KB for a 16-vertex interior at max_len 12,
-    and at most as many again in step rows: the memo is an LRU cache of at
-    most (max_len + 1) n rows that keeps its most recently used rows. The
+    The powers of P, their traces, the truncation flag, the root
+    distributions and the memo of bridge steps belong to a model built once
+    per (graph, max_len) and cached for the 8 most recently used pairs; a
+    root distribution is built the first time a draw needs its length. Each
+    entry holds (max_len + 1) n^2 floats of powers, e.g. 26 KB for a
+    16-vertex interior at max_len 12, and at most max((max_len + 1) n^2,
+    2^16) floats of step rows: the memo is an LRU cache of at most
+    max((max_len + 1) n, _STEP_MEMO_FLOOR // n) rows that keeps its most
+    recently used rows, 4096 rows of 16 floats (512 KB) in that example. The
     flag is set when the truncation misses more than 1e-6 of the total mass,
     and always when the walk is not transient, so that the mass is infinite.
 
@@ -451,7 +466,7 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
             "intensity %g is too high for this graph at max_len %d: the soup"
             " would draw about %.3g loop vertices, past the budget of %d loop"
             " vertices" % (c, max_len, c * model.loop_vertices, _SOUP_BUDGET))
-    interior, step_cdf = model.walk.interior, model.step_cdf
+    interior, root_cdf, step_cdf = model.walk.interior, model.root_cdf, model.step_cdf
 
     loops = []
     for k in range(1, max_len + 1):
@@ -461,13 +476,13 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
         count = rng.poisson(mean)
         if not count:
             continue
-        uniforms = rng.random(count * k)
-        root_cdf = model.root_cdfs[k]
+        uniforms = memoryview(rng.random(count * k))
+        roots = root_cdf(k)
         for i in range(0, count * k, k):
-            root = cur = _draw(root_cdf, uniforms[i])
+            root = cur = bisect.bisect_right(roots, uniforms[i])
             path = [root]
             for j in range(1, k):
-                cur = _draw(step_cdf(cur, k - j, root), uniforms[i + j])
+                cur = bisect.bisect_right(step_cdf(cur, k - j, root), uniforms[i + j])
                 path.append(cur)
             loops.append(tuple(interior[v] for v in path) + (interior[root],))
     return LoopSoupSample(tuple(loops), model.tail_warning)

@@ -220,9 +220,11 @@ class ModelSurface:
         the estimator's accuracy, since scaling a surface scales its spectrum.
         For the same reason a surface whose `largest_length` L is below 1 has
         its band raised by 1 / L^2, so that it holds as many eigenvalues as
-        at unit size.  ValueError if the band holds no nonzero eigenvalue, or
-        if its top overflows (L below about 5e-151).  OverflowError, before
-        the band is built, where the term of the spectral gap overflows.
+        at unit size.  ValueError if the band holds no nonzero eigenvalue, if
+        its top overflows (L below about 5e-151), or if lowering it reaches 0
+        (a side so long that its eigenvalue count overflows).  OverflowError,
+        before the band is built, where the term of the spectral gap
+        overflows.
         """
         hc = self.heat_coefficients()
         length = self.largest_length
@@ -242,6 +244,11 @@ class ModelSurface:
                 break
             except EnumerationBudgetError as exc:
                 cutoff *= 0.85 * exc.budget / exc.required
+                if not cutoff > 0.0:  # 0 or nan where the count is not finite
+                    raise ValueError(
+                        "zeta series at s = %g needs more than the budget of %d"
+                        " eigenvalues at every band cutoff, at largest length %g"
+                        % (s, exc.budget, length)) from None
         lam, mult = stream
         if not lam.size:
             raise ValueError("zeta series: no nonzero eigenvalue below the band's"

@@ -1,3 +1,4 @@
+import bisect
 import copy
 import math
 import re
@@ -495,6 +496,17 @@ def test_soup_matches_reference_on_random_graphs():
     assert tail_warnings == {False, True}
 
 
+def memo_rows(model, max_len):
+    """The documented bound on a soup model's step memo, in rows of n floats:
+    as many floats as the powers P^0..P^max_len, or 2^16 floats where the
+    powers are smaller."""
+    n = model.walk.n
+    rows = max((max_len + 1) * n, 2**16 // n)
+    assert graphs._STEP_MEMO_FLOOR == 2**16
+    assert model.step_cdf.cache_info().maxsize == rows
+    return rows
+
+
 def test_soup_draws_on_a_warm_memo_match_the_reference():
     g, c, max_len = graphs.grid_graph(4), 10.0, 12
     model = graphs._soup_model(g, max_len)
@@ -506,14 +518,59 @@ def test_soup_draws_on_a_warm_memo_match_the_reference():
         sizes.append(model.step_cdf.cache_info().currsize)
     # filled on first use, then read by the later draws
     assert sizes == sorted(sizes)
-    assert 0 < sizes[0] < sizes[-1] <= (max_len + 1) * model.walk.n
+    assert 0 < sizes[0] < sizes[-1] <= memo_rows(model, max_len)
+
+
+def test_soup_memo_holds_every_row_a_small_graph_draws():
+    g, c, max_len = graphs.grid_graph(4), 10.0, 12
+    model = graphs._soup_model(g, max_len)
+    model.step_cdf.cache_clear()
+    for seed in range(200):
+        graphs.sample_loop_soup(g, c, max_len, seed)
+    warm = model.step_cdf.cache_info()
+    for seed in range(200):
+        graphs.sample_loop_soup(g, c, max_len, seed)
+    info = model.step_cdf.cache_info()
+    # the second pass is all hits, and no row was ever computed twice
+    assert info.misses == warm.misses == info.currsize
+    assert info.hits > 2 * warm.hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40), st.floats(0.0, 1.0))
+def test_bisect_on_a_memoryview_row_is_searchsorted(weights, extra):
+    w = np.array(weights)
+    assume(0.0 < w.sum() < math.inf)
+    cdf = graphs._cdf(w)
+    row = memoryview(cdf)
+    us = [*cdf.tolist(), 0.0, 1.0 - 2.0**-53, extra]
+    us += [math.nextafter(x, d) for x in cdf.tolist() for d in (0.0, 2.0)]
+    for u in us:
+        assert bisect.bisect_right(row, u) == cdf.searchsorted(u, side="right")
+
+
+def test_soup_on_a_bipartite_graph_never_asks_for_an_odd_root_cdf(monkeypatch):
+    # a path of 6 interior vertices between two absorbing ends is bipartite:
+    # tr(P^k) = 0 for every odd k
+    g, c, max_len = Graph(8, [(i, i + 1) for i in range(7)], [0, 7]), 3.0, 13
+    model = graphs._soup_model(g, max_len)
+    assert model.root_cdf.cache_info().currsize == 0  # built on first use
+    assert all(model.traces[1::2] == 0)
+    asked = []
+    build = model.root_cdf
+    monkeypatch.setattr(model, "root_cdf", lambda k: asked.append(k) or build(k))
+    for seed in range(40):
+        soup = graphs.sample_loop_soup(g, c, max_len, seed)
+        assert (soup.loops, soup.tail_warning) == reference_soup(g, c, max_len, seed)
+    assert asked and all(k % 2 == 0 for k in asked)
+    assert build.cache_info().currsize == len(set(asked))
 
 
 def test_soup_draws_past_a_full_memo_match_the_reference():
     g, c, max_len = graphs.grid_graph(8), 30.0, 12
     model = graphs._soup_model(g, max_len)
     model.step_cdf.cache_clear()
-    cap = (max_len + 1) * model.walk.n
+    cap = memo_rows(model, max_len)
     full_at = None
     for seed in range(300):
         soup = graphs.sample_loop_soup(g, c, max_len, seed)
@@ -528,7 +585,8 @@ def test_soup_draws_past_a_full_memo_match_the_reference():
 
 
 def test_soup_memo_shared_by_threads_stays_exact_and_bounded():
-    g, c, max_len = graphs.grid_graph(3), 40.0, 11
+    # grid_graph(7) has n^2 (max_len - 1) = 24010 step rows, past its memo's cap
+    g, c, max_len = graphs.grid_graph(7), 40.0, 11
     seeds = range(48)
     want = {seed: reference_soup(g, c, max_len, seed)[0] for seed in seeds}
     model = graphs._soup_model(g, max_len)
@@ -551,7 +609,7 @@ def test_soup_memo_shared_by_threads_stays_exact_and_bounded():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == want
-    assert model.step_cdf.cache_info().currsize == (max_len + 1) * model.walk.n
+    assert model.step_cdf.cache_info().currsize == memo_rows(model, max_len)
 
 
 def test_soup_work_budget_refuses_an_intensity_by_name_before_any_draw(monkeypatch):

@@ -401,6 +401,16 @@ def test_zeta_past_the_float_range_is_refused_by_name(surface, s):
             zeta(surface, s)
 
 
+@pytest.mark.parametrize("surface", [FlatTorus(1e300, 1e-20), FlatTorus(1e-20, 1e300)],
+                         ids=repr)
+def test_zeta_band_past_the_budget_at_every_cutoff_is_refused_by_name(surface):
+    # the long side's eigenvalue count is inf at any cutoff, so the band's
+    # budget loop scaled its top to 0 and the enumeration raised "cutoff
+    # must be positive", which names neither s nor the surface
+    with pytest.raises(ValueError, match="at s = 2 .* largest length 1e\\+300"):
+        zeta(surface, 2.0)
+
+
 def test_disk_zeta_past_the_float_range_is_refused_before_its_band_is_built(monkeypatch):
     # the first eigenvalue's power already overflows; the band would take
     # about 5 M Bessel zeros, some 30 s on a cold cache
