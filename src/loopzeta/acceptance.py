@@ -123,8 +123,7 @@ def criterion_1():
         crossing = 60
         while graphs._tail_bound(n, rho, crossing) > 1e-10:
             crossing += 1
-        partials = graphs._loop_series(
-            [np.trace(pk) for pk in graphs._powers(p, crossing)])
+        partials = graphs._loop_series(graphs._power_traces(p, crossing))
         diffs = np.abs(exact - partials)
         # floating slack: the bound certifies the mathematical series tail,
         # the summed partials carry ~1e-15-scale rounding on top of it

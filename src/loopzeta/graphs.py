@@ -3,7 +3,9 @@
 The discrete objects here are the combinatorial Laplacian D - A, the
 random-walk Laplacian I - P (killed at boundary vertices), and the loop
 measure whose total mass is -log det(I - P). Everything is dense numpy;
-graphs of interest stay well under a few thousand vertices.
+graphs of interest stay well under a few thousand vertices. A graph builds
+its integer adjacency matrix once, from its edge array, and keeps it
+read-only; its degrees are that matrix's row sums.
 
 Every loop quantity of a graph reads one killed-walk model, built once per
 graph and cached for the 8 most recently used graphs: the killed transition
@@ -14,11 +16,20 @@ interior vertices (6.5 MB for a 900-vertex interior). A walk with an interior
 component that no edge joins to the boundary is never killed there; its loop
 masses are refused.
 
-Every loop series, the soup's and criterion 1's included, is the one power
-sequence `_powers`, summed by `_loop_series` and bounded by `_tail_bound`.
+Every loop series, the soup's and criterion 1's included, forms its powers
+in one place, `_fill_powers`, which writes P^{k+1} = P^k P into the next
+matrix of a preallocated (b, n, n) block, and takes their traces with one
+`np.trace` call per block; `_loop_series` sums them and `_tail_bound` bounds
+the rest. The truncated mass and criterion 1 need only the traces: their
+`_power_traces` reuses one block of at most _POWER_BLOCK = 2^16 floats
+(512 KB), or of one n x n matrix where n^2 is larger, so they hold O(n^2)
+floats at any max_len: 2 n^2 (13 MB) for a 900-vertex interior, whose
+one-matrix block takes each product through numpy's temporary, against
+266 MB for the whole table at max_len 40.
 
 Soup draws also read a soup model per (graph, max_len), cached for the 8 most
-recently used pairs: the powers P^0..P^max_len, their traces, the root
+recently used pairs: the powers P^0..P^max_len, one read-only
+(max_len + 1, n, n) array filled as one block, their traces, the root
 distribution of each loop length, built the first time a draw needs it, and
 a memo of bridge-step distributions. The memo is an LRU cache of at most
 max((max_len + 1) n, _STEP_MEMO_FLOOR // n) rows of n floats that keeps its
@@ -80,13 +91,20 @@ class Graph:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "boundary", bset)
 
+    @functools.cached_property
+    def _adjacency(self):
+        """The integer adjacency matrix, built once per graph from its edge
+        array and read-only."""
+        n = self.vertex_count
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        a = np.bincount(u * n + v, minlength=n * n).reshape(n, n).astype(np.int64, copy=False)
+        a = a + a.T
+        a.flags.writeable = False
+        return a
+
     @property
     def degrees(self):
-        d = np.zeros(self.vertex_count, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return self._adjacency.sum(axis=1)
 
     @property
     def interior(self):
@@ -97,11 +115,7 @@ class Graph:
         return bool(self.boundary)
 
     def adjacency(self):
-        a = np.zeros((self.vertex_count, self.vertex_count), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] += 1
-            a[v, u] += 1
-        return a
+        return self._adjacency
 
 
 def graph_laplacian(g: Graph) -> np.ndarray:
@@ -121,9 +135,7 @@ def transition_matrix(g: Graph) -> np.ndarray:
     for v in interior:
         if deg[v] == 0:
             raise ValueError("undefined transition: isolated interior vertex %d" % v)
-    a = g.adjacency().astype(float)
-    sub = a[np.ix_(interior, interior)]
-    return sub / deg[interior][:, None]
+    return g.adjacency()[np.ix_(interior, interior)] / deg[interior][:, None]
 
 
 def _slogdet(m: np.ndarray) -> float:
@@ -190,6 +202,9 @@ _MODEL_CACHE_SIZE = 8
 # floats (512 KB) of rows: grid_graph(4) at max_len 12 keeps all of its
 # n^2 (max_len - 1) = 2816 possible rows
 _STEP_MEMO_FLOOR = 1 << 16
+# floats in one block of powers P^k of a loop series that keeps no table of
+# them, 2^16 floats (512 KB), or one n x n matrix where n^2 is larger
+_POWER_BLOCK = 1 << 16
 # most matrix entries the powers P^0..P^max_len of one loop computation may
 # take, (max_len + 1) n^2 for n interior vertices: 2^26 floats are 512 MB
 _POWERS_BUDGET = 1 << 26
@@ -259,12 +274,27 @@ def loop_mass_exact(g: Graph) -> float:
     return _transient_walk(g).mass
 
 
-def _powers(p: np.ndarray, max_len: int):
-    """P^1, ..., P^max_len, each the one before times P."""
-    pk = np.eye(len(p))
-    for _ in range(max_len):
-        pk = pk @ p
-        yield pk
+def _fill_powers(prev: np.ndarray, p: np.ndarray, block: np.ndarray) -> None:
+    """block[i] = prev P^{i+1} for each n x n matrix of the block, each the
+    one before times P: the one place that forms P^{k+1} = P^k P."""
+    for out in block:
+        prev = np.matmul(prev, p, out=out)
+
+
+def _power_traces(p: np.ndarray, max_len: int) -> np.ndarray:
+    """tr(P^1), ..., tr(P^max_len), in O(n^2) memory: the powers are filled
+    into one reused block of at most _POWER_BLOCK floats, or of one n x n
+    matrix where n^2 is larger, and traced with one call per block."""
+    n = len(p)
+    block = np.empty((max(1, min(max_len, _POWER_BLOCK // (n * n))), n, n))
+    traces = np.empty(max_len)
+    prev = np.eye(n)
+    for start in range(0, max_len, len(block)):
+        part = block[:max_len - start]
+        _fill_powers(prev, p, part)
+        traces[start:start + len(part)] = np.trace(part, axis1=1, axis2=2)
+        prev = part[-1]
+    return traces
 
 
 def _loop_series(traces) -> np.ndarray:
@@ -284,7 +314,7 @@ def loop_mass_truncated(g: Graph, max_len: int):
     p, n, rho = walk.p, walk.n, walk.rho
     if n == 0:  # no loops; the budget gate bounds no max_len when n = 0
         return 0.0, 0.0
-    mass = _loop_series([np.trace(pk) for pk in _powers(p, max_len)])[-1]
+    mass = _loop_series(_power_traces(p, max_len))[-1]
     return float(mass), float(_tail_bound(n, rho, max_len))
 
 
@@ -382,10 +412,12 @@ def _cdf(w: np.ndarray) -> np.ndarray:
 class _SoupModel:
     """What every soup draw on (g, max_len) shares: the killed walk, the
     powers P^0..P^max_len, their traces and sum, the truncation flag, the
-    root distributions and a memo of bridge steps. Each row is a memoryview
-    of a `_cdf` array, which `bisect.bisect_right` searches with the float64
-    comparisons of `searchsorted(side="right")`, the search
-    Generator.choice makes.
+    root distributions and a memo of bridge steps. The powers are one
+    read-only (max_len + 1, n, n) array, (max_len + 1) n^2 floats, that
+    `_fill_powers` fills after P^0 = I; their traces come from one
+    `np.trace` call. Each row is a memoryview of a `_cdf` array, which
+    `bisect.bisect_right` searches with the float64 comparisons of
+    `searchsorted(side="right")`, the search Generator.choice makes.
 
     `root_cdf(k)` is the root distribution of loop length k, the `_cdf` of
     the diagonal of P^k, built the first time a draw asks for it; a draw
@@ -403,8 +435,11 @@ class _SoupModel:
         self.walk = walk = _killed_walk(g)
         if walk.n == 0:  # no loops; the budget gate bounds no max_len when n = 0
             return
-        self.powers = powers = [np.eye(walk.n), *_powers(walk.p, max_len)]
-        self.traces = np.array([np.trace(powers[k]) for k in range(max_len + 1)])
+        self.powers = powers = np.empty((max_len + 1, walk.n, walk.n))
+        powers[0] = np.eye(walk.n)
+        _fill_powers(powers[0], walk.p, powers[1:])
+        powers.flags.writeable = False
+        self.traces = np.trace(powers, axis1=1, axis2=2)
         # the expected number of loop vertices of a soup at intensity 1
         self.loop_vertices = float(self.traces[1:].sum())
         self.root_cdf = functools.cache(
@@ -435,9 +470,11 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     The powers of P, their traces, the truncation flag, the root
     distributions and the memo of bridge steps belong to a model built once
     per (graph, max_len) and cached for the 8 most recently used pairs; a
-    root distribution is built the first time a draw needs its length. Each
-    entry holds (max_len + 1) n^2 floats of powers, e.g. 26 KB for a
-    16-vertex interior at max_len 12, and at most max((max_len + 1) n^2,
+    root distribution is built the first time a draw needs its length. The
+    powers are one read-only (max_len + 1, n, n) array filled in place, each
+    the one before times P, and traced with one call. Each entry holds
+    (max_len + 1) n^2 floats of powers, e.g. 26 KB for a 16-vertex interior
+    at max_len 12, and at most max((max_len + 1) n^2,
     2^16) floats of step rows: the memo is an LRU cache of at most
     max((max_len + 1) n, _STEP_MEMO_FLOOR // n) rows that keeps its most
     recently used rows, 4096 rows of 16 floats (512 KB) in that example. The

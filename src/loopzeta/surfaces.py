@@ -88,6 +88,12 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
+class _CountPastFloatRange(ValueError, OverflowError):
+    """A zeta series refused because its band's eigenvalue count, a Python
+    int, is past the float range: a ValueError to callers of `zeta_series`,
+    and the OverflowError that `zeta.zeta` reads as a sum past float64."""
+
+
 @dataclass(frozen=True)
 class HeatCoefficients:
     """Coefficients (a, b, c) of the small-t trace expansion a/t + b/sqrt(t) + c."""
@@ -222,7 +228,8 @@ class ModelSurface:
         its band raised by 1 / L^2, so that it holds as many eigenvalues as
         at unit size.  ValueError if the band holds no nonzero eigenvalue, if
         its top overflows (L below about 5e-151), or if lowering it reaches 0
-        (a side so long that its eigenvalue count overflows).  OverflowError,
+        (a side so long that its eigenvalue count overflows) or meets a count
+        past the float range.  OverflowError,
         before the band is built, where the term of the spectral gap
         overflows.
         """
@@ -243,7 +250,12 @@ class ModelSurface:
                 stream = self.nonzero_spectrum(cutoff)
                 break
             except EnumerationBudgetError as exc:
-                cutoff *= 0.85 * exc.budget / exc.required
+                try:
+                    cutoff *= 0.85 * exc.budget / exc.required
+                except OverflowError:  # an int count past the float range
+                    raise _CountPastFloatRange(
+                        "zeta series at s = %g needs an eigenvalue count past the"
+                        " float64 range at largest length %g" % (s, length)) from None
                 if not cutoff > 0.0:  # 0 or nan where the count is not finite
                     raise ValueError(
                         "zeta series at s = %g needs more than the budget of %d"

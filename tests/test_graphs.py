@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -683,13 +684,65 @@ def test_loop_series_match_references_bit_for_bit(g, max_len, seed):
 def test_criterion_1_partials_are_the_shipped_series():
     g = graphs.grid_graph(3)
     walk = graphs._killed_walk(g)
-    partials = graphs._loop_series(
-        [np.trace(pk) for pk in graphs._powers(walk.p, 40)])
+    partials = graphs._loop_series(graphs._power_traces(walk.p, 40))
     for max_len in (1, 2, 12, 40):
         mass, tail = graphs.loop_mass_truncated(g, max_len)
         assert mass == partials[max_len - 1]
         assert tail == graphs._tail_bound(walk.n, walk.rho, max_len)
         assert (mass, tail) == reference_truncated(g, max_len)
+
+
+@pytest.mark.parametrize("side, max_len, blocks", [
+    (4, 40, [40]), (8, 40, [16, 16, 8]), (30, 12, [1] * 12)])
+def test_power_blocks_match_references_bit_for_bit(monkeypatch, side, max_len, blocks):
+    # n = 16, 64 and 900: past numpy's 8-term pairwise summation of a trace,
+    # with all powers in one block, 2^16 floats to a block and one power to a
+    # block; each block, and the soup model's whole table, is traced by one call
+    g = graphs.grid_graph(side)
+    want_truncated = reference_truncated(g, max_len)
+    powers, traces, tail_warning = reference_soup_model(g, max_len)
+    traced = []
+    trace = np.trace
+    monkeypatch.setattr(np, "trace", lambda a, **kw: traced.append(len(a)) or trace(a, **kw))
+    assert graphs.loop_mass_truncated(g, max_len) == want_truncated
+    model = graphs._SoupModel(g, max_len)
+    assert traced == blocks + [max_len + 1]
+    n = side * side
+    assert model.powers.shape == (max_len + 1, n, n) and not model.powers.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in zip(model.powers, powers, strict=True))
+    assert np.array_equal(model.traces, traces)
+    assert model.tail_warning == tail_warning
+
+
+def test_truncated_mass_holds_one_block_of_powers():
+    # the whole P^1..P^40 table of the 30x30 grid would be 41 n^2 floats,
+    # about 266 MB; the series keeps one block and the matrices beside it
+    g, max_len = graphs.grid_graph(30), 40
+    n = graphs._transient_walk(g).n  # the walk model, P included, built before
+    tracemalloc.start()
+    try:
+        graphs.loop_mass_truncated(g, max_len)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (graphs._POWER_BLOCK + 3 * n * n)
+
+
+def reference_adjacency(g):
+    a = np.zeros((g.vertex_count, g.vertex_count), dtype=np.int64)
+    for u, v in g.edges:
+        a[u, v] += 1
+        a[v, u] += 1
+    return a
+
+
+@given(connected_multigraphs())
+def test_adjacency_is_built_once_and_counts_the_edges(g):
+    a = g.adjacency()
+    assert a.dtype == np.int64 and np.array_equal(a, reference_adjacency(g))
+    assert g.adjacency() is a and not a.flags.writeable
+    assert g.degrees.dtype == np.int64
+    assert np.array_equal(g.degrees, reference_adjacency(g).sum(axis=1))
 
 
 def test_soup_model_is_reused_for_an_equal_graph():

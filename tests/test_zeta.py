@@ -411,6 +411,18 @@ def test_zeta_band_past_the_budget_at_every_cutoff_is_refused_by_name(surface):
         zeta(surface, 2.0)
 
 
+@pytest.mark.parametrize("surface", [FlatTorus(1e200, 1e200), RectangleDirichlet(1e200, 1e200)],
+                         ids=repr)
+def test_zeta_series_band_count_past_the_float_range_is_refused_by_name(surface):
+    # both side counts are finite Python ints whose product is past the float
+    # range, so the budget loop's scale raised "int too large to convert to
+    # float"; zeta() still reads the refusal as a sum past float64
+    with pytest.raises(ValueError, match="at s = 2 .* largest length 1e\\+200"):
+        surface.zeta_series(2.0)
+    with pytest.raises(ValueError, match="past the float64 range at largest length 1e\\+200"):
+        zeta(surface, 2.0)
+
+
 def test_disk_zeta_past_the_float_range_is_refused_before_its_band_is_built(monkeypatch):
     # the first eigenvalue's power already overflows; the band would take
     # about 5 M Bessel zeros, some 30 s on a cold cache
