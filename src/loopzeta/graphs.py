@@ -102,6 +102,15 @@ class Graph:
         a.flags.writeable = False
         return a
 
+    @functools.cached_property
+    def _laplacian(self):
+        """The float combinatorial Laplacian D - A, built once per graph and
+        read-only."""
+        a = self._adjacency
+        lap = np.diag(a.sum(axis=1)) - a.astype(float)
+        lap.flags.writeable = False
+        return lap
+
     @property
     def degrees(self):
         return self._adjacency.sum(axis=1)
@@ -119,9 +128,9 @@ class Graph:
 
 
 def graph_laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian D - A on all vertices."""
-    a = g.adjacency()
-    return np.diag(a.sum(axis=1)) - a.astype(float)
+    """Combinatorial Laplacian D - A on all vertices, read-only: the graph's
+    one copy, which its callers slice."""
+    return g._laplacian
 
 
 def transition_matrix(g: Graph) -> np.ndarray:

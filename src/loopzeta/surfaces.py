@@ -21,12 +21,13 @@ available (see `_BesselZeroCache`).
 A surface is a frozen dataclass whose fields are lengths, each finite and
 positive.  Its geometry (area, boundary length, Euler characteristic) enters
 only through `heat_coefficients()`, whose docstring states it.  It provides
-`heat_coefficients()`, `_enumerate(cutoff)` (unsorted eigenvalues up to the
-cutoff and their multiplicities, which `eigen_stream` sorts, so that the zero
-modes, exact zeros, are its first `zero_modes` entries, the ones
-`nonzero_spectrum` drops; an infinite cutoff, or a count
-that fails the one budget gate `_budgeted`, raises EnumerationBudgetError
-before allocating) and
+`heat_coefficients()`, `_enumerate(cutoff)` (the eigenvalues up to the
+cutoff, in increasing order, and their multiplicities, which `eigen_stream`
+returns as they are, so that the zero modes, exact zeros, are its first
+`zero_modes` entries, the ones `nonzero_spectrum` drops; the disk's come in
+Bessel-cache order, which its own `eigen_stream` sorts; an infinite cutoff, or
+a count that fails the one budget gate `_budgeted`, raises
+EnumerationBudgetError before allocating) and
 `_heat_traces(t)` on a 1-D array of t, which `heat_trace` calls after it
 refuses any t that is not finite and > 0 (the sphere's sum over l passes
 its term count through `_budgeted` too).  Optional overrides: an exact
@@ -124,7 +125,9 @@ class HeatCoefficients:
 
 @dataclass(frozen=True)
 class EigenStream:
-    """All eigenvalues of a surface up to a cutoff, with multiplicities."""
+    """All eigenvalues of a surface up to a cutoff, in increasing order, with
+    their multiplicities; on a lattice, where every multiplicity is 1, these
+    are a read-only broadcast of 1.0."""
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
@@ -183,9 +186,7 @@ class ModelSurface:
             raise ValueError("cutoff must be positive")
         if cutoff == math.inf:
             raise EnumerationBudgetError(math.inf, _EIGEN_BUDGET)
-        lam, mult = self._enumerate(cutoff)
-        order = np.argsort(lam, kind="stable")
-        return EigenStream(lam[order], mult[order])
+        return EigenStream(*self._enumerate(cutoff))
 
     def nonzero_spectrum(self, cutoff: float):
         """(eigenvalues, multiplicities) of `eigen_stream(cutoff)` without its
@@ -231,7 +232,9 @@ class ModelSurface:
         (a side so long that its eigenvalue count overflows) or meets a count
         past the float range.  OverflowError,
         before the band is built, where the term of the spectral gap
-        overflows.
+        overflows.  The band's N eigenvalues are turned into their running
+        sum in place, so a lattice's series peaks at about two copies of
+        them, 16 N bytes, the most that `_grid_spectrum` holds.
         """
         hc = self.heat_coefficients()
         length = self.largest_length
@@ -265,9 +268,13 @@ class ModelSurface:
         if not lam.size:
             raise ValueError("zeta series: no nonzero eigenvalue below the band's"
                              " top cutoff %g" % cutoff)
-        csum = np.cumsum(mult * lam ** (-s))
         cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
         idx = np.searchsorted(lam, cuts, side="right")
+        # the stream is ours: its eigenvalues become the running sum of
+        # mult lam^-s in place, by the operations of cumsum(mult * lam ** -s)
+        csum = np.power(lam, -s, out=lam)
+        csum *= mult
+        np.cumsum(csum, out=csum)
         partials = np.where(idx > 0, csum[np.minimum(idx, len(csum)) - 1], 0.0)
         tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
             hc.b_coef / math.sqrt(math.pi)
@@ -302,9 +309,15 @@ def _budgeted(count):
 
 
 def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: bool):
-    """Eigenvalues unit^2 (m^2 / a^2 + n^2 / b^2) <= cutoff, each of
-    multiplicity 1: m, n in Z on the torus (unit 2 pi), m, n >= 1 on the
-    Dirichlet rectangle (unit pi), empty there when a side has no mode."""
+    """Eigenvalues unit^2 (m^2 / a^2 + n^2 / b^2) <= cutoff in increasing
+    order, each of multiplicity 1: m, n in Z on the torus (unit 2 pi), m, n >=
+    1 on the Dirichlet rectangle (unit pi), empty there when a side has no
+    mode.  The budget counts the whole grid; it is formed and filtered one
+    `_row_blocks` block at a time, so that N eigenvalues take at most 16 N
+    bytes, their filtered blocks and their concatenation, and sorted in
+    place.  The sorted values of a multiset are unique, so they equal a
+    stable sort of the whole grid bit for bit; the multiplicities are a
+    read-only broadcast of 1.0."""
     m_max = _count(a / unit * math.sqrt(cutoff))
     n_max = _count(b / unit * math.sqrt(cutoff))
     if not periodic and 0 in (m_max, n_max):
@@ -312,10 +325,12 @@ def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: boo
     m0, n0 = (-m_max, -n_max) if periodic else (1, 1)
     _budgeted((m_max - m0 + 1) * (n_max - n0 + 1))
     m = np.arange(m0, m_max + 1, dtype=float)
-    n = np.arange(n0, n_max + 1, dtype=float)
-    lam = (unit**2 * (m[:, None] ** 2 / a**2 + n[None, :] ** 2 / b**2)).ravel()
-    lam = lam[lam <= cutoff]
-    return lam, np.ones_like(lam)
+    n_terms = np.arange(n0, n_max + 1, dtype=float) ** 2 / b**2
+    blocks = (unit**2 * (m[rows, None] ** 2 / a**2 + n_terms)
+              for rows in _row_blocks(m.size, n_terms.size))
+    lam = np.concatenate([block[block <= cutoff] for block in blocks])
+    lam.sort()
+    return lam, np.broadcast_to(1.0, lam.shape)
 
 
 def _times(t) -> np.ndarray:
@@ -729,6 +744,13 @@ class DiskDirichlet(ModelSurface):
             1.0 / 6.0,
         )
 
+    def eigen_stream(self, cutoff: float) -> EigenStream:
+        """The stream sorted from `_enumerate`'s cache order by a stable sort,
+        on which the multiplicities' order depends."""
+        stream = super().eigen_stream(cutoff)
+        order = np.argsort(stream.eigenvalues, kind="stable")
+        return EigenStream(stream.eigenvalues[order], stream.multiplicities[order])
+
     def _enumerate(self, cutoff):
         j_max = self.radius * math.sqrt(cutoff)
         zeros, orders = _BESSEL_CACHE.ensure(j_max, _EIGEN_BUDGET)
@@ -755,7 +777,9 @@ class DiskDirichlet(ModelSurface):
         # A row keeps the terms with (-t) lam > -50, the set lam t < 50 as
         # negation is exact, in cache order, so its order-0 terms (multiplicity
         # 1) lead its run and the rest are doubled; each run is summed alone.
-        lam, mult = self._enumerate(_TAIL_EXPONENT / t.min())
+        # in Python floats, where an overflowing cutoff is inf, which the
+        # budget refuses, rather than a warning
+        lam, mult = self._enumerate(_TAIL_EXPONENT / float(t.min()))
         order0 = np.count_nonzero(mult == 1.0)
         out = np.empty(t.size)
         for rows in _row_blocks(t.size, lam.size):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy import special
 
-from .surfaces import _TAIL_EXPONENT, ModelSurface
+from .surfaces import _TAIL_EXPONENT, EnumerationBudgetError, ModelSurface
 
 # Euler-Mascheroni constant, 20 digits
 EULER_GAMMA = 0.57721566490153286061
@@ -146,6 +146,12 @@ def _head_panel(surface: ModelSurface, lo: float, hi: float, s: float):
     return _gauss_pairs(integrand, [(lo, hi)])[0]
 
 
+def _head_cut(surface: ModelSurface, delta: float) -> float:
+    """t_lo = min(delta / 4, max(delta `head_cut_ratio`, `head_cut_floor`)),
+    below which `head_integral` fits the residual."""
+    return min(delta / 4.0, max(delta * surface.head_cut_ratio, surface.head_cut_floor))
+
+
 def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
     """int_0^delta t^{s-1} r(t) dt with r the subtracted trace residual.
 
@@ -154,7 +160,7 @@ def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
     expansion; the fit runs first, so that an enumeration too large for the
     smallest t is refused before any panel is computed.
     """
-    t_lo = min(delta / 4.0, max(delta * surface.head_cut_ratio, surface.head_cut_floor))
+    t_lo = _head_cut(surface, delta)
     # stub below t_lo via a fit of the residual's leading powers as t -> 0:
     # sqrt(t) with boundary, t when closed
     powers = (1.0, 2.0, 3.0) if surface.is_closed else (0.5, 1.0, 1.5)
@@ -162,10 +168,13 @@ def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
     r_fit = heat_trace_residual(surface, t_fit)
     design = np.vstack([t_fit**p for p in powers]).T
     coef, *_ = np.linalg.lstsq(design, r_fit, rcond=None)
-    stub = sum(
-        c * t_lo ** (p + s) / (p + s) for c, p in zip(coef, powers)
-    )
-    stub_err = abs(coef[-1]) * t_lo ** (powers[-1] + s) / (powers[-1] + s) + 1e-14
+    # a fit past the float range (a surface below L ~ 1e-152) gives a stub
+    # of inf or nan, which is replaced below
+    with np.errstate(over="ignore", invalid="ignore"):
+        stub = sum(
+            c * t_lo ** (p + s) / (p + s) for c, p in zip(coef, powers)
+        )
+        stub_err = abs(coef[-1]) * t_lo ** (powers[-1] + s) / (powers[-1] + s) + 1e-14
     if not np.isfinite(stub):
         stub, stub_err = 0.0, abs(r_fit[0])
     body, body_err = _panel_sum(
@@ -207,8 +216,11 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     The quadrature starts at t0 = max(1e-6, 4 `head_cut_floor`), times L^2
     when the surface's `largest_length` L is below 1, so that t0 / L^2, and
     with it the fit of the head's stub and the enumeration at its smallest
-    t, stay where they are at unit size; ValueError where t0 underflows to
-    0 (L below about 1e-159).
+    t, stay where they are at unit size.  ValueError, naming L, where the
+    head or the spectral gap fails while the head's cut underflows to 0 or
+    _TAIL_EXPONENT over it overflows (L below about 2e-153, 5e-152 on the
+    disk): there t0, the cut or a cutoff sized by 1 / L^2 leaves the
+    float64 range.  Where neither fails, the value is kept.
     """
     _check_series_domain(s)
     hc = surface.heat_coefficients()
@@ -217,14 +229,20 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     # the cut would move to floor / 4 and the disk's build to 4x the zeros
     length = surface.largest_length
     t0 = max(1e-6, 4.0 * surface.head_cut_floor) * min(1.0, length * length)
-    if t0 == 0.0:
-        raise ValueError("surface too small: the Mellin start underflows float64"
-                         " at largest length %g" % length)
     # analytic contribution of a/t + b/sqrt(t) + (c - n) on (0, t0]
     head = hc.mellin_head(t0, s) + zeta_at_zero(surface) * t0**s / s
-    # residual part of the head, bounded by the leading residual power
-    head_resid, _ = head_integral(surface, t0, s=s)
-    gap = surface.spectral_gap()
+    try:
+        # residual part of the head, bounded by the leading residual power
+        head_resid, _ = head_integral(surface, t0, s=s)
+        gap = surface.spectral_gap()
+    except (ValueError, EnumerationBudgetError):
+        # refused by name where the head's cut, or the cutoff _TAIL_EXPONENT /
+        # cut of a trace at it, leaves the float64 range
+        cut = _head_cut(surface, t0)
+        if cut > 0.0 and _TAIL_EXPONENT / cut < math.inf:
+            raise
+        raise ValueError("surface too small: the Mellin start underflows float64"
+                         " at largest length %g" % length) from None
     t_max = _TAIL_EXPONENT / gap
 
     def integrand(t):

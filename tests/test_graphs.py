@@ -1,5 +1,6 @@
 import bisect
 import copy
+import functools
 import math
 import re
 import sys
@@ -743,6 +744,41 @@ def test_adjacency_is_built_once_and_counts_the_edges(g):
     assert g.adjacency() is a and not a.flags.writeable
     assert g.degrees.dtype == np.int64
     assert np.array_equal(g.degrees, reference_adjacency(g).sum(axis=1))
+
+
+def reference_laplacian(g):
+    """The former `graph_laplacian`: D - A built afresh on every call."""
+    a = reference_adjacency(g)
+    return np.diag(a.sum(axis=1)) - a.astype(float)
+
+
+def test_laplacian_is_built_once_per_graph_loops_computation(monkeypatch):
+    # determinant_identity and spanning_tree_count each built their own copy
+    builds = []
+    build = Graph._laplacian.func
+
+    def counting(g):
+        builds.append(g)
+        return build(g)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(Graph, "_laplacian")
+    monkeypatch.setattr(Graph, "_laplacian", counted)
+    for seed in range(1000, 1010):
+        g, builds[:] = acceptance._random_killed_graph(seed), []
+        interior = g.interior
+        det_graph, det_rw, degree_product = graphs.determinant_identity(g)
+        graphs.loop_mass_exact(g)
+        graphs.loop_mass_truncated(g, 40)
+        trees = graphs.spanning_tree_count(g)
+        assert builds == [g]
+        lap = graphs.graph_laplacian(g)
+        assert builds == [g] and graphs.graph_laplacian(g) is lap
+        assert not lap.flags.writeable
+        assert lap.tobytes() == reference_laplacian(g).tobytes()
+        assert det_graph == float(np.linalg.det(
+            reference_laplacian(g)[np.ix_(interior, interior)]))
+        assert trees == reference_spanning_tree_count(g)
 
 
 def test_soup_model_is_reused_for_an_equal_graph():

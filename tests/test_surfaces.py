@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -322,6 +323,107 @@ def test_dirichlet_side_without_a_mode_gives_an_empty_spectrum():
     assert lam.size == 0 and mult.size == 0
     # one side with a mode and one without: still nothing below the cutoff
     assert RectangleDirichlet(1.0, 1e-3).eigen_stream(1e4).eigenvalues.size == 0
+
+
+def former_lattice_stream(surface, cutoff):
+    """The former lattice route: the whole grid formed at once, filtered,
+    and gathered by a stable argsort, with an array of ones."""
+    periodic = isinstance(surface, FlatTorus)
+    unit = 2 * math.pi if periodic else math.pi
+    a, b = surface.side_a, surface.side_b
+    m_max = surfaces._count(a / unit * math.sqrt(cutoff))
+    n_max = surfaces._count(b / unit * math.sqrt(cutoff))
+    if not periodic and 0 in (m_max, n_max):
+        lam = mult = np.empty(0)
+    else:
+        m0, n0 = (-m_max, -n_max) if periodic else (1, 1)
+        m = np.arange(m0, m_max + 1, dtype=float)
+        n = np.arange(n0, n_max + 1, dtype=float)
+        lam = (unit**2 * (m[:, None] ** 2 / a**2 + n[None, :] ** 2 / b**2)).ravel()
+        lam = lam[lam <= cutoff]
+        mult = np.ones_like(lam)
+    order = np.argsort(lam, kind="stable")
+    return lam[order], mult[order]
+
+
+# the unit square and torus tie heavily, and the torus has its zero mode; at
+# 4e5 and 2e6 each grid spans several row blocks
+@pytest.mark.parametrize("cutoff", [200.0, 5e3, 4e5, 2e6])
+@pytest.mark.parametrize("surface", [
+    RectangleDirichlet(1.0, 1.0), FlatTorus(1.0, 1.0),
+    RectangleDirichlet(1.0, 1.5), FlatTorus(1.0, 2.0)], ids=repr)
+def test_lattice_stream_equals_the_stable_sort_of_the_whole_grid(surface, cutoff):
+    stream = surface.eigen_stream(cutoff)
+    lam, mult = former_lattice_stream(surface, cutoff)
+    assert stream.eigenvalues.tobytes() == lam.tobytes()
+    assert stream.multiplicities.tobytes() == mult.tobytes()
+    assert stream.multiplicities.shape == lam.shape
+    assert not stream.multiplicities.flags.writeable
+
+
+@pytest.mark.parametrize("surface, cutoff", [
+    (RectangleDirichlet(1e300, 1e-20), 2e22), (RectangleDirichlet(1e-20, 1e300), 2e22),
+    (RectangleDirichlet(1.0, 1e-3), 1e4)], ids=repr)
+def test_empty_lattice_stream_equals_the_former_route(surface, cutoff):
+    stream = surface.eigen_stream(cutoff)
+    lam, mult = former_lattice_stream(surface, cutoff)
+    assert stream.eigenvalues.size == stream.multiplicities.size == 0
+    assert stream.eigenvalues.dtype == stream.multiplicities.dtype == lam.dtype == mult.dtype
+
+
+@pytest.mark.parametrize("cutoff", [200.0, 4e4])
+def test_disk_stream_is_the_stable_sort_of_its_cache_order(cutoff):
+    disk = DiskDirichlet(1.0)
+    lam, mult = disk._enumerate(cutoff)
+    assert not np.all(np.diff(lam) >= 0)
+    order = np.argsort(lam, kind="stable")
+    stream = disk.eigen_stream(cutoff)
+    assert stream.eigenvalues.tobytes() == lam[order].tobytes()
+    assert stream.multiplicities.tobytes() == mult[order].tobytes()
+
+
+def former_zeta_series(surface, s):
+    """The former `ModelSurface.zeta_series`: cumsum(mult * lam ** (-s)) over
+    the band, formed in new arrays."""
+    hc = surface.heat_coefficients()
+    length = surface.largest_length
+    cutoff = surface.zeta_series_cutoff * max(1.0, 1.0 / length / length)
+    while True:
+        try:
+            lam, mult = surface.nonzero_spectrum(cutoff)
+            break
+        except EnumerationBudgetError as exc:
+            cutoff *= 0.85 * exc.budget / exc.required
+    csum = np.cumsum(mult * lam ** (-s))
+    cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
+    idx = np.searchsorted(lam, cuts, side="right")
+    partials = np.where(idx > 0, csum[np.minimum(idx, len(csum)) - 1], 0.0)
+    tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
+        hc.b_coef / math.sqrt(math.pi)
+    ) * cuts ** (0.5 - s) / (s - 0.5)
+    return float(np.mean(partials + tails))
+
+
+@pytest.mark.parametrize("surface", [
+    RectangleDirichlet(1.0, 1.0), FlatTorus(1.0, 2.0), DiskDirichlet(1.0)], ids=repr)
+def test_zeta_series_summed_in_place_equals_the_former_route(surface):
+    for s in (1.5, 2.0, 3.0, 7.5):
+        assert surface.zeta_series(s) == former_zeta_series(surface, s)
+
+
+def test_lattice_zeta_series_holds_at_most_two_copies_of_its_spectrum():
+    # the argsort index, the gathered copies, the ones and the series'
+    # temporaries peaked at 4.8 copies of the band's spectrum
+    surface = RectangleDirichlet(1.0, 1.0)
+    count = surface.nonzero_spectrum(surface.zeta_series_cutoff)[0].size
+    assert count == 3_181_105
+    tracemalloc.start()
+    try:
+        surface.zeta_series(2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * count + 8 * surfaces._BLOCK_ELEMENTS
 
 
 def test_budget_gate_refuses_nan_and_keeps_the_count():

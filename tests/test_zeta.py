@@ -373,6 +373,32 @@ def test_size_whose_scale_leaves_float64_is_refused_by_name(route, surface):
             route(surface, 2.0)
 
 
+@pytest.mark.parametrize("surface", [
+    IntervalDirichlet(1e-156), FlatTorus(1e-156, 1e-156), RectangleDirichlet(1e-156, 1e-156),
+    RoundSphere(1e-156), DiskDirichlet(1e-152), DiskDirichlet(2e-152)], ids=repr)
+def test_mellin_zeta_whose_head_cut_leaves_float64_is_refused_by_name(surface):
+    # t0 is subnormal here but not 0: the head's cut underflowed to 0
+    # (`Geometric sequence cannot include zero`), the gap search's start
+    # 200 / L^2 overflowed (`no nonzero eigenvalue below any finite cutoff`)
+    # and the disk's cutoff 50 / cut overflowed (`needs ~inf eigenvalues`,
+    # after an overflow warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^surface too small: the Mellin start .*"
+                           r" at largest length %s$" % re.escape("%g" % surface.largest_length)):
+            mellin_zeta(surface, 2.0)
+
+
+@pytest.mark.parametrize("surface", [
+    *(kind(size) for size in (1e-150, 1e-152) for kind in (IntervalDirichlet, RoundSphere)),
+    *(kind(size, size) for size in (1e-150, 1e-152) for kind in (FlatTorus, RectangleDirichlet)),
+    DiskDirichlet(1e-150)], ids=repr)
+def test_mellin_zeta_keeps_its_value_where_the_head_holds(surface):
+    # the head's cut is subnormal on all but the disk, and 50 over it
+    # overflows, but neither the head nor the gap fails there
+    assert mellin_zeta(surface, 2.0) == 0.0
+
+
 @pytest.mark.parametrize("s", [1.01, 2.0, 10.0])
 @pytest.mark.parametrize("radius", [1e-152, 1e-156, 1e-161])
 def test_sphere_series_whose_eigenvalues_overflow_is_refused_by_name(radius, s):
