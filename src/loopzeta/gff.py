@@ -6,6 +6,11 @@ five-point Laplacian. Coefficient variances are chosen so that the field's
 covariance is 2*pi times the inverse grid Laplacian; equivalently each mode
 coefficient is a standard Gaussian in the Dirichlet inner product normalized
 by (2*pi)^-1.
+
+A field holds its values; the prefix sums behind its square averages are
+built the first time an average is asked for, so sampling, writing or
+reading a field costs one (size-1)^2 array. Averages past level 8 are
+computed one block of `_AVERAGE_BLOCK` squares at a time.
 """
 
 from __future__ import annotations
@@ -63,13 +68,14 @@ def _mode_eigenvalues(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridField:
-    """Sampled field values on the (size-1) x (size-1) interior sites,
-    together with prefix sums for O(1) rectangle averages."""
+    """Sampled field values on the (size-1) x (size-1) interior sites. Their
+    prefix sums, for O(1) rectangle averages, are built the first time an
+    average is asked for, so a field that is only sampled, written or read
+    never holds them."""
 
     size: int
     seed: int
     values: np.ndarray
-    prefix: np.ndarray
 
     @property
     def level(self) -> int:
@@ -80,6 +86,12 @@ class GridField:
         full = np.zeros((self.size + 1, self.size + 1))
         full[1:-1, 1:-1] = self.values
         return full
+
+    @functools.cached_property
+    def prefix(self) -> np.ndarray:
+        """(size+1) x (size+1) prefix sums of the cell values, built once per
+        field on first use."""
+        return _prefix_sums(self.size, self.values)
 
 
 def _row_blocks(rows: int, size: int):
@@ -98,7 +110,8 @@ def _fits_one_block(size: int) -> bool:
     return len(_row_blocks(size, size)) == 1
 
 
-def _build(size: int, seed: int, values: np.ndarray) -> GridField:
+def _prefix_sums(size: int, values: np.ndarray) -> np.ndarray:
+    # built for `GridField.prefix` the first time the field is averaged.
     # cell values = mean of the four corner sites, so square averages of
     # cells and squares of sites agree up to the same quadrature choice.
     # One row block at a time, the cells are summed from a zero-bordered
@@ -125,7 +138,7 @@ def _build(size: int, seed: int, values: np.ndarray) -> GridField:
     else:
         for r in range(1, size + 1):
             np.add(prefix[r], prefix[r - 1], out=prefix[r])
-    return GridField(size=size, seed=seed, values=values, prefix=prefix)
+    return prefix
 
 
 @_per_size
@@ -150,7 +163,7 @@ def sample_dgff(size: int, seed: int) -> GridField:
             coeff[rows] *= np.sqrt(TWO_PI / (lam1[rows, None] + lam1))
     values = sfft.dstn(coeff, type=1, norm="ortho", overwrite_x=True)
     del coeff
-    return _build(size, seed, values)
+    return GridField(size=size, seed=seed, values=values)
 
 
 def field_from_values(values: np.ndarray, seed: int = -1) -> GridField:
@@ -161,33 +174,53 @@ def field_from_values(values: np.ndarray, seed: int = -1) -> GridField:
     n = values.shape[0] + 1
     _check_size(n)
     _check_finite(values)
-    return _build(n, seed, values)
+    return GridField(size=n, seed=seed, values=values)
+
+
+_AVERAGE_BLOCK = 1 << 16  # most squares averaged at once, and the largest whole level
 
 
 def _square_averages(field: GridField, level: int, ii: np.ndarray,
                      jj: np.ndarray) -> np.ndarray:
     """Vectorized averages over the squares (level, ii, jj) from the prefix
-    sums over grid cells.
+    sums over grid cells. Beyond the output, only temporaries of one block
+    of at most `_AVERAGE_BLOCK` squares are allocated.
 
-    When at least a quarter of the level's 4^level squares are asked for,
-    the whole level is computed from strided views of the prefix sums and
-    then gathered, which is cheaper than four scattered gathers per square
-    and allocates one level-sized array instead of several per-square ones.
-    Both routes do the same arithmetic in the same order.
+    When at least a quarter of a level's 4^level squares are asked for and
+    the whole level fits one block (levels up to 8), it is computed from
+    strided views of the prefix sums and then gathered, which is cheaper
+    than four gathers per square. Otherwise the output is filled one block
+    of squares at a time from four flat reads of the prefix sums per square.
+    Both routes do the same arithmetic in the same order, so they agree
+    bit for bit.
     """
     k = field.level
     if level > k:
         raise ValueError("resolution exhausted: square finer than the grid")
     w = 1 << (k - level)
     p = field.prefix
-    if 4 * len(ii) >= 1 << 2 * level:
+    if 4 * len(ii) >= 1 << 2 * level and 1 << 2 * level <= _AVERAGE_BLOCK:
         avg = p[w::w, w::w] - p[:-w:w, w::w]
         avg -= p[w::w, :-w:w]
         avg += p[:-w:w, :-w:w]
         avg /= w * w
         return avg.ravel()[ii * (1 << level) + jj]
-    r0, c0 = ii * w, jj * w
-    return (p[r0 + w, c0 + w] - p[r0, c0 + w] - p[r0 + w, c0] + p[r0, c0]) / (w * w)
+    # square (i, j) has its corner (r, c) = (i w, j w) at r * down + c of
+    # the flat prefix sums, and its other corners w, w * down and
+    # w * down + w further on
+    down = field.size + 1
+    flat = p.ravel()
+    out = np.empty(len(ii))
+    for start in range(0, len(ii), _AVERAGE_BLOCK):
+        block = slice(start, start + _AVERAGE_BLOCK)
+        corner = ii[block] * np.intp(w * down) + jj[block] * np.intp(w)
+        avg = out[block]
+        np.take(flat, corner + (w * down + w), out=avg)
+        avg -= flat.take(corner + w)
+        avg -= flat.take(corner + w * down)
+        avg += flat.take(corner)
+        avg /= w * w
+    return out
 
 
 def _square_index(x) -> int:
@@ -258,4 +291,4 @@ def read_field(path) -> GridField:
         raise ValueError("field file payload is %d bytes, expected %d for size %d"
                          % (payload, values.nbytes, n))
     _check_finite(values)
-    return _build(n, int(seed), values)
+    return GridField(size=n, seed=int(seed), values=values)

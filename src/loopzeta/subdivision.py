@@ -133,6 +133,9 @@ def subdivide(field: GridField, q: float, epsilon: float) -> DyadicPartition:
     Levels are processed synchronously with vectorized averages; the
     keep/refine rule is per square. The depth cap is the grid resolution,
     `field.level`: squares still over the threshold there are kept flagged.
+    Each level's arrays are dropped as soon as they are dead, so past the
+    field and its prefix sums a run holds at most about twice its
+    partition's 10 bytes a square and one block of averages' temporaries.
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be finite and positive, got %r" % (q,))
@@ -143,7 +146,8 @@ def subdivide(field: GridField, q: float, epsilon: float) -> DyadicPartition:
     jj = np.array([0], dtype=np.int32)
     level = 0
     while len(ii):
-        # A_h = exp(avg / q) * side, in place to keep deep levels' peak low
+        # A_h = exp(avg / q) * side, in place to keep deep levels' peak low;
+        # every array is dropped as soon as it is dead, for the same reason
         a = _square_averages(field, level, ii, jj)
         a /= q
         np.exp(a, out=a)
@@ -151,18 +155,27 @@ def subdivide(field: GridField, q: float, epsilon: float) -> DyadicPartition:
         small = a <= epsilon
         del a
         chunks.append((level, ii[small], jj[small], False))
-        big_i, big_j = ii[~small], jj[~small]
+        big = ~small
+        del small
+        big_i, big_j = ii[big], jj[big]
+        del ii, jj, big
         if level == field.level:
             chunks.append((level, big_i, big_j, True))
+            del big_i, big_j
             break
         ii = (2 * big_i[:, None] + _CHILD_ROWS).ravel()
+        del big_i
         jj = (2 * big_j[:, None] + _CHILD_COLS).ravel()
+        del big_j
         level += 1
 
     chunk_levels, rows, cols, chunk_flags = zip(*chunks)
+    del chunks  # so that each level's rows and cols go once concatenated
     lengths = [len(r) for r in rows]
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
     return DyadicPartition(np.repeat(np.array(chunk_levels, dtype=np.int8), lengths),
-                           np.concatenate(rows), np.concatenate(cols),
+                           rows, cols,
                            np.repeat(np.array(chunk_flags, dtype=bool), lengths))
 
 

@@ -328,7 +328,10 @@ def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: boo
     n_terms = np.arange(n0, n_max + 1, dtype=float) ** 2 / b**2
     blocks = (unit**2 * (m[rows, None] ** 2 / a**2 + n_terms)
               for rows in _row_blocks(m.size, n_terms.size))
-    lam = np.concatenate([block[block <= cutoff] for block in blocks])
+    # at a cutoff near the float64 maximum an entry may overflow to inf,
+    # which the filter drops
+    with np.errstate(over="ignore"):
+        lam = np.concatenate([block[block <= cutoff] for block in blocks])
     lam.sort()
     return lam, np.broadcast_to(1.0, lam.shape)
 
@@ -392,7 +395,11 @@ def _sine_trace(t: np.ndarray, side: float) -> np.ndarray:
     out = np.empty_like(t)
     out[small] = scale / 2.0 - 0.5 + _poisson_tail(scale, side, ts)
     n = np.arange(1, 13)
-    out[~small] = np.exp(-t[~small, None] * (n * math.pi / side) ** 2).sum(axis=1)
+    # on sides below about 2.5e-153 the exponents overflow to inf, and the
+    # terms' exp(-inf) = 0.0 is their right limit
+    with np.errstate(over="ignore"):
+        exponents = (n * math.pi / side) ** 2
+    out[~small] = np.exp(-t[~small, None] * exponents).sum(axis=1)
     return out
 
 

@@ -52,6 +52,25 @@ def test_sample_matches_row_loop_reference(size):
         assert field.prefix.tobytes() == prefix.tobytes()
 
 
+@pytest.mark.parametrize("size", [64, 256])
+def test_fields_hold_no_prefix_until_the_first_average(tmp_path, size):
+    # sampled, written, read or wrapped, a field builds its prefix sums
+    # only when an average is asked for, and then the reference's bytes
+    path = tmp_path / "field.bin"
+    sampled = gff.sample_dgff(size, 3)
+    gff.write_field(sampled, path)
+    read = gff.read_field(path)
+    wrapped = gff.field_from_values(sampled.values.copy(), seed=3)
+    _, prefix = reference_sample(size, 3)
+    for field in (sampled, read, wrapped):
+        assert "prefix" not in vars(field)
+        gff.dirichlet_energy(field)
+        assert "prefix" not in vars(field)
+        gff.square_average(field, 2, 1, 3)
+        assert vars(field)["prefix"].tobytes() == prefix.tobytes()
+        assert field.prefix is vars(field)["prefix"]
+
+
 def test_mode_tables_are_cached_read_only_for_one_block_sizes():
     # sizes up to 128 fit one row block; 256 and up keep the row blocks
     assert [size for size in (1 << k for k in range(4, 14))

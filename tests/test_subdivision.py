@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,42 @@ def test_capped_regime_run_matches_per_level_reference():
     q_eff = charge_to_params(23.5).Q * math.sqrt(2.0 * math.pi)
     root = math.exp(gff.square_average(f, 0, 0, 0) / q_eff)
     _assert_same_partition(part, reference_subdivide(f, q_eff, 2.0**-12 * root))
+
+
+def test_capped_regime_run_holds_at_most_twice_its_partition():
+    # a partition is 10 B a square (int8 level, int32 i and j, bool flag);
+    # past the field and its prefix sums, the capped run holds at most twice
+    # that and one block of the averages' temporaries, four arrays of 8 B
+    f = gff.sample_dgff(1024, 17)
+    f.prefix
+    tracemalloc.start()
+    try:
+        part = subdivision.regime_protocol(f, 23.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not part.terminated
+    assert peak <= 2 * 10 * len(part) + 4 * 8 * gff._AVERAGE_BLOCK
+
+
+def test_blocked_averages_match_the_reference_across_block_boundaries():
+    # past level 8 the averages are filled one block of squares at a time;
+    # runs of squares ending just before, on and after a block boundary,
+    # and whole levels in (i, j) order, match the per-square gather
+    f = gff.sample_dgff(1024, 5)
+    block = gff._AVERAGE_BLOCK
+    rng = np.random.default_rng(0)
+    for level in (9, 10):
+        n = 1 << level
+        whole = np.arange(n * n, dtype=np.int32)
+        cases = [(whole // n, whole % n)]
+        for m in (1, block - 1, block, block + 1, 3 * block + 17):
+            cases.append((rng.integers(0, n, m, dtype=np.int32),
+                          rng.integers(0, n, m, dtype=np.int32)))
+        for ii, jj in cases:
+            got = gff._square_averages(f, level, ii, jj)
+            want = _reference_averages(f, level, ii, jj)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_adjacency_matches_brute_force(field):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -468,6 +469,15 @@ def test_spectral_gap_follows_the_scaling_law(surface, size):
     want = surface.spectral_gap() * math.exp(-2.0 * sigma)
     assert scaled_surface(surface, sigma).spectral_gap() == pytest.approx(
         want, rel=1e-15, abs=0.0)
+
+
+def test_spectral_gap_at_a_cutoff_near_the_float_maximum_is_found_without_a_warning():
+    # the search starts at 200 / L^2 = 1.78e308, where the lattice's largest
+    # entries overflowed to inf with a warning before the filter dropped them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert RectangleDirichlet(1.06e-153, 1.06e-153).spectral_gap() == 1.7567825562636805e307
+        assert FlatTorus(1.06e-153, 1.06e-153).spectral_gap() == 3.513565112527361e307
 
 
 def test_spectral_gap_of_a_surface_past_the_float_range_is_refused():

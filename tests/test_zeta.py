@@ -399,6 +399,18 @@ def test_mellin_zeta_keeps_its_value_where_the_head_holds(surface):
     assert mellin_zeta(surface, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("surface", [
+    *(IntervalDirichlet(size) for size in (2.5e-153, 2e-153, 1.7e-153)),
+    *(kind(size, size) for size in (2.5e-153, 2e-153, 1.7e-153)
+      for kind in (FlatTorus, RectangleDirichlet))], ids=repr)
+def test_mellin_zeta_past_the_sine_crossover_keeps_its_value_without_a_warning(surface):
+    # the sine trace's first 12 exponents (n pi / side)^2 overflow to inf
+    # here, and warned, though exp(-t inf) = 0.0 is their right limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mellin_zeta(surface, 2.0) == 0.0
+
+
 @pytest.mark.parametrize("s", [1.01, 2.0, 10.0])
 @pytest.mark.parametrize("radius", [1e-152, 1e-156, 1e-161])
 def test_sphere_series_whose_eigenvalues_overflow_is_refused_by_name(radius, s):
