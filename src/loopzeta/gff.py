@@ -9,8 +9,8 @@ by (2*pi)^-1.
 
 A field holds its values; the prefix sums behind its square averages are
 built the first time an average is asked for, so sampling, writing or
-reading a field costs one (size-1)^2 array. Averages past level 8 are
-computed one block of `_AVERAGE_BLOCK` squares at a time.
+reading a field costs one (size-1)^2 array. Its per-row work and the
+averages past level 8 go one memory block at a time (`_blocks`).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
+from . import _blocks
 from .graphs import graph_laplacian, grid_graph
 
 TWO_PI = 2.0 * np.pi
@@ -66,12 +67,12 @@ def _mode_eigenvalues(n: int) -> np.ndarray:
     return 4.0 * np.sin(np.pi * m / (2 * n)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridField:
     """Sampled field values on the (size-1) x (size-1) interior sites. Their
     prefix sums, for O(1) rectangle averages, are built the first time an
     average is asked for, so a field that is only sampled, written or read
-    never holds them."""
+    never holds them. A field is equal only to itself, and hashable."""
 
     size: int
     seed: int
@@ -94,12 +95,9 @@ class GridField:
         return _prefix_sums(self.size, self.values)
 
 
-def _row_blocks(rows: int, size: int):
-    """Slices of about 2^15 elements (256 KB of floats) over `rows` rows of a
-    grid of this size: large enough that each block is a few array calls,
-    small enough that a 4096^2 field's peak memory is that of its arrays."""
-    step = max(1, (1 << 15) // (size + 1))
-    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+def _row_width(size: int) -> int:
+    """A grid row's size + 1 floats, counted twice for two temporaries of it."""
+    return 2 * (size + 1)
 
 
 def _fits_one_block(size: int) -> bool:
@@ -107,7 +105,7 @@ def _fits_one_block(size: int) -> bool:
     Such a field does its per-row work in one call and takes its mode tables
     from `_per_size`; a larger one keeps the row blocks, so no table of its
     size is held."""
-    return len(_row_blocks(size, size)) == 1
+    return len(_blocks.row_blocks(size, _row_width(size))) == 1
 
 
 def _prefix_sums(size: int, values: np.ndarray) -> np.ndarray:
@@ -123,7 +121,7 @@ def _prefix_sums(size: int, values: np.ndarray) -> np.ndarray:
     # the loop, since cumsum along axis 0 runs column-inner over strided
     # rows there and took 5x the loop's time on 4096^2.
     prefix = np.zeros((size + 1, size + 1))
-    for rows in _row_blocks(size, size):
+    for rows in _blocks.row_blocks(size, _row_width(size)):
         sites = np.zeros((rows.stop - rows.start + 1, size + 1))
         lo, hi = max(rows.start, 1), min(rows.stop, size - 1)
         sites[lo - rows.start:hi - rows.start + 1, 1:-1] = values[lo - 1:hi]
@@ -159,7 +157,7 @@ def sample_dgff(size: int, seed: int) -> GridField:
         coeff *= _coefficient_scale(size)
     else:
         lam1 = _mode_eigenvalues(size)
-        for rows in _row_blocks(size - 1, size):
+        for rows in _blocks.row_blocks(size - 1, _row_width(size)):
             coeff[rows] *= np.sqrt(TWO_PI / (lam1[rows, None] + lam1))
     values = sfft.dstn(coeff, type=1, norm="ortho", overwrite_x=True)
     del coeff
@@ -177,14 +175,11 @@ def field_from_values(values: np.ndarray, seed: int = -1) -> GridField:
     return GridField(size=n, seed=seed, values=values)
 
 
-_AVERAGE_BLOCK = 1 << 16  # most squares averaged at once, and the largest whole level
-
-
 def _square_averages(field: GridField, level: int, ii: np.ndarray,
                      jj: np.ndarray) -> np.ndarray:
     """Vectorized averages over the squares (level, ii, jj) from the prefix
     sums over grid cells. Beyond the output, only temporaries of one block
-    of at most `_AVERAGE_BLOCK` squares are allocated.
+    of squares (`_blocks.row_blocks`, one float a square) are allocated.
 
     When at least a quarter of a level's 4^level squares are asked for and
     the whole level fits one block (levels up to 8), it is computed from
@@ -199,7 +194,7 @@ def _square_averages(field: GridField, level: int, ii: np.ndarray,
         raise ValueError("resolution exhausted: square finer than the grid")
     w = 1 << (k - level)
     p = field.prefix
-    if 4 * len(ii) >= 1 << 2 * level and 1 << 2 * level <= _AVERAGE_BLOCK:
+    if 4 * len(ii) >= 1 << 2 * level and 1 << 2 * level <= _blocks.BLOCK:
         avg = p[w::w, w::w] - p[:-w:w, w::w]
         avg -= p[w::w, :-w:w]
         avg += p[:-w:w, :-w:w]
@@ -211,8 +206,7 @@ def _square_averages(field: GridField, level: int, ii: np.ndarray,
     down = field.size + 1
     flat = p.ravel()
     out = np.empty(len(ii))
-    for start in range(0, len(ii), _AVERAGE_BLOCK):
-        block = slice(start, start + _AVERAGE_BLOCK)
+    for block in _blocks.row_blocks(len(ii), 1):
         corner = ii[block] * np.intp(w * down) + jj[block] * np.intp(w)
         avg = out[block]
         np.take(flat, corner + (w * down + w), out=avg)

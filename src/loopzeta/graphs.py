@@ -21,8 +21,8 @@ in one place, `_fill_powers`, which writes P^{k+1} = P^k P into the next
 matrix of a preallocated (b, n, n) block, and takes their traces with one
 `np.trace` call per block; `_loop_series` sums them and `_tail_bound` bounds
 the rest. The truncated mass and criterion 1 need only the traces: their
-`_power_traces` reuses one block of at most _POWER_BLOCK = 2^16 floats
-(512 KB), or of one n x n matrix where n^2 is larger, so they hold O(n^2)
+`_power_traces` reuses one memory block of matrices (`_blocks`), or one
+n x n matrix where n^2 is larger than the block, so they hold O(n^2)
 floats at any max_len: 2 n^2 (13 MB) for a 900-vertex interior, whose
 one-matrix block takes each product through numpy's temporary, against
 266 MB for the whole table at max_len 40.
@@ -31,12 +31,10 @@ Soup draws also read a soup model per (graph, max_len), cached for the 8 most
 recently used pairs: the powers P^0..P^max_len, one read-only
 (max_len + 1, n, n) array filled as one block, their traces, the root
 distribution of each loop length, built the first time a draw needs it, and
-a memo of bridge-step distributions. The memo is an LRU cache of at most
-max((max_len + 1) n, _STEP_MEMO_FLOOR // n) rows of n floats that keeps its
-most recently used rows: no more floats than the powers beside it, or 2^16
-floats (512 KB) where the powers are smaller, so that a small graph at a
-short max_len keeps every row it draws from. An entry holds (max_len + 1) n^2
-floats of powers and at most max((max_len + 1) n^2, 2^16) floats of rows. A
+a memo of bridge-step distributions. The memo is an LRU cache of rows of n
+floats that keeps its most recently used rows: no more floats than the powers
+beside it, or one memory block where the powers are smaller, so that a small
+graph at a short max_len keeps every row it draws from. A
 bridge step whose row the memo holds is a cache lookup and a C bisect of one
 uniform of the draw's per-length block.
 """
@@ -50,6 +48,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _blocks
 
 
 def _integer(x) -> int:
@@ -202,18 +202,10 @@ def spectral_radius_bound(p: np.ndarray) -> float:
 
 
 # Each cached walk model holds the n^2 floats of P, and each cached soup model
-# (max_len + 1) n^2 floats of its powers and at most max((max_len + 1) n^2,
-# _STEP_MEMO_FLOOR) floats in its step memo, an LRU cache of rows that keeps
-# its most recently used ones, so the caches keep only a few graphs: enough
-# for the graphs a run draws from repeatedly, while one-off graphs age out.
+# its powers and a step memo of no more floats, or of one memory block where
+# the powers are smaller, so the caches keep only a few graphs: enough for
+# the graphs a run draws from repeatedly, while one-off graphs age out.
 _MODEL_CACHE_SIZE = 8
-# floats a soup model's step memo may hold where its powers take fewer, 2^16
-# floats (512 KB) of rows: grid_graph(4) at max_len 12 keeps all of its
-# n^2 (max_len - 1) = 2816 possible rows
-_STEP_MEMO_FLOOR = 1 << 16
-# floats in one block of powers P^k of a loop series that keeps no table of
-# them, 2^16 floats (512 KB), or one n x n matrix where n^2 is larger
-_POWER_BLOCK = 1 << 16
 # most matrix entries the powers P^0..P^max_len of one loop computation may
 # take, (max_len + 1) n^2 for n interior vertices: 2^26 floats are 512 MB
 _POWERS_BUDGET = 1 << 26
@@ -292,16 +284,17 @@ def _fill_powers(prev: np.ndarray, p: np.ndarray, block: np.ndarray) -> None:
 
 def _power_traces(p: np.ndarray, max_len: int) -> np.ndarray:
     """tr(P^1), ..., tr(P^max_len), in O(n^2) memory: the powers are filled
-    into one reused block of at most _POWER_BLOCK floats, or of one n x n
-    matrix where n^2 is larger, and traced with one call per block."""
+    into one reused row block of n x n matrices, at least one matrix, and
+    traced with one call per block."""
     n = len(p)
-    block = np.empty((max(1, min(max_len, _POWER_BLOCK // (n * n))), n, n))
+    blocks = _blocks.row_blocks(max_len, n * n)
+    block = np.empty((blocks[0].stop, n, n))
     traces = np.empty(max_len)
     prev = np.eye(n)
-    for start in range(0, max_len, len(block)):
-        part = block[:max_len - start]
+    for rows in blocks:
+        part = block[:rows.stop - rows.start]
         _fill_powers(prev, p, part)
-        traces[start:start + len(part)] = np.trace(part, axis1=1, axis2=2)
+        traces[rows] = np.trace(part, axis1=1, axis2=2)
         prev = part[-1]
     return traces
 
@@ -435,10 +428,11 @@ class _SoupModel:
 
     The memo, `step_cdf(cur, m, root)`, is the step distribution from cur
     with m steps left back to root, the `_cdf` of p[cur] * (P^m)[:, root]. It
-    is an LRU cache of at most max((max_len + 1) n, _STEP_MEMO_FLOOR // n)
-    rows of n floats, no more than the powers beside it or 2^16 floats
-    (512 KB), whichever is more, that keeps its most recently used rows; a
-    row that `_cdf` refuses is not cached."""
+    is an LRU cache of at most max((max_len + 1) n, BLOCK // n) rows of n
+    floats, no more than the powers beside it or one memory block
+    (`_blocks`), whichever is more, that keeps its most recently used rows:
+    grid_graph(4) at max_len 12 keeps all of its n^2 (max_len - 1) = 2816
+    possible rows. A row that `_cdf` refuses is not cached."""
 
     def __init__(self, g: Graph, max_len: int):
         self.walk = walk = _killed_walk(g)
@@ -453,7 +447,7 @@ class _SoupModel:
         self.loop_vertices = float(self.traces[1:].sum())
         self.root_cdf = functools.cache(
             lambda k: memoryview(_cdf(np.diag(powers[k]).copy())))
-        rows = max((max_len + 1) * walk.n, _STEP_MEMO_FLOOR // walk.n)
+        rows = max((max_len + 1) * walk.n, _blocks.BLOCK // walk.n)
         self.step_cdf = functools.lru_cache(maxsize=rows)(
             lambda cur, m, root: memoryview(_cdf(walk.p[cur] * powers[m][:, root])))
 
@@ -483,10 +477,8 @@ def sample_loop_soup(g: Graph, c: float, max_len: int, seed: int) -> LoopSoupSam
     powers are one read-only (max_len + 1, n, n) array filled in place, each
     the one before times P, and traced with one call. Each entry holds
     (max_len + 1) n^2 floats of powers, e.g. 26 KB for a 16-vertex interior
-    at max_len 12, and at most max((max_len + 1) n^2,
-    2^16) floats of step rows: the memo is an LRU cache of at most
-    max((max_len + 1) n, _STEP_MEMO_FLOOR // n) rows that keeps its most
-    recently used rows, 4096 rows of 16 floats (512 KB) in that example. The
+    at max_len 12, and a memo of step rows that keeps its most recently used
+    rows (see `_SoupModel`), 4096 rows of 16 floats (512 KB) in that example. The
     flag is set when the truncation misses more than 1e-6 of the total mass,
     and always when the walk is not transient, so that the mass is infinite.
 

@@ -133,14 +133,19 @@ def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:
     """log[w(x) * base-density(x)] - log[target-density(x)].
 
     Per coordinate the base law is x ~ N(0, 1/Q^2) and the target is
-    N(0, 1/Q_new^2); the result must not depend on x.
+    N(0, 1/Q_new^2); the result must not depend on x. ValueError unless x
+    is finite with its sum of squares in the float range.
     """
     x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        energy = float(np.sum(x**2))
+    if not math.isfinite(energy):
+        raise ValueError("x must be finite, with its sum of squares in the float range")
     q = charge_to_params(c).Q
     q_new = charge_to_params(c + c_prime).Q
     log_base = float(np.sum(np.log(q / math.sqrt(TWO_PI)) - 0.5 * q**2 * x**2))
     log_target = float(np.sum(np.log(q_new / math.sqrt(TWO_PI)) - 0.5 * q_new**2 * x**2))
-    return det_weight(float(np.sum(x**2)), c_prime) + log_base - log_target
+    return det_weight(energy, c_prime) + log_base - log_target
 
 
 def _pooled_chi_square(counts_a: np.ndarray, counts_b: np.ndarray,

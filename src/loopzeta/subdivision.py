@@ -6,7 +6,7 @@ maximal ones with A_h at most epsilon. For matter central charge c > 1 the
 recursion need not terminate, so a depth cap flags over-threshold squares
 instead of refining past the grid resolution. Both output formats, the CSV
 rows of `_csv_chunks` and the SVG rects of `_svg_chunks`, are streamed one
-block of at most `_FORMAT_BLOCK` squares at a time.
+memory block of squares (`_blocks`) at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blocks
 from .gff import GridField, _square_averages, square_average
 from .graphs import Graph
 
@@ -119,14 +120,19 @@ def regime_protocol(field: GridField, c: float,
         raise ValueError("ratio must be finite and positive, got %r" % (ratio,))
     params = charge_to_params(c)
     q_eff = params.Q * math.sqrt(2.0 * math.pi)  # equivalently cool the field
-    root = math.exp(square_average(field, 0, 0, 0) / q_eff)
-    if params.gamma is not None:
-        eps = ratio ** (1.0 / (params.gamma * params.Q)) * root
-    else:
-        eps = ratio * root
+    scale = ratio if params.gamma is None else ratio ** (1.0 / (params.gamma * params.Q))
+    try:  # the threshold, scale times the unit square's A_h = e^{h/Q}
+        eps = scale * math.exp(square_average(field, 0, 0, 0) / q_eff)
+    except OverflowError:
+        eps = math.inf
+    if not 0.0 < eps < math.inf:
+        raise ValueError("charge %r (Q = %.3g) is too close to 25 for this field: the"
+                         " threshold from the unit square's e^{h/Q} leaves the float"
+                         " range" % (c, params.Q))
     return subdivide(field, q_eff, eps)
 
 
+@np.errstate(over="ignore")  # an A_h past the float range is inf, over any epsilon
 def subdivide(field: GridField, q: float, epsilon: float) -> DyadicPartition:
     """Refine the unit square until every piece has A_h <= epsilon.
 
@@ -209,8 +215,6 @@ def adjacency_graph(partition: DyadicPartition) -> Graph:
     return Graph(n, zip((keys // n).tolist(), (keys % n).tolist()))
 
 
-_FORMAT_BLOCK = 1 << 16  # most squares formatted at once, as CSV rows or SVG rects
-
 _PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
             "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
             "#2f4b7c", "#a05195", "#d45087", "#f95d6a"]
@@ -221,7 +225,8 @@ def _csv_chunks(partition: DyadicPartition):
     level,i,j,flagged, then one block of rows at a time, in (level, i, j) order."""
     columns = np.column_stack(partition.canonical_columns())
     yield "level,i,j,flagged\n"
-    for block in np.split(columns, np.arange(_FORMAT_BLOCK, len(columns), _FORMAT_BLOCK)):
+    for rows in _blocks.row_blocks(len(columns), 1):
+        block = columns[rows]
         yield ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -239,9 +244,9 @@ def _svg_chunks(partition: DyadicPartition):
     top = int(levels[-1])
     coords = np.array(["%.10g" % (k * 2.0**-top) for k in range(1 << top)],
                       dtype=object)
-    # blocks of at most _FORMAT_BLOCK squares of one level, each formatted at once
+    # blocks of at most BLOCK squares of one level, each formatted at once
     cuts = np.union1d(np.flatnonzero(np.diff(levels)) + 1,
-                      np.arange(_FORMAT_BLOCK, len(levels), _FORMAT_BLOCK))
+                      np.arange(_blocks.BLOCK, len(levels), _blocks.BLOCK))
     yield ('<svg xmlns="http://www.w3.org/2000/svg" width="1024" height="1024" '
            'viewBox="0 0 1 1">')
     for block, ii, jj in zip(np.split(levels, cuts), np.split(rows, cuts),

@@ -7,7 +7,7 @@ coefficients, its spectrum below a cutoff, and how to evaluate tr(e^{-t Lap})
 with a truncation error far below 1e-13.  The lattice-type surfaces
 (interval, rectangle, torus) build their traces from one sine series per
 side, a Poisson sum at small t; the sphere and disk sum over eigenvalues,
-a row block of about 2^15 terms of a batch of t at a time, each t's terms
+one row block (`_blocks`) of a batch of t at a time, each t's terms
 formed and summed exactly as in a call at that t alone, so that a batch
 equals scalar calls bit for bit.  The disk enumerates its eigenvalues once
 per octave of t / min(t), at the cutoff of that octave's smallest t, so
@@ -52,6 +52,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import special
 
+from . import _blocks
+
 log = logging.getLogger("loopzeta")
 
 # exponent x past which a dropped term is negligible: exp(-x) < 2e-22 in the
@@ -66,8 +68,6 @@ _BESSEL_MAX_STEPS = 20
 # where two cores are ours (`special.jv` runs without the GIL), else one
 _BESSEL_THREADS = (min(2, len(os.sched_getaffinity(0)))
                    if hasattr(os, "sched_getaffinity") else 1)
-# elements of one row block of a batched heat trace (256 KB of floats)
-_BLOCK_ELEMENTS = 1 << 15
 # most eigenvalues (with multiplicity) one enumeration may produce
 _EIGEN_BUDGET = 5_000_000
 # largest t / L^2 at which a lattice residual's Poisson sum over a side L is
@@ -313,9 +313,9 @@ def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: boo
     order, each of multiplicity 1: m, n in Z on the torus (unit 2 pi), m, n >=
     1 on the Dirichlet rectangle (unit pi), empty there when a side has no
     mode.  The budget counts the whole grid; it is formed and filtered one
-    `_row_blocks` block at a time, so that N eigenvalues take at most 16 N
-    bytes, their filtered blocks and their concatenation, and sorted in
-    place.  The sorted values of a multiset are unique, so they equal a
+    row block at a time, a row counted twice for the temporaries that form
+    it, so that N eigenvalues take at most 16 N bytes, their filtered
+    blocks and their concatenation, and sorted in place.  The sorted values of a multiset are unique, so they equal a
     stable sort of the whole grid bit for bit; the multiplicities are a
     read-only broadcast of 1.0."""
     m_max = _count(a / unit * math.sqrt(cutoff))
@@ -327,7 +327,7 @@ def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: boo
     m = np.arange(m0, m_max + 1, dtype=float)
     n_terms = np.arange(n0, n_max + 1, dtype=float) ** 2 / b**2
     blocks = (unit**2 * (m[rows, None] ** 2 / a**2 + n_terms)
-              for rows in _row_blocks(m.size, n_terms.size))
+              for rows in _blocks.row_blocks(m.size, 2 * n_terms.size))
     # at a cutoff near the float64 maximum an entry may overflow to inf,
     # which the filter drops
     with np.errstate(over="ignore"):
@@ -509,13 +509,14 @@ class RoundSphere(ModelSurface):
     def _heat_traces(self, t):
         # the sum at t runs over l <= l_max(t); every row of a block takes the
         # block's widest range, but sums only its own first l_max(t) + 1
-        # terms, formed in the same operand order as a sum at that t alone
+        # terms, formed in the same operand order as a sum at that t alone.
+        # A row counts twice its terms, as a block holds two such temporaries.
         r2 = _square(self.radius)
         ell_max = np.ceil(np.sqrt(_TAIL_EXPONENT * r2 / t)) + 2
         _budgeted(_count(ell_max.max(initial=0.0)) + 1)
         ell_max = ell_max.astype(int)
         out = np.empty(t.size)
-        for rows in _row_blocks(t.size, int(ell_max.max(initial=0)) + 1):
+        for rows in _blocks.row_blocks(t.size, 2 * (int(ell_max.max(initial=0)) + 1)):
             ell = np.arange(0, ell_max[rows].max() + 1, dtype=float)
             terms = np.exp(-t[rows, None] * ell * (ell + 1) / r2)
             terms *= 2 * ell + 1
@@ -545,13 +546,6 @@ class RoundSphere(ModelSurface):
         lam_x = (x * x - 0.25) / r2
         fp = 2.0 * lam_x ** (-s) - scale * lam_x ** (-s - 1)
         return partial + r2 * lam_x ** (1 - s) / (s - 1) + fp / 24.0
-
-
-def _row_blocks(rows: int, width: int):
-    """Slices of about _BLOCK_ELEMENTS elements, and at least one row each,
-    over `rows` rows of this width."""
-    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
 def _bessel_zero_guess(nu: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -783,13 +777,14 @@ class DiskDirichlet(ModelSurface):
         # one enumeration, at the cutoff of the smallest t, serves every t.
         # A row keeps the terms with (-t) lam > -50, the set lam t < 50 as
         # negation is exact, in cache order, so its order-0 terms (multiplicity
-        # 1) lead its run and the rest are doubled; each run is summed alone.
+        # 1) lead its run and the rest are doubled; each run is summed alone,
+        # and a row counts twice its terms, for the exponents and those kept.
         # in Python floats, where an overflowing cutoff is inf, which the
         # budget refuses, rather than a warning
         lam, mult = self._enumerate(_TAIL_EXPONENT / float(t.min()))
         order0 = np.count_nonzero(mult == 1.0)
         out = np.empty(t.size)
-        for rows in _row_blocks(t.size, lam.size):
+        for rows in _blocks.row_blocks(t.size, 2 * lam.size):
             x = -t[rows, None] * lam
             keep = x > -_TAIL_EXPONENT
             x = x[keep]

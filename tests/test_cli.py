@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopzeta import cli, gff, graphs, subdivision
+from loopzeta import _blocks, cli, gff, graphs, subdivision
 from loopzeta.surfaces import FlatTorus, IntervalDirichlet, RectangleDirichlet
 from loopzeta.zeta import log_det_zeta
 
@@ -144,8 +144,9 @@ def reference_svg(part) -> str:
     return "\n".join(parts)
 
 
+@pytest.mark.parametrize("block", [None, 200], indirect=True)
 @pytest.mark.parametrize("charge, rows, code", [("0", 346, 0), ("23.5", 65101, 2)])
-def test_subdivide_artifacts_match_object_route(tmp_path, charge, rows, code):
+def test_subdivide_artifacts_match_object_route(tmp_path, charge, rows, code, block):
     csv_out, svg_out = tmp_path / "part.csv", tmp_path / "part.svg"
     assert run(["subdivide", "--size", "256", "--seed", "7", "--charge", charge,
                 "--out", str(csv_out), "--svg", str(svg_out)]) == code
@@ -811,7 +812,7 @@ def test_all_boundary_graph_takes_any_max_len_at_once(tmp_path):
 
 def test_partition_csv_streams_in_blocks():
     part = subdivision.regime_protocol(gff.sample_dgff(512, 7), 23.5)
-    assert len(part) > 1 << 16
+    assert len(part) > _blocks.BLOCK
     chunks = list(subdivision._csv_chunks(part))
     assert chunks[0] == "level,i,j,flagged\n"
     assert len(chunks) >= 3
@@ -950,6 +951,16 @@ def test_very_negative_charge_subdivides(tmp_path):
                                   "--out", str(out)])
     assert code in (0, 2) and "division by zero" not in err
     assert out.read_text().startswith("level,i,j,flagged\n")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_charge_near_25_exits_one_naming_it(seed):
+    # "math range error" at seeds 1, 3 and 4, and "epsilon must be finite
+    # and positive" at seeds 0, 2 and 5
+    code, out, err = _run_captured(["subdivide", "--size", "16", "--seed", str(seed),
+                                    "--charge", "24.999999999"])
+    assert (code, out) == (1, "")
+    assert "24.999999999" in err.splitlines()[-1]
 
 
 def test_small_delta_disk_is_refused_at_once():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
-from loopzeta import gff
+from loopzeta import _blocks, gff
 
 
 def reference_sample(size, seed):
@@ -38,11 +38,15 @@ def reference_sample(size, seed):
     return values, prefix
 
 
-@pytest.mark.parametrize("size", [16, 32, 64, 128, 256, 512, 1024, 2048])
-def test_sample_matches_row_loop_reference(size):
+@pytest.mark.parametrize("size, block", [
+    (16, None), (32, None), (64, None), (128, None), (256, None), (512, None),
+    (1024, None), (2048, None), (16, 200), (32, 200)], indirect=["block"])
+def test_sample_matches_row_loop_reference(size, block):
     # the row blocks do not divide these sizes evenly from 512 up
-    # (63 rows at 512, 31 at 1024, 15 at 2048)
-    assert size < 512 or size % gff._row_blocks(size, size)[0].stop
+    # (63 rows at 512, 31 at 1024, 15 at 2048), nor those of 200 floats
+    # (5 rows at 16, 3 at 32)
+    step = _blocks.row_blocks(size, gff._row_width(size))[0].stop
+    assert size < 512 <= block or size % step
     seeds = (0, 1, 2**40 + 3) if size >= 1024 else (0, 1, 7, 99, 2**40 + 3)
     for seed in seeds:
         field = gff.sample_dgff(size, seed)
@@ -50,6 +54,14 @@ def test_sample_matches_row_loop_reference(size):
         assert np.array_equal(field.values, values)
         assert np.array_equal(field.prefix, prefix)
         assert field.prefix.tobytes() == prefix.tobytes()
+
+
+def test_fields_are_equal_only_to_themselves_and_hashable():
+    # the generated __eq__ compared the values arrays inside a tuple, which
+    # raised "The truth value of an array ... is ambiguous", and set no hash
+    a, b = gff.sample_dgff(16, 1), gff.sample_dgff(16, 1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and {a: 1, b: 2}[a] == 1
 
 
 @pytest.mark.parametrize("size", [64, 256])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopzeta import acceptance, graphs
+from loopzeta import _blocks, acceptance, graphs
 from loopzeta.graphs import Graph
 
 
@@ -503,8 +503,8 @@ def memo_rows(model, max_len):
     as many floats as the powers P^0..P^max_len, or 2^16 floats where the
     powers are smaller."""
     n = model.walk.n
-    rows = max((max_len + 1) * n, 2**16 // n)
-    assert graphs._STEP_MEMO_FLOOR == 2**16
+    rows = max((max_len + 1) * n, _blocks.BLOCK // n)
+    assert _blocks.BLOCK == 2**16
     assert model.step_cdf.cache_info().maxsize == rows
     return rows
 
@@ -693,12 +693,14 @@ def test_criterion_1_partials_are_the_shipped_series():
         assert (mass, tail) == reference_truncated(g, max_len)
 
 
-@pytest.mark.parametrize("side, max_len, blocks", [
-    (4, 40, [40]), (8, 40, [16, 16, 8]), (30, 12, [1] * 12)])
-def test_power_blocks_match_references_bit_for_bit(monkeypatch, side, max_len, blocks):
+@pytest.mark.parametrize("side, max_len, blocks, block", [
+    (4, 40, [40], None), (8, 40, [16, 16, 8], None), (30, 12, [1] * 12, None),
+    (3, 41, [2] * 20 + [1], 200)], indirect=["block"])
+def test_power_blocks_match_references_bit_for_bit(monkeypatch, side, max_len, blocks, block):
     # n = 16, 64 and 900: past numpy's 8-term pairwise summation of a trace,
     # with all powers in one block, 2^16 floats to a block and one power to a
-    # block; each block, and the soup model's whole table, is traced by one call
+    # block; n = 9 at a block of 200 floats, two powers to a block and one in
+    # the last; each block, and the soup model's whole table, is traced by one call
     g = graphs.grid_graph(side)
     want_truncated = reference_truncated(g, max_len)
     powers, traces, tail_warning = reference_soup_model(g, max_len)
@@ -726,7 +728,7 @@ def test_truncated_mass_holds_one_block_of_powers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (graphs._POWER_BLOCK + 3 * n * n)
+    assert peak <= 8 * (_blocks.BLOCK + 3 * n * n)
 
 
 def reference_adjacency(g):

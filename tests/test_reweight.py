@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,15 @@ def test_density_ratio_constant_value():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             reweight.density_ratio_check(0.0, bad, np.ones(3))
+
+
+@pytest.mark.parametrize("x", [[math.nan], [math.inf], [1.0, -math.inf], [1e200]])
+def test_density_ratio_check_refuses_x_past_the_float_range(x):
+    # nan came back silently, and 1e200 warned "overflow encountered in square"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x must be finite"):
+            reweight.density_ratio_check(0.0, 1.0, np.array(x))
 
 
 def test_pooled_chi_square_basics():

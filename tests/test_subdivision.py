@@ -1,11 +1,12 @@
 import decimal
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from loopzeta import gff, subdivision
+from loopzeta import _blocks, gff, subdivision
 from loopzeta.subdivision import DyadicPartition, charge_to_params, subdivide
 
 
@@ -188,7 +189,9 @@ def _assert_same_partition(part, reference):
     assert part.terminated == (not flags.any())
 
 
-def test_subdivide_matches_per_level_reference():
+@pytest.mark.parametrize("block", [None, 200], indirect=True)
+def test_subdivide_matches_per_level_reference(block):
+    # at a block of 200 squares, every level past 3 is averaged in blocks
     q = charge_to_params(0.0).Q
     for size, seed in ((16, 0), (64, 9), (256, 4), (1024, 2)):
         f = gff.sample_dgff(size, seed)
@@ -200,6 +203,32 @@ def test_subdivide_matches_per_level_reference():
         capped = subdivide(f, q, 1e-9)
         assert capped.flagged_count == 4**f.level
         _assert_same_partition(capped, reference_subdivide(f, q, 1e-9))
+
+
+def test_overflowing_quantum_sizes_subdivide_to_their_capped_limit_silently():
+    # at q = 1e-308, e^{h/q} is inf on every square of positive average,
+    # which the threshold refines to the cap as it should, and it warned
+    # "overflow encountered in exp"
+    f = gff.sample_dgff(16, 1)
+    with np.errstate(over="ignore"):
+        want = reference_subdivide(f, 1e-308, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = subdivide(f, 1e-308, 1.0)
+    assert not part.terminated
+    _assert_same_partition(part, want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_charge_near_25_is_refused_by_name(seed):
+    # the root square's e^{h/Q} left the float range at Q = 1.3e-5: an
+    # OverflowError "math range error" at seeds 1, 3 and 4, and an epsilon
+    # of 0.0 at seeds 0, 2 and 5
+    f = gff.sample_dgff(16, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"charge 24\.999999999 \(Q = 1\.29e-05\)"):
+            subdivision.regime_protocol(f, 24.999999999)
 
 
 def test_capped_regime_run_matches_per_level_reference():
@@ -228,15 +257,15 @@ def test_capped_regime_run_holds_at_most_twice_its_partition():
     finally:
         tracemalloc.stop()
     assert not part.terminated
-    assert peak <= 2 * 10 * len(part) + 4 * 8 * gff._AVERAGE_BLOCK
+    assert peak <= 2 * 10 * len(part) + 4 * 8 * _blocks.BLOCK
 
 
-def test_blocked_averages_match_the_reference_across_block_boundaries():
+@pytest.mark.parametrize("block", [None, 200], indirect=True)
+def test_blocked_averages_match_the_reference_across_block_boundaries(block):
     # past level 8 the averages are filled one block of squares at a time;
     # runs of squares ending just before, on and after a block boundary,
     # and whole levels in (i, j) order, match the per-square gather
     f = gff.sample_dgff(1024, 5)
-    block = gff._AVERAGE_BLOCK
     rng = np.random.default_rng(0)
     for level in (9, 10):
         n = 1 << level

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from loopzeta import surfaces
+from loopzeta import _blocks, surfaces
 from loopzeta.surfaces import (
     DiskDirichlet,
     EnumerationBudgetError,
@@ -159,21 +159,24 @@ def test_heat_traces_on_gauss_panels_equal_reference(surface):
 
 
 def trace_width(surface, t_min):
-    """Terms per row of a batch whose smallest t is t_min."""
+    """Terms per row of a batch whose smallest t is t_min; a row block counts
+    a row twice."""
     if isinstance(surface, RoundSphere):
         r2 = surface.radius**2
         return math.ceil(math.sqrt(surfaces._TAIL_EXPONENT * r2 / t_min)) + 3
     return surface._enumerate(surfaces._TAIL_EXPONENT / t_min)[0].size
 
 
+@pytest.mark.parametrize("block", [None, 1000], indirect=True)
 @pytest.mark.parametrize("surface", [RoundSphere(1.0), DiskDirichlet(0.83)], ids=repr)
-def test_heat_traces_of_unsorted_repeated_multi_block_batches(surface):
+def test_heat_traces_of_unsorted_repeated_multi_block_batches(surface, block):
     rng = np.random.default_rng(5)
     t = rng.uniform(0.3, 3.0, 400)
     t = np.concatenate([t, t[::-1], t[:7]])
-    width = trace_width(surface, t.min())
-    t = np.resize(t, int(2.5 * (surfaces._BLOCK_ELEMENTS // width)))
-    blocks = surfaces._row_blocks(t.size, width)
+    width = 2 * trace_width(surface, t.min())
+    t = np.resize(t, int(2.5 * (block // width)))
+    assert width == 2 * trace_width(surface, t.min())
+    blocks = _blocks.row_blocks(t.size, width)
     assert len(blocks) == 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
     assert np.array_equal(surface.heat_trace(t), reference_heat_traces(surface, t))
 
@@ -348,12 +351,14 @@ def former_lattice_stream(surface, cutoff):
 
 
 # the unit square and torus tie heavily, and the torus has its zero mode; at
-# 4e5 and 2e6 each grid spans several row blocks
+# 4e5 and 2e6 each grid spans several row blocks, and at a block of 200
+# floats every grid does
+@pytest.mark.parametrize("block", [None, 200], indirect=True)
 @pytest.mark.parametrize("cutoff", [200.0, 5e3, 4e5, 2e6])
 @pytest.mark.parametrize("surface", [
     RectangleDirichlet(1.0, 1.0), FlatTorus(1.0, 1.0),
     RectangleDirichlet(1.0, 1.5), FlatTorus(1.0, 2.0)], ids=repr)
-def test_lattice_stream_equals_the_stable_sort_of_the_whole_grid(surface, cutoff):
+def test_lattice_stream_equals_the_stable_sort_of_the_whole_grid(surface, cutoff, block):
     stream = surface.eigen_stream(cutoff)
     lam, mult = former_lattice_stream(surface, cutoff)
     assert stream.eigenvalues.tobytes() == lam.tobytes()
@@ -424,7 +429,7 @@ def test_lattice_zeta_series_holds_at_most_two_copies_of_its_spectrum():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * count + 8 * surfaces._BLOCK_ELEMENTS
+    assert peak <= 2 * 8 * count + 4 * _blocks.BLOCK
 
 
 def test_budget_gate_refuses_nan_and_keeps_the_count():
