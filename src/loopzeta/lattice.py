@@ -10,6 +10,7 @@ same aspect ratio (only aspect differences are convention-free).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ class TorusLatticeSpec:
     n_y: int
 
     def __post_init__(self):
+        for name in ("n_x", "n_y"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError("lattice sizes must be integers, got %r"
+                                 % (getattr(self, name),)) from None
         if self.n_x < 2 or self.n_y < 2:
             raise ValueError("need n_x, n_y >= 2")
         sites = self.n_x * self.n_y

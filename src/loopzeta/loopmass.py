@@ -168,11 +168,16 @@ def zeta_from_weighted_loops(surface: ModelSurface, s: float) -> float:
 
 def fit_log_slope(xs, ys) -> float:
     """Least-squares slope of log|y| against log x; ValueError unless there
-    are two distinct x."""
+    are two distinct x, every x is finite and > 0 and every y finite and
+    nonzero."""
     xs = np.asarray(xs, dtype=float)
     ys = np.abs(np.asarray(ys, dtype=float))
     if np.unique(xs).size < 2:
         raise ValueError("slope fit needs two distinct x")
     if np.any(ys == 0):
         raise ValueError("zero residual in slope fit")
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("slope fit needs finite y, got %r" % (ys.tolist(),))
+    if not np.all((xs > 0) & np.isfinite(xs)):
+        raise ValueError("slope fit needs finite x > 0, got %r" % (xs.tolist(),))
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])

@@ -113,13 +113,19 @@ def project_onto_partition(field: GridField, partition: DyadicPartition,
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be finite and positive, got %r" % (q,))
     mu, targets, x, inv_root, rows, cols = _lagrange_solve(field, partition)
+    # Python floats: a tiny q's square underflows to 0, or the quotient
+    # overflows to inf
+    energy = _coefficient_energy(mu, targets, q) if q**2 > 0 else math.inf
+    if not math.isfinite(energy):
+        raise ValueError("coefficient energy over q^2 is past the float64 range"
+                         " at q = %g" % q)
     coeff = (mu @ x).reshape(inv_root.shape) * inv_root
     projected = sfft.dstn(coeff, type=1, norm="ortho")
     achieved = np.einsum("sk,sk->s", rows @ projected, cols)
     residual = float(np.max(np.abs(achieved - targets)))
     return ProjectionResult(
         projected_field=projected,
-        coefficient_energy=_coefficient_energy(mu, targets, q),
+        coefficient_energy=energy,
         solver_residual=residual,
     )
 
@@ -134,7 +140,8 @@ def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:
 
     Per coordinate the base law is x ~ N(0, 1/Q^2) and the target is
     N(0, 1/Q_new^2); the result must not depend on x. ValueError unless x
-    is finite with its sum of squares in the float range.
+    is finite with its sum of squares, times Q^2 and Q_new^2, in the float
+    range.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
@@ -143,6 +150,9 @@ def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:
         raise ValueError("x must be finite, with its sum of squares in the float range")
     q = charge_to_params(c).Q
     q_new = charge_to_params(c + c_prime).Q
+    if not math.isfinite(max(q, q_new) ** 2 * energy):
+        raise ValueError("charges c = %g and c' = %g put Q^2 x^2 past the float64"
+                         " range" % (c, c_prime))
     log_base = float(np.sum(np.log(q / math.sqrt(TWO_PI)) - 0.5 * q**2 * x**2))
     log_target = float(np.sum(np.log(q_new / math.sqrt(TWO_PI)) - 0.5 * q_new**2 * x**2))
     return det_weight(energy, c_prime) + log_base - log_target

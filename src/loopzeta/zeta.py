@@ -220,9 +220,16 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     head or the spectral gap fails while the head's cut underflows to 0 or
     _TAIL_EXPONENT over it overflows (L below about 2e-153, 5e-152 on the
     disk): there t0, the cut or a cutoff sized by 1 / L^2 leaves the
-    float64 range.  Where neither fails, the value is kept.
+    float64 range.  Where neither fails, the value is kept.  ValueError, naming
+    s, past s = 171.6, where Gamma(s) is past float64.  At large s the body
+    loses digits on closed surfaces, where tr - n cancels, and on the disk:
+    FlatTorus(1, 2) and RoundSphere(1) are 5e-4 off at s = 20, and
+    DiskDirichlet(1) 0.5 at s = 50.
     """
     _check_series_domain(s)
+    if special.gamma(s) == math.inf:
+        raise ValueError("mellin_zeta at s = %g: Gamma(s) is past the float64 range"
+                         " (s above about 171.6)" % s)
     hc = surface.heat_coefficients()
     n = surface.zero_modes
     # 4 x the floor keeps the head's cut, t0 / 4, at the floor; at the floor
@@ -243,7 +250,9 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
             raise
         raise ValueError("surface too small: the Mellin start underflows float64"
                          " at largest length %g" % length) from None
-    t_max = _TAIL_EXPONENT / gap
+    # the body past x = gap t_max drops about the fraction Q(s, x) of the
+    # integral: x = _TAIL_EXPONENT for s up to 5, the x with Q = 1e-16 above
+    t_max = max(_TAIL_EXPONENT, special.gammainccinv(s, 1e-16)) / gap
 
     def integrand(t):
         return t ** (s - 1.0) * (surface.heat_trace(t) - n)
@@ -343,11 +352,19 @@ def polyakov_alvarez(
     """
     if not surface_g0.smooth_boundary:
         raise ValueError("corners violate smooth-boundary hypothesis (disk only)")
-    return log_det_g0 - 2.0 * sigma_const * zeta_at_zero(surface_g0)
+    shifted = log_det_g0 - 2.0 * sigma_const * zeta_at_zero(surface_g0)
+    if not math.isfinite(shifted):
+        raise ValueError("shift is not finite at sigma_const = %r, log_det_g0 = %r"
+                         % (sigma_const, log_det_g0))
+    return shifted
 
 
 def scaled_surface(surface: ModelSurface, sigma_const: float) -> ModelSurface:
     """The surface with all lengths multiplied by e^sigma."""
-    f = math.exp(sigma_const)
+    try:
+        f = math.exp(sigma_const)
+    except OverflowError:
+        raise ValueError("e^sigma_const is past the float64 range at sigma_const = %r"
+                         % (sigma_const,)) from None
     return replace(surface, **{fd.name: f * getattr(surface, fd.name)
                                for fd in fields(surface)})

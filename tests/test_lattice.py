@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,23 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         TorusLatticeSpec(1, 4)
     assert TorusLatticeSpec(4, 8).aspect == 2.0
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf, 2.5, 4.0, "4"])
+def test_spec_with_a_size_that_is_not_an_integer_is_refused_by_name(size):
+    # nan failed later in arange, inf raised a bare OverflowError and 2.5
+    # gave a log det
+    with pytest.raises(ValueError, match="integers, got %s" % re.escape(repr(size))):
+        TorusLatticeSpec(size, 4)
+    with pytest.raises(ValueError, match="integers"):
+        TorusLatticeSpec(4, size)
+
+
+def test_spec_takes_any_integer_type():
+    spec = TorusLatticeSpec(np.int64(4), np.int32(8))
+    assert spec == TorusLatticeSpec(4, 8)
+    assert lattice.discrete_torus_log_det(spec) == lattice.discrete_torus_log_det(
+        TorusLatticeSpec(4, 8))
 
 
 def test_spec_above_the_site_budget_is_refused():

@@ -162,6 +162,26 @@ def test_fit_log_slope():
                 fit_log_slope(one_x, [1.0] * len(one_x))
 
 
+@pytest.mark.parametrize("ys", [[1.0, math.nan, 2.0], [1.0, math.inf, 2.0],
+                                [-math.inf, 1.0, 2.0]])
+def test_fit_log_slope_refuses_a_y_that_is_not_finite(ys):
+    # nan came back as the slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite y"):
+            fit_log_slope([1e-3, 1e-2, 1e-1], ys)
+
+
+@pytest.mark.parametrize("xs", [[0.0, 1e-2, 1e-1], [-1e-3, 1e-2, 1e-1],
+                                [math.nan, 1e-2, 1e-1], [1e-3, 1e-2, math.inf]])
+def test_fit_log_slope_refuses_an_x_that_is_not_finite_and_positive(xs):
+    # x <= 0 warned "divide by zero encountered in log" and gave nan or inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite x > 0"):
+            fit_log_slope(xs, [1.0, 2.0, 3.0])
+
+
 def reference_loop_mass(query):
     """loop_mass as it was with its three E1 windows: an array window with a
     cut at 700, a scalar one, and special cases for C = inf."""

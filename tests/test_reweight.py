@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -122,6 +123,16 @@ def test_projection_q_guard(case):
             reweight.project_onto_partition(field, part, bad)
 
 
+def test_projection_whose_energy_leaves_the_float_range_is_refused_by_name(case):
+    # q = 5e-324 squared is 0: a ZeroDivisionError; at 1e-160 the energy was inf
+    field, part, _ = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tiny in (5e-324, 1e-160):
+            with pytest.raises(ValueError, match=re.escape("q = %g" % tiny)):
+                reweight.project_onto_partition(field, part, tiny)
+
+
 def test_energy_only_route_equals_projection():
     q = charge_to_params(0.0).Q
     for field, part, _ in _reference_cases(16):
@@ -175,6 +186,15 @@ def test_density_ratio_check_refuses_x_past_the_float_range(x):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="x must be finite"):
             reweight.density_ratio_check(0.0, 1.0, np.array(x))
+
+
+@pytest.mark.parametrize("c, c_prime, x", [(-1e300, 1.0, [1e5]), (0.0, -1e300, [1e5])])
+def test_density_ratio_check_refuses_charges_that_overflow_q_squared_x_squared(c, c_prime, x):
+    # Q^2 x^2 overflowed with numpy warnings and the ratio came back nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("c = %g and c' = %g" % (c, c_prime))):
+            reweight.density_ratio_check(c, c_prime, np.array(x))
 
 
 def test_pooled_chi_square_basics():
