@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
+import scipy
 
 from . import _blocks
 from .graphs import graph_laplacian, grid_graph
@@ -159,7 +159,7 @@ def sample_dgff(size: int, seed: int) -> GridField:
         lam1 = _mode_eigenvalues(size)
         for rows in _blocks.row_blocks(size - 1, _row_width(size)):
             coeff[rows] *= np.sqrt(TWO_PI / (lam1[rows, None] + lam1))
-    values = sfft.dstn(coeff, type=1, norm="ortho", overwrite_x=True)
+    values = scipy.fft.dstn(coeff, type=1, norm="ortho", overwrite_x=True)
     del coeff
     return GridField(size=size, seed=seed, values=values)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .surfaces import _TAIL_EXPONENT, ModelSurface
 from .zeta import (
@@ -71,7 +71,7 @@ def loop_mass(query: LoopMassQuery) -> float:
     kappa = query.kappa
 
     def window(rate):
-        return special.exp1(rate * delta) - special.exp1(rate * cap)
+        return scipy.special.exp1(rate * delta) - scipy.special.exp1(rate * cap)
 
     lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
     with np.errstate(over="ignore"):

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import special
+import scipy
 
 from . import gff
 from .gff import GridField, TWO_PI
@@ -76,8 +75,8 @@ def _lagrange_solve(field: GridField, partition: DyadicPartition):
     rows = _window_profiles(size, partition._rows * w, w)
     cols = _window_profiles(size, partition._cols * w, w)
     inv_root = _inverse_root(size)
-    rows_hat = sfft.dst(rows, type=1, norm="ortho", axis=1)
-    cols_hat = sfft.dst(cols, type=1, norm="ortho", axis=1)
+    rows_hat = scipy.fft.dst(rows, type=1, norm="ortho", axis=1)
+    cols_hat = scipy.fft.dst(cols, type=1, norm="ortho", axis=1)
     x = np.einsum("sj,sk->sjk", rows_hat, cols_hat)
     x *= inv_root
     x = x.reshape(len(w), -1)
@@ -120,7 +119,7 @@ def project_onto_partition(field: GridField, partition: DyadicPartition,
         raise ValueError("coefficient energy over q^2 is past the float64 range"
                          " at q = %g" % q)
     coeff = (mu @ x).reshape(inv_root.shape) * inv_root
-    projected = sfft.dstn(coeff, type=1, norm="ortho")
+    projected = scipy.fft.dstn(coeff, type=1, norm="ortho")
     achieved = np.einsum("sk,sk->s", rows @ projected, cols)
     residual = float(np.max(np.abs(achieved - targets)))
     return ProjectionResult(
@@ -180,7 +179,7 @@ def _pooled_chi_square(counts_a: np.ndarray, counts_b: np.ndarray,
     dof = int(mask.sum()) - 1
     if dof <= 0:
         return 0.0, 1.0
-    return stat, float(special.chdtrc(dof, stat))
+    return stat, float(scipy.special.chdtrc(dof, stat))
 
 
 def _ess(w: np.ndarray) -> float:

@@ -50,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
+import scipy
 
 from . import _blocks
 
@@ -65,7 +65,7 @@ _T_CROSSOVER = 0.05
 # asymptotic guesses
 _BESSEL_MAX_STEPS = 20
 # threads that refine a band of Bessel zeros, the calling one included: two
-# where two cores are ours (`special.jv` runs without the GIL), else one
+# where two cores are ours (`scipy.special.jv` runs without the GIL), else one
 _BESSEL_THREADS = (min(2, len(os.sched_getaffinity(0)))
                    if hasattr(os, "sched_getaffinity") else 1)
 # most eigenvalues (with multiplicity) one enumeration may produce
@@ -427,7 +427,7 @@ class IntervalDirichlet(ModelSurface):
 
     def zeta_series(self, s: float) -> float:
         """(L / pi)^(2s) times the Riemann zeta at 2s."""
-        return float((self.length / math.pi) ** (2 * s) * special.zeta(2 * s))
+        return float((self.length / math.pi) ** (2 * s) * scipy.special.zeta(2 * s))
 
 
 @dataclass(frozen=True)
@@ -565,7 +565,7 @@ def _bessel_zero_guess(nu: np.ndarray, k: np.ndarray) -> np.ndarray:
     uniform = ~mcmahon
     if uniform.any():
         v, ku = nu[uniform], k[uniform]
-        airy = special.ai_zeros(int(ku.max()))[0]
+        airy = scipy.special.ai_zeros(int(ku.max()))[0]
         w = 2.0 / 3.0 * (-airy[ku - 1] / v ** (2.0 / 3.0)) ** 1.5
         # z > 1 solves sqrt(z^2 - 1) - arcsec z = w; that side is increasing
         # and convex, and z = w + pi/2 lies right of the root, so Newton
@@ -591,8 +591,8 @@ def _halley(nu: np.ndarray, x: np.ndarray):
     todo = np.arange(x.size)
     for _ in range(_BESSEL_MAX_STEPS):
         v, xi = nu[todo], x[todo]
-        f = special.jv(v, xi)
-        fp = special.jv(v - 1.0, xi) - v * f / xi
+        f = scipy.special.jv(v, xi)
+        fp = scipy.special.jv(v - 1.0, xi) - v * f / xi
         # J'' from Bessel's equation
         fpp = -fp / xi - (1.0 - (v / xi) ** 2) * f
         step = f / fp / (1.0 - f * fpp / (2.0 * fp * fp))
@@ -650,10 +650,10 @@ class _BesselZeroCache:
     `ensure` grows the cache by the band (old j_max, new j_max] only.  For each
     order nu < j_max it takes the indices k after those held, up to the
     uniform count estimate + 3, starts each from its asymptotic value and
-    refines all of them at once by Halley steps on `special.jv`, split into
+    refines all of them at once by Halley steps on `scipy.special.jv`, split into
     the interleaved halves [0::2] and [1::2] when `_BESSEL_THREADS` is 2: the
     calling thread refines one and a worker thread, joined before `ensure`
-    goes on, the other, which overlaps because `special.jv` releases the
+    goes on, the other, which overlaps because `scipy.special.jv` releases the
     GIL.  Each zero runs its own Halley iteration, elementwise, so a zero's
     value does not depend on which half, or which batch, it is refined in,
     and a two-thread build equals a one-thread build bit for bit.  The band is

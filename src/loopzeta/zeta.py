@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .surfaces import _TAIL_EXPONENT, EnumerationBudgetError, ModelSurface
 
@@ -227,7 +227,7 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     DiskDirichlet(1) 0.5 at s = 50.
     """
     _check_series_domain(s)
-    if special.gamma(s) == math.inf:
+    if scipy.special.gamma(s) == math.inf:
         raise ValueError("mellin_zeta at s = %g: Gamma(s) is past the float64 range"
                          " (s above about 171.6)" % s)
     hc = surface.heat_coefficients()
@@ -252,13 +252,13 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
                          " at largest length %g" % length) from None
     # the body past x = gap t_max drops about the fraction Q(s, x) of the
     # integral: x = _TAIL_EXPONENT for s up to 5, the x with Q = 1e-16 above
-    t_max = max(_TAIL_EXPONENT, special.gammainccinv(s, 1e-16)) / gap
+    t_max = max(_TAIL_EXPONENT, scipy.special.gammainccinv(s, 1e-16)) / gap
 
     def integrand(t):
         return t ** (s - 1.0) * (surface.heat_trace(t) - n)
 
     body, _ = _geometric_quadrature(integrand, t0, t_max)
-    return (head + head_resid + body) / special.gamma(s)
+    return (head + head_resid + body) / scipy.special.gamma(s)
 
 
 def zeta_continued(surface: ModelSurface, s: float) -> float:
@@ -277,9 +277,9 @@ def zeta_continued(surface: ModelSurface, s: float) -> float:
     # the head first: its smallest t needs the most eigenvalues
     head_resid, _ = head_integral(surface, delta, s=s)
     lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
-    tail_sum = float(np.sum(mult * lam ** (-s) * special.gammaincc(s, lam * delta)))
-    return (tail_sum + (head + head_resid) / special.gamma(s)
-            + zeta_at_zero(surface) * delta**s / special.gamma(s + 1))
+    tail_sum = float(np.sum(mult * lam ** (-s) * scipy.special.gammaincc(s, lam * delta)))
+    return (tail_sum + (head + head_resid) / scipy.special.gamma(s)
+            + zeta_at_zero(surface) * delta**s / scipy.special.gamma(s + 1))
 
 
 def zeta_at_zero(surface: ModelSurface) -> float:
@@ -320,7 +320,7 @@ def log_det_zeta(surface: ModelSurface, delta: float = 0.1) -> ZetaDetReport:
     integral_head, head_err = head_integral(surface, delta)
 
     lam, mult = surface.nonzero_spectrum(_TAIL_EXPONENT / delta)
-    integral_tail = float(np.sum(mult * special.exp1(lam * delta)))
+    integral_tail = float(np.sum(mult * scipy.special.exp1(lam * delta)))
     # one part in 1e20 per eigenvalue summed, zero modes included
     tail_trunc_err = 1e-20 * max(1.0, int(mult.sum()) + surface.zero_modes)
 

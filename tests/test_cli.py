@@ -339,13 +339,17 @@ def test_acceptance_subset(capsys):
     assert "PASS criterion  5" in out
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this tree's loopzeta."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _run_subprocess(argv, timeout):
     """Run the CLI in a fresh interpreter; returns (exit code, stdout, stderr)."""
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "loopzeta.cli"] + argv,
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=_fresh_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -420,21 +424,58 @@ def test_radius_whose_square_underflows_is_refused_by_name(spec):
         "loopzeta: error: radius 1e-170 is too small: its square underflows float64")
 
 
-def test_import_loads_no_scipy_subpackage_but_special_and_fft():
+def _fresh_interpreter(probe):
+    """stdout of `python -c probe` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=_fresh_env(), check=True).stdout
+
+
+def test_import_loads_no_scipy_subpackage():
     # scipy.stats served one chi-square tail and loaded nine more scipy
-    # subpackages, about 0.65 s of every command's start
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # subpackages, about 0.65 s of every command's start; scipy.special and
+    # scipy.fft, imported at the top of five modules, took about 0.19 s more
+
     # a module of scipy.stats is loaded only with the package scipy.stats
     probe = ("import sys, loopzeta, loopzeta.cli\n"
              "print(*(name for name, module in sys.modules.items()\n"
              "        if name.startswith('scipy.') and hasattr(module, '__path__')))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=60, env=env, check=True)
-    subpackages = {name for name in proc.stdout.split()
+    subpackages = {name for name in _fresh_interpreter(probe).split()
                    if name.count(".") == 1 and not name.startswith("scipy._")}
-    assert subpackages == {"scipy.fft", "scipy.special"}
+    assert subpackages == set()
+
+
+_PROBED = ("scipy.special", "scipy.fft")
+
+
+def _loaded_after(statements):
+    """Which of `_PROBED` a fresh interpreter holds after running statements."""
+    probe = statements + "\nimport sys\nprint(*(n for n in %r if n in sys.modules))" % (
+        _PROBED,)
+    return set(_fresh_interpreter(probe).split())
+
+
+# each command at a small size that exits 0, and the scipy subpackages it uses
+_COMMAND_SUBPACKAGES = [
+    (["graph-loops", "--graph", "@grid4.txt"], []),
+    (["soup-sample", "--graph", "@grid4.txt", "--max-len", "80", "--seed", "0"], []),
+    (["zeta-det", "--surface", "interval:1"], ["scipy.special"]),
+    (["gff-sample", "--size", "16", "--out", "@field.bin"], ["scipy.fft"]),
+]
+
+
+@pytest.mark.parametrize("argv, uses", _COMMAND_SUBPACKAGES,
+                         ids=[argv[0] for argv, _ in _COMMAND_SUBPACKAGES])
+def test_command_loads_only_the_scipy_subpackages_it_uses(argv, uses, tmp_path):
+    (tmp_path / "grid4.txt").write_text(graphs.write_edge_list(graphs.grid_graph(4)))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    loaded = _loaded_after("import contextlib, io\n"
+                           "from loopzeta import cli\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    assert cli.main(%r) == 0" % argv)
+    # a subpackage may import another itself: scipy.fft imports scipy.special
+    expected = _loaded_after("".join("import %s\n" % name for name in uses))
+    assert set(uses) <= loaded
+    assert loaded == expected
 
 
 def test_graph_loops_flags_overflowed_identity(tmp_path):

@@ -36,7 +36,7 @@ import tempfile
 import numpy as np
 
 import loopzeta as lz
-from loopzeta import cli
+from loopzeta import cli, graphs
 from loopzeta.zeta import zeta_continued
 
 _OUTPUT_FLAGS = ("--out", "--json-out", "--svg")
@@ -121,14 +121,29 @@ def _projection():
     return lz.project_onto_partition(field, lz.subdivide(field, q, 0.45), q)
 
 
+# the interval's zeta is its closed form, the sphere's a series
+_ZETA = [("zeta %s 2.0" % spec, lambda spec=spec: lz.zeta(lz.parse_surface(spec), 2.0))
+         for spec in ("interval:1", "sphere:1")]
+
+_GRAPHS = [
+    ("transition_matrix grid4", lambda: graphs.transition_matrix(lz.grid_graph(4))),
+    ("spectral_radius_bound grid4",
+     lambda: graphs.spectral_radius_bound(graphs.transition_matrix(lz.grid_graph(4)))),
+    ("loop_mass_truncated grid4 40", lambda: lz.loop_mass_truncated(lz.grid_graph(4), 40)),
+    ("determinant_identity grid4", lambda: lz.determinant_identity(lz.grid_graph(4))),
+]
+
 _FIELDS = [
     ("sample_dgff 256 0", lambda: lz.sample_dgff(256, 0).values),
+    # one row block of prefix sums at 128, several at 256
+    *[("prefix %d 0" % size, lambda size=size: lz.sample_dgff(size, 0).prefix)
+      for size in (128, 256)],
     ("regime_protocol 256 0 c=0",
      lambda: _partition(lz.regime_protocol(lz.sample_dgff(256, 0), 0.0))),
     ("project_onto_partition 64 11 eps=0.45", _projection),
 ]
 
-API = _ci_spectra() + _spectral() + _FIELDS
+API = _ci_spectra() + _spectral() + _ZETA + _GRAPHS + _FIELDS
 
 # every argv that CI compared with the base commit's, then the README's
 # commands at small sizes
