@@ -403,7 +403,7 @@ def criterion_16():
               (rep.count_p, rep.level_p, rep.slice_p, rep.ess))
     if rep.underpowered:
         return False, "underpowered: " + detail
-    ok = min(rep.count_p, rep.level_p, rep.slice_p) > 0.01
+    ok = all(p > 0.01 for p in (rep.count_p, rep.level_p, rep.slice_p))
     return ok, detail
 
 

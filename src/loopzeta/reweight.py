@@ -160,7 +160,10 @@ def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:
 def _pooled_chi_square(counts_a: np.ndarray, counts_b: np.ndarray,
                        n_a: float, n_b: float):
     """Two-sample chi-square on (possibly weighted) category counts with the
-    given effective sample sizes; bins with pooled expectation < 5 merged."""
+    given effective sample sizes; bins with pooled expectation < 5 merged.
+    nan, nan when a side has no mass: there is nothing to compare."""
+    if not (counts_a.sum() > 0 and counts_b.sum() > 0):
+        return math.nan, math.nan
     p = counts_a / counts_a.sum()
     qq = counts_b / counts_b.sum()
     pool = (n_a * p + n_b * qq) / (n_a + n_b)
@@ -183,8 +186,13 @@ def _pooled_chi_square(counts_a: np.ndarray, counts_b: np.ndarray,
 
 
 def _ess(w: np.ndarray) -> float:
-    """Effective sample size (sum w)^2 / sum w^2 of the weights w; 0 for none."""
-    return float(w.sum() ** 2 / np.sum(w**2)) if len(w) else 0.0
+    """Effective sample size (sum w)^2 / sum w^2 of the weights w; 0 for none
+    or all zero. Weights whose squares underflow are first scaled to max 1."""
+    square_sum = np.sum(w**2)
+    if square_sum >= np.finfo(float).tiny:
+        return float(w.sum() ** 2 / square_sum)
+    top = w.max() if len(w) else 0.0
+    return _ess(w / top) if top > 0 else 0.0
 
 
 def _level_test(levels_a: np.ndarray, levels_b: np.ndarray, w: np.ndarray):

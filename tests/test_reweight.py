@@ -206,6 +206,28 @@ def test_pooled_chi_square_basics():
     assert stat2 > 0 and p2 < 0.01
 
 
+def test_pooled_chi_square_without_mass_on_a_side_is_nan():
+    counts = np.array([40.0, 30.0])
+    for a, b, n_b in ((counts, np.zeros(2), 0.0), (np.zeros(2), counts, 70.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stat, p = reweight._pooled_chi_square(a, b, 70.0, n_b)
+        assert math.isnan(stat) and math.isnan(p)
+
+
+@pytest.mark.parametrize("w, ess", [
+    (np.array([]), 0.0),
+    (np.zeros(3), 0.0),
+    (np.array([1.0, 1.0, 0.0]), 2.0),
+    (np.array([1e-200, 1e-200, 0.0]), 2.0),  # squares underflow to 0
+    (np.array([1e-300]), 1.0),
+])
+def test_ess_is_finite_for_empty_zero_and_underflowing_weights(w, ess):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reweight._ess(w) == ess
+
+
 def _pooled_chi_square_through_stats(counts_a, counts_b, n_a, n_b):
     """The pooled chi-square as it read with its tail from scipy.stats."""
     from scipy import stats
