@@ -140,7 +140,8 @@ def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:
     Per coordinate the base law is x ~ N(0, 1/Q^2) and the target is
     N(0, 1/Q_new^2); the result must not depend on x. ValueError unless x
     is finite with its sum of squares, times Q^2 and Q_new^2, in the float
-    range.
+    range, and where the weight (c'/12) x^2 and log base - log target, which
+    cancel to n log(Q / Q_new), exceed it by more than 1/eps.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
@@ -154,7 +155,14 @@ def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:
                          " range" % (c, c_prime))
     log_base = float(np.sum(np.log(q / math.sqrt(TWO_PI)) - 0.5 * q**2 * x**2))
     log_target = float(np.sum(np.log(q_new / math.sqrt(TWO_PI)) - 0.5 * q_new**2 * x**2))
-    return det_weight(energy, c_prime) + log_base - log_target
+    weight = det_weight(energy, c_prime)
+    ratio = weight + log_base - log_target
+    # the two terms cancel to n log(Q / Q_new); past 1/eps times it, only
+    # their rounding error is left
+    if max(abs(weight), abs(log_base - log_target)) * np.finfo(float).eps > abs(ratio):
+        raise ValueError("c' = %g: the weight (c'/12) x^2 = %g and the log-density"
+                         " difference cancel past float64 precision" % (c_prime, weight))
+    return ratio
 
 
 def _pooled_chi_square(counts_a: np.ndarray, counts_b: np.ndarray,

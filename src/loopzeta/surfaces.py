@@ -13,7 +13,8 @@ equals scalar calls bit for bit.  The disk enumerates its eigenvalues once
 per octave of t / min(t), at the cutoff of that octave's smallest t, so
 that a batch over many octaves scans no more terms per row than calls of
 one octave each would.  The rectangle and the torus share one
-lattice spectrum, `_grid_spectrum`.  The disk's eigenvalues come from a
+lattice spectrum, `_grid_spectrum`, which enumerates it in sorted value
+bands of about one memory block each.  The disk's eigenvalues come from a
 process-wide cache of Bessel zeros, which one thread at a time grows under a
 lock and which refines each new band on two threads where two cores are
 available (see `_BesselZeroCache`).
@@ -27,7 +28,10 @@ returns as they are, so that the zero modes, exact zeros, are its first
 `zero_modes` entries, the ones `nonzero_spectrum` drops; the disk's come in
 Bessel-cache order, which its own `eigen_stream` sorts; an infinite cutoff, or
 a count that fails the one budget gate `_budgeted`, raises
-EnumerationBudgetError before allocating) and
+EnumerationBudgetError before allocating), `_bands(cutoff)` (the same stream
+as blocks that joined end to end are the stream, refused on the call as
+`_enumerate` is: one block here, the value bands on the lattices, whose
+`_enumerate` joins them; `zeta_series` reads them one at a time) and
 `_heat_traces(t)` on a 1-D array of t, which `heat_trace` calls after it
 refuses any t that is not finite and > 0 (the sphere's sum over l passes
 its term count through `_budgeted` too).  Optional overrides: an exact
@@ -198,6 +202,14 @@ class ModelSurface:
     def _enumerate(self, cutoff: float):
         raise NotImplementedError
 
+    def _bands(self, cutoff: float):
+        """`eigen_stream(cutoff)` as an iterator of (eigenvalues,
+        multiplicities) blocks that joined end to end are the stream; any
+        refusal is raised on the call, before a block is built.  Here the
+        whole stream is one block."""
+        stream = self.eigen_stream(cutoff)
+        return iter([(stream.eigenvalues, stream.multiplicities)])
+
     def heat_trace(self, t):
         """tr e^{-t Lap}, including the zero mode on closed surfaces: a float
         at a scalar t, elementwise at an array of t; ValueError unless every
@@ -232,9 +244,10 @@ class ModelSurface:
         (a side so long that its eigenvalue count overflows) or meets a count
         past the float range.  OverflowError,
         before the band is built, where the term of the spectral gap
-        overflows.  The band's N eigenvalues are turned into their running
-        sum in place, so a lattice's series peaks at about two copies of
-        them, 16 N bytes, the most that `_grid_spectrum` holds.
+        overflows.  The band's eigenvalues are read from `_bands` one block
+        at a time, each turned into its running sum in place, so a lattice's
+        series holds one value band of about one memory block, not its
+        spectrum; the disk's band is one block.
         """
         hc = self.heat_coefficients()
         length = self.largest_length
@@ -250,7 +263,7 @@ class ModelSurface:
             pass
         while True:
             try:
-                stream = self.nonzero_spectrum(cutoff)
+                bands = self._bands(cutoff)
                 break
             except EnumerationBudgetError as exc:
                 try:
@@ -264,18 +277,29 @@ class ModelSurface:
                         "zeta series at s = %g needs more than the budget of %d"
                         " eigenvalues at every band cutoff, at largest length %g"
                         % (s, exc.budget, length)) from None
-        lam, mult = stream
-        if not lam.size:
+        cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
+        partials = np.zeros(cuts.size)
+        # the bands are ours: each one's eigenvalues become the running sum of
+        # mult lam^-s in place, the first term carrying the sum of the bands
+        # before it, by the adds of one cumsum(mult * lam ** -s) over them all;
+        # a cut's partial sum is read from the band that holds its index
+        skip, carry = self.zero_modes, None
+        for lam, mult in bands:
+            lam, mult, skip = lam[skip:], mult[skip:], max(0, skip - lam.size)
+            if not lam.size:
+                continue
+            idx = np.searchsorted(lam, cuts, side="right")
+            csum = np.power(lam, -s, out=lam)
+            csum *= mult
+            if carry is not None:
+                csum[0] += carry
+            np.cumsum(csum, out=csum)
+            carry = csum[-1]
+            held = idx > 0
+            partials[held] = csum[idx[held] - 1]
+        if carry is None:
             raise ValueError("zeta series: no nonzero eigenvalue below the band's"
                              " top cutoff %g" % cutoff)
-        cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
-        idx = np.searchsorted(lam, cuts, side="right")
-        # the stream is ours: its eigenvalues become the running sum of
-        # mult lam^-s in place, by the operations of cumsum(mult * lam ** -s)
-        csum = np.power(lam, -s, out=lam)
-        csum *= mult
-        np.cumsum(csum, out=csum)
-        partials = np.where(idx > 0, csum[np.minimum(idx, len(csum)) - 1], 0.0)
         tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
             hc.b_coef / math.sqrt(math.pi)
         ) * cuts ** (0.5 - s) / (s - 0.5)
@@ -309,31 +333,109 @@ def _budgeted(count):
 
 
 def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: bool):
-    """Eigenvalues unit^2 (m^2 / a^2 + n^2 / b^2) <= cutoff in increasing
-    order, each of multiplicity 1: m, n in Z on the torus (unit 2 pi), m, n >=
-    1 on the Dirichlet rectangle (unit pi), empty there when a side has no
-    mode.  The budget counts the whole grid; it is formed and filtered one
-    row block at a time, a row counted twice for the temporaries that form
-    it, so that N eigenvalues take at most 16 N bytes, their filtered
-    blocks and their concatenation, and sorted in place.  The sorted values of a multiset are unique, so they equal a
-    stable sort of the whole grid bit for bit; the multiplicities are a
-    read-only broadcast of 1.0."""
+    """The eigenvalues unit^2 (m^2 / a^2 + n^2 / b^2) <= cutoff, each of
+    multiplicity 1 (m, n in Z on the torus, unit 2 pi; m, n >= 1 on the
+    Dirichlet rectangle, unit pi, none there when a side has no mode), as an
+    iterator of sorted value bands: the eigenvalues in (lo, hi], about one
+    memory block (`_blocks`) of them a band, from lo = -inf up to hi =
+    cutoff.  The budget counts the whole grid and is checked on the call,
+    before any band is built.
+
+    Rows run along the side with fewer modes, over m >= 0 and n >= 0 on the
+    torus, where (+-m, +-n) share one value.  A row's candidates in a band
+    are a run bounded by a float sqrt widened by one; each is formed by the
+    one expression unit^2 (m^2 / a^2 + n^2 / b^2), whose sum is the same
+    float in either order, and kept if it lies in (lo, hi].  Each band is
+    sorted, and the sorted values of a multiset are unique, so the bands
+    joined end to end equal a stable sort of the whole grid bit for bit.
+    The edges between bands interpolate an estimate of the count below x,
+    taken on a grid quadratic in x, where the count grows about evenly both
+    on a two-dimensional lattice and on one so thin that it counts as
+    sqrt(x)."""
     m_max = _count(a / unit * math.sqrt(cutoff))
     n_max = _count(b / unit * math.sqrt(cutoff))
     if not periodic and 0 in (m_max, n_max):
-        return np.empty(0), np.empty(0)
+        return iter(())
     m0, n0 = (-m_max, -n_max) if periodic else (1, 1)
-    _budgeted((m_max - m0 + 1) * (n_max - n0 + 1))
-    m = np.arange(m0, m_max + 1, dtype=float)
-    n_terms = np.arange(n0, n_max + 1, dtype=float) ** 2 / b**2
-    blocks = (unit**2 * (m[rows, None] ** 2 / a**2 + n_terms)
-              for rows in _blocks.row_blocks(m.size, 2 * n_terms.size))
+    grid = _budgeted((m_max - m0 + 1) * (n_max - n0 + 1))
+    first = 0 if periodic else 1
+    p_side, p_max, q_side, q_max = (a, m_max, b, n_max) if m_max <= n_max else (b, n_max, a, m_max)
+    p2 = np.arange(first, p_max + 1, dtype=float) ** 2 / p_side**2
+    # the columns, read in windows of 16 whose last entries past the grid are +inf
+    q2 = np.arange(first, q_max + 17, dtype=float)
+    q2[-16:] = np.inf
+    q2 **= 2
+    q2 /= q_side**2
+    tops = [cutoff]
+    if grid > _blocks.BLOCK:
+        # the count below x, estimated per row at about two x per band
+        steps = 2 * grid // _blocks.BLOCK + 2
+        xs = cutoff * (np.arange(1, steps + 1) / steps) ** 2
+        below = np.zeros(steps + 1)
+        for rows in _blocks.row_blocks(p2.size, 2 * steps):
+            cols = q_side * np.sqrt(np.fmax(xs / unit**2 - p2[rows, None], 0.0))
+            below[1:] += np.minimum(cols, q_max).sum(axis=0)
+        bands = math.ceil(below[-1] * (4 if periodic else 1) / _blocks.BLOCK)
+        edges = np.interp(below[-1] * np.arange(1, bands) / bands, below, np.r_[0.0, xs])
+        tops = [*np.unique(edges[edges < cutoff]).tolist(), cutoff]
+    return (_grid_band(lo, hi, p2, q2, q_side, unit, periodic)
+            for lo, hi in zip([-math.inf] + tops[:-1], tops))
+
+
+def _grid_band(lo, hi, p2, q2, q_side, unit, periodic):
+    """The band (lo, hi] of `_grid_spectrum`, sorted: rows p^2 / p_side^2 in
+    `p2`, columns n^2 / q_side^2 in `q2`, each from index 0 on the torus and
+    1 on the rectangle, the columns followed by 16 entries of +inf.  A
+    row's candidates run from its first column whose value may exceed lo to
+    its last whose value may reach hi, each bound a float sqrt widened by
+    one.  The first band reads every row from column 0 as far as row 0
+    runs, the farthest; later bands read each row's run in windows of 16
+    columns.  A value past a row's run is above hi, or +inf past the last
+    column, and the filter drops it."""
+    first = 0 if periodic else 1
+    columns = q2.size - 16
+    # rows past the top hold none of the band; one more covers rounding
+    row2 = p2[:int(p2.searchsorted(hi / unit**2, side="right")) + 1]
+    if lo == -math.inf:
+        width = int(q_side * math.sqrt(max(0.0, hi / unit**2 - row2[0]))) + 2 - first
+        head, row0_chunks = 0, 1
+        lam = q2[:min(width, columns + 1)] + row2[:, None]
+    else:
+        stop = np.sqrt(np.fmax(hi / unit**2 - row2, 0.0))
+        stop *= q_side
+        start = np.sqrt(np.fmax(lo / unit**2 - row2, 0.0))
+        start *= q_side
+        start = np.maximum(np.ceil(start, out=start) - (1 + first), 0.0)
+        count = np.minimum(np.floor(stop, out=stop) + (2 - first), columns) - start
+        per_row = np.maximum(count + 15, 0.0).astype(np.intp) // 16
+        start = start.astype(np.intp)
+        ends = per_row.cumsum()
+        head = np.arange(ends[-1])
+        head -= (ends - per_row).repeat(per_row)
+        head *= 16
+        head += start.repeat(per_row)
+        windows = np.ndarray((columns + 1, 16), buffer=q2, strides=2 * q2.strides)
+        lam = windows[head]
+        lam += row2.repeat(per_row)[:, None]
+        row0_chunks = per_row[0]
     # at a cutoff near the float64 maximum an entry may overflow to inf,
     # which the filter drops
     with np.errstate(over="ignore"):
-        lam = np.concatenate([block[block <= cutoff] for block in blocks])
-    lam.sort()
-    return lam, np.broadcast_to(1.0, lam.shape)
+        lam *= unit**2
+    keep = lam <= hi
+    if lo > -math.inf:
+        keep &= lam > lo
+    if periodic:
+        # (m, n) stands for (+-m, +-n): twice for n > 0, twice again for m > 0
+        weight = keep.view(np.int8)
+        weight <<= 2
+        weight[:row0_chunks] >>= 1  # m = 0
+        weight[:, 0] >>= head == 0  # n = 0
+        band = lam.ravel().repeat(weight.ravel())
+    else:
+        band = lam[keep]
+    band.sort()
+    return band
 
 
 def _times(t) -> np.ndarray:
@@ -430,8 +532,28 @@ class IntervalDirichlet(ModelSurface):
         return float((self.length / math.pi) ** (2 * s) * scipy.special.zeta(2 * s))
 
 
+class _LatticeSurface(ModelSurface):
+    """The Dirichlet rectangle (unit pi) and the flat torus (unit 2 pi, the
+    closed one), whose spectrum is `_grid_spectrum`'s value bands: read one
+    at a time by `_bands`, and joined by `_enumerate`, with a read-only
+    broadcast of 1.0 as the multiplicities."""
+
+    def _grid(self, cutoff):
+        unit = 2 * math.pi if self.is_closed else math.pi
+        return _grid_spectrum(cutoff, self.side_a, self.side_b, unit, self.is_closed)
+
+    def _bands(self, cutoff):
+        return ((lam, np.broadcast_to(1.0, lam.shape)) for lam in self._grid(cutoff))
+
+    def _enumerate(self, cutoff):
+        # the bands and their join: at most 16 N bytes for N eigenvalues
+        bands = list(self._grid(cutoff))
+        lam = bands[0] if len(bands) == 1 else np.concatenate([np.empty(0), *bands])
+        return lam, np.broadcast_to(1.0, lam.shape)
+
+
 @dataclass(frozen=True)
-class RectangleDirichlet(ModelSurface):
+class RectangleDirichlet(_LatticeSurface):
     side_a: float = 1.0
     side_b: float = 1.0
     smooth_boundary = False
@@ -444,9 +566,6 @@ class RectangleDirichlet(ModelSurface):
             -(self.side_a + self.side_b) / (4.0 * math.sqrt(math.pi)),
             0.25,
         )
-
-    def _enumerate(self, cutoff):
-        return _grid_spectrum(cutoff, self.side_a, self.side_b, math.pi, False)
 
     def _heat_traces(self, t):
         return _sine_trace(t, self.side_a) * _sine_trace(t, self.side_b)
@@ -461,7 +580,7 @@ class RectangleDirichlet(ModelSurface):
 
 
 @dataclass(frozen=True)
-class FlatTorus(ModelSurface):
+class FlatTorus(_LatticeSurface):
     side_a: float = 1.0
     side_b: float = 1.0
     zero_modes = 1
@@ -469,9 +588,6 @@ class FlatTorus(ModelSurface):
     def heat_coefficients(self) -> HeatCoefficients:
         """a = Vol / (4 pi), b = 0 (no boundary), c = chi/6 = 0."""
         return HeatCoefficients(self.side_a * self.side_b / (4.0 * math.pi), 0.0, 0.0)
-
-    def _enumerate(self, cutoff):
-        return _grid_spectrum(cutoff, self.side_a, self.side_b, 2 * math.pi, True)
 
     def _heat_traces(self, t):
         # sum_{m in Z} exp(-t (2 pi m / P)^2) = 1 + 2 S(t; P / 2)

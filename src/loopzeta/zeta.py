@@ -221,7 +221,10 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     _TAIL_EXPONENT over it overflows (L below about 2e-153, 5e-152 on the
     disk): there t0, the cut or a cutoff sized by 1 / L^2 leaves the
     float64 range.  Where neither fails, the value is kept.  ValueError, naming
-    s, past s = 171.6, where Gamma(s) is past float64.  At large s the body
+    s, past s = 171.6, where Gamma(s) is past float64, and, naming s and L,
+    where t^(s-1) overflows at the body's top node, just below its end
+    t_max, at least 50 over the spectral gap (on the interval, L above about
+    7.9 at s = 100).  At large s the body
     loses digits on closed surfaces, where tr - n cancels, and on the disk:
     FlatTorus(1, 2) and RoundSphere(1) are 5e-4 off at s = 20, and
     DiskDirichlet(1) 0.5 at s = 50.
@@ -253,6 +256,15 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
     # the body past x = gap t_max drops about the fraction Q(s, x) of the
     # integral: x = _TAIL_EXPONENT for s up to 5, the x with Q = 1e-16 above
     t_max = max(_TAIL_EXPONENT, scipy.special.gammainccinv(s, 1e-16)) / gap
+    # the body's largest t^(s-1) is at the top node of its top panel, just
+    # below t_max; where it overflows, so does the integral
+    top = _octave_panels(t0, t_max)[0]
+    with np.errstate(over="ignore"):
+        power = max(np.max(_gauss_nodes(*top, n) ** (s - 1.0)) for n in (24, 48))
+    if power == math.inf:
+        raise ValueError("mellin_zeta at s = %g: t^(s-1) at t = %g, the end of its body,"
+                         " is past the float64 range at largest length %g"
+                         % (s, t_max, length))
 
     def integrand(t):
         return t ** (s - 1.0) * (surface.heat_trace(t) - n)

@@ -197,6 +197,19 @@ def test_density_ratio_check_refuses_charges_that_overflow_q_squared_x_squared(c
             reweight.density_ratio_check(c, c_prime, np.array(x))
 
 
+@pytest.mark.parametrize("c, c_prime, x", [(0.0, -1e308, [1.0]), (0.0, -1e300, [1.0, 2.0]),
+                                          (0.0, -1e20, [3.0])])
+def test_density_ratio_check_refuses_charges_whose_terms_cancel_past_float_precision(
+        c, c_prime, x):
+    # (c'/12) x^2 and log_base - log_target, about 8e306 each at c' = -1e308,
+    # cancel to n log(Q / Q_new) ~ -353; the result kept only their rounding
+    # error, 1.247e291, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("c' = %g" % c_prime)):
+            reweight.density_ratio_check(c, c_prime, np.array(x))
+
+
 def test_pooled_chi_square_basics():
     counts = np.array([40.0, 30.0, 20.0, 10.0])
     stat, p = reweight._pooled_chi_square(counts, counts, 100.0, 100.0)

@@ -631,6 +631,32 @@ def test_mellin_zeta_past_gamma_range_is_refused_by_name(s):
             mellin_zeta(IntervalDirichlet(1.0), s)
 
 
+@pytest.mark.parametrize("surface", [
+    IntervalDirichlet(10.0), IntervalDirichlet(100.0), RectangleDirichlet(20.0, 13.0),
+    FlatTorus(20.0, 10.0)], ids=repr)
+def test_mellin_zeta_whose_body_power_overflows_is_refused_by_name(surface):
+    # t^(s - 1) overflowed at the body's top nodes, and the value read inf
+    # with an overflow warning (or, past L = 7.9 at s = 100, a wrong finite one)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "s = 100: t^(s-1) at t = ") + ".* largest length %g" % surface.largest_length):
+            mellin_zeta(surface, 100.0)
+
+
+@pytest.mark.parametrize("surface, s", [
+    (IntervalDirichlet(3.0), 100.0), (IntervalDirichlet(7.89709), 100.0),
+    (IntervalDirichlet(1.48031), 170.0), (RectangleDirichlet(14.2367, 14.2367 / 1.5), 100.0)],
+    ids=repr)
+def test_mellin_zeta_just_short_of_the_power_overflow_is_the_series_value(surface, s):
+    # past L = 3, t_max^(s - 1) overflows at the body's end t_max, but no
+    # node of its top Gauss panel reaches that power, so the value is finite
+    # and kept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mellin_zeta(surface, s) == pytest.approx(zeta(surface, s), rel=5e-14, abs=0.0)
+
+
 @pytest.mark.xfail(strict=True, reason="the Mellin body loses the trace's last digits"
                    " at large s: tr - n cancels on closed surfaces")
 @pytest.mark.parametrize("surface, s", [(FlatTorus(1.0, 2.0), 20.0),

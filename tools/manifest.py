@@ -77,10 +77,10 @@ def _ci_spectra():
     return entries
 
 
-# the five kinds at two scales; no disk build past the unit disk's at 0.05
+# the five kinds at three scales; no disk build past the unit disk's at 0.05
 _SURFACES = [
     surface
-    for scale in (1.0, 0.7)
+    for scale in (1.0, 0.7, 0.45)
     for surface in (lz.IntervalDirichlet(scale), lz.RectangleDirichlet(scale, 1.5 * scale),
                     lz.DiskDirichlet(scale), lz.FlatTorus(scale, 2.0 * scale),
                     lz.RoundSphere(scale))
@@ -121,9 +121,13 @@ def _projection():
     return lz.project_onto_partition(field, lz.subdivide(field, q, 0.45), q)
 
 
-# the interval's zeta is its closed form, the sphere's a series
+# the interval's zeta is its closed form, the sphere's a series; the lattice
+# series sums ~3.3 M eigenvalues in about 50 value bands, here on a
+# rectangle that is not square and a torus above unit size
 _ZETA = [("zeta %s 2.0" % spec, lambda spec=spec: lz.zeta(lz.parse_surface(spec), 2.0))
          for spec in ("interval:1", "sphere:1")]
+_ZETA += [("zeta %s %r" % (spec, s), lambda spec=spec, s=s: lz.zeta(lz.parse_surface(spec), s))
+          for spec in ("rect:1x1.5", "torus:1.5x0.7") for s in (1.5, 2.0, 3.0)]
 
 _GRAPHS = [
     ("transition_matrix grid4", lambda: graphs.transition_matrix(lz.grid_graph(4))),
