@@ -204,6 +204,7 @@ def cmd_subdivide(args) -> int:
         part = subdivision.subdivide(field, q, args.epsilon)
     else:
         part = subdivision.regime_protocol(field, args.charge, args.ratio)
+    del field  # its values and prefix sums, before the files are written
     _write_chunks(args.out, subdivision._csv_chunks(part))
     if args.svg:
         _write_chunks(args.svg, subdivision._svg_chunks(part))

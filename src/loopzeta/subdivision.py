@@ -4,9 +4,12 @@ Starting from the unit square, any square whose quantum size exceeds epsilon
 is replaced by its four dyadic children; the surviving squares are the
 maximal ones with A_h at most epsilon. For matter central charge c > 1 the
 recursion need not terminate, so a depth cap flags over-threshold squares
-instead of refining past the grid resolution. Both output formats, the CSV
-rows of `_csv_chunks` and the SVG rects of `_svg_chunks`, are streamed one
-memory block of squares (`_blocks`) at a time.
+instead of refining past the grid resolution. `subdivide` tests each
+level one memory block of squares (`_blocks`) at a time, and writes a cap
+level of more than one block straight into the partition's columns, so a
+capped run holds little more than the partition it returns. Both output
+formats, the CSV rows of `_csv_chunks` and the SVG rects of `_svg_chunks`,
+are streamed one memory block of squares at a time.
 """
 
 from __future__ import annotations
@@ -79,9 +82,13 @@ class DyadicPartition:
     def flagged_count(self) -> int:
         return int(self._flags.sum())
 
+    def canonical_order(self) -> np.ndarray:
+        """The indices that sort the squares by (level, i, j)."""
+        return np.lexsort((self._cols, self._rows, self._levels))
+
     def canonical_columns(self):
         """(levels, rows, cols, flags) sorted by (level, i, j)."""
-        order = np.lexsort((self._cols, self._rows, self._levels))
+        order = self.canonical_order()
         return (self._levels[order], self._rows[order], self._cols[order],
                 self._flags[order])
 
@@ -132,54 +139,124 @@ def regime_protocol(field: GridField, c: float,
     return subdivide(field, q_eff, eps)
 
 
+def _small(field: GridField, level: int, ii: np.ndarray, jj: np.ndarray,
+           q: float, epsilon: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Whether each square (level, ii, jj) has A_h = e^{avg/q} 2^-level <=
+    epsilon, into `out` if given. More squares than one memory block
+    (`_blocks`) are tested one block at a time, so that no level's averages
+    are ever held whole."""
+    if len(ii) > _blocks.BLOCK:
+        out = np.empty(len(ii), dtype=bool) if out is None else out
+        for block in _blocks.row_blocks(len(ii), 1):
+            _small(field, level, ii[block], jj[block], q, epsilon, out[block])
+        return out
+    a = _square_averages(field, level, ii, jj)
+    a /= q
+    np.exp(a, out=a)
+    a *= 2.0**-level
+    if out is None:
+        return a <= epsilon
+    return np.less_equal(a, epsilon, out=out)
+
+
+def _children(ii: np.ndarray, jj: np.ndarray):
+    """The four children of each square (ii, jj), in `_CHILD_ROWS` order."""
+    return (2 * ii[:, None] + _CHILD_ROWS).ravel(), (2 * jj[:, None] + _CHILD_COLS).ravel()
+
+
+def _joined(parts, length: int) -> np.ndarray:
+    """A new int32 array of `length` that starts with the parts, one after
+    another; the rest is left for the caller to fill."""
+    out = np.empty(length, dtype=np.int32)
+    np.concatenate(parts, out=out[:sum(map(len, parts))])
+    return out
+
+
 @np.errstate(over="ignore")  # an A_h past the float range is inf, over any epsilon
 def subdivide(field: GridField, q: float, epsilon: float) -> DyadicPartition:
     """Refine the unit square until every piece has A_h <= epsilon.
 
-    Levels are processed synchronously with vectorized averages; the
-    keep/refine rule is per square. The depth cap is the grid resolution,
-    `field.level`: squares still over the threshold there are kept flagged.
-    Each level's arrays are dropped as soon as they are dead, so past the
-    field and its prefix sums a run holds at most about twice its
-    partition's 10 bytes a square and one block of averages' temporaries.
+    Levels are processed synchronously; the keep/refine rule is per square,
+    tested one memory block of squares at a time. The depth cap is the grid
+    resolution, `field.level`: squares still over the threshold there are
+    kept flagged. The squares come level by level, each level's kept ones
+    in the order their parents were refined, and at the cap its flagged ones
+    after its kept ones.
+
+    A cap level of more than one block of squares is never held whole: a
+    first pass tests the children of one block of parents at a time into a
+    mask, the partition's columns are then allocated once, and a second
+    pass builds each block's children again and compresses its kept and
+    then its flagged squares straight into their final places. So past the
+    field and its prefix sums a capped run holds about 11 bytes a square
+    (the partition's 10 and the cap level's parents and mask) and one
+    block's temporaries.
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be finite and positive, got %r" % (q,))
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be finite and positive")
     chunks = []  # (level, rows, cols, flagged?) per processed level
-    ii = np.array([0], dtype=np.int32)
-    jj = np.array([0], dtype=np.int32)
-    level = 0
-    while len(ii):
-        # A_h = exp(avg / q) * side, in place to keep deep levels' peak low;
-        # every array is dropped as soon as it is dead, for the same reason
-        a = _square_averages(field, level, ii, jj)
-        a /= q
-        np.exp(a, out=a)
-        a *= 2.0**-level
-        small = a <= epsilon
-        del a
+    ii = np.zeros(1, dtype=np.int32)
+    jj = np.zeros(1, dtype=np.int32)
+    top = field.level
+    cap = None  # the cap level's mask of kept squares, when it goes in two passes
+    for level in range(top + 1):
+        # every array is dropped as soon as it is dead, to keep the peak low
+        small = _small(field, level, ii, jj, q, epsilon)
         chunks.append((level, ii[small], jj[small], False))
         big = ~small
         del small
         big_i, big_j = ii[big], jj[big]
         del ii, jj, big
-        if level == field.level:
+        if level == top:
             chunks.append((level, big_i, big_j, True))
             del big_i, big_j
+        elif not len(big_i):
             break
-        ii = (2 * big_i[:, None] + _CHILD_ROWS).ravel()
-        del big_i
-        jj = (2 * big_j[:, None] + _CHILD_COLS).ravel()
-        del big_j
-        level += 1
+        elif level + 1 < top or 4 * len(big_i) <= _blocks.BLOCK:
+            ii, jj = _children(big_i, big_j)
+            del big_i, big_j
+        else:
+            # pass 1 over the cap level: the children of one block of
+            # parents at a time, tested into its mask
+            parents = _blocks.row_blocks(len(big_i), 4)
+            cap = np.empty(4 * len(big_i), dtype=bool)
+            for block in parents:
+                _small(field, top, *_children(big_i[block], big_j[block]),
+                       q, epsilon, cap[4 * block.start:4 * block.stop])
+            break
 
     chunk_levels, rows, cols, chunk_flags = zip(*chunks)
-    del chunks  # so that each level's rows and cols go once concatenated
+    del chunks  # so that each level's rows and cols go once copied
     lengths = [len(r) for r in rows]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    if cap is None:
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+    else:
+        # the columns allocated once, the levels above the cap copied in
+        head = sum(lengths)
+        kept = int(np.count_nonzero(cap))
+        lengths += [kept, len(cap) - kept]
+        chunk_levels += (top, top)
+        chunk_flags += (False, True)
+        rows = _joined(rows, head + len(cap))
+        cols = _joined(cols, head + len(cap))
+        # pass 2: each block's kept squares, then its flagged ones, in place
+        at_kept, at_flagged = head, head + kept
+        for block in parents:
+            ci, cj = _children(big_i[block], big_j[block])
+            mask = cap[4 * block.start:4 * block.stop]
+            n = int(np.count_nonzero(mask))
+            np.compress(mask, ci, out=rows[at_kept:at_kept + n])
+            np.compress(mask, cj, out=cols[at_kept:at_kept + n])
+            np.logical_not(mask, out=mask)
+            m = len(mask) - n
+            np.compress(mask, ci, out=rows[at_flagged:at_flagged + m])
+            np.compress(mask, cj, out=cols[at_flagged:at_flagged + m])
+            at_kept += n
+            at_flagged += m
+        del big_i, big_j, cap
     return DyadicPartition(np.repeat(np.array(chunk_levels, dtype=np.int8), lengths),
                            rows, cols,
                            np.repeat(np.array(chunk_flags, dtype=bool), lengths))
@@ -222,11 +299,14 @@ _PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
 
 def _csv_chunks(partition: DyadicPartition):
     """`subdivide`'s CSV in the pieces it is formatted in: the header
-    level,i,j,flagged, then one block of rows at a time, in (level, i, j) order."""
-    columns = np.column_stack(partition.canonical_columns())
+    level,i,j,flagged, then one block of rows at a time, in (level, i, j)
+    order. Each block is gathered from the partition's columns through the
+    sort order, so past the partition only that order is held whole."""
+    order = partition.canonical_order()
+    columns = partition._levels, partition._rows, partition._cols, partition._flags
     yield "level,i,j,flagged\n"
-    for rows in _blocks.row_blocks(len(columns), 1):
-        block = columns[rows]
+    for rows in _blocks.row_blocks(len(order), 1):
+        block = np.column_stack([c[order[rows]] for c in columns])
         yield ("%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
 
 

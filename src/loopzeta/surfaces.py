@@ -306,17 +306,17 @@ class ModelSurface:
         return float(np.mean(partials + tails))
 
 
-def _square(radius: float) -> float:
-    """radius**2, or a ValueError that names a radius whose square overflows
-    or underflows to 0."""
+def _square(length: float, name: str = "radius") -> float:
+    """length**2, or a ValueError that names a length (a radius, or the
+    `name` given) whose square overflows or underflows to 0."""
     try:
-        square = radius**2
+        square = length**2
     except OverflowError:
-        raise ValueError("radius %g is too large: its square overflows float64"
-                         % radius) from None
+        raise ValueError("%s %g is too large: its square overflows float64"
+                         % (name, length)) from None
     if square == 0.0:
-        raise ValueError("radius %g is too small: its square underflows float64"
-                         % radius)
+        raise ValueError("%s %g is too small: its square underflows float64"
+                         % (name, length))
     return square
 
 
@@ -360,12 +360,13 @@ def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: boo
     grid = _budgeted((m_max - m0 + 1) * (n_max - n0 + 1))
     first = 0 if periodic else 1
     p_side, p_max, q_side, q_max = (a, m_max, b, n_max) if m_max <= n_max else (b, n_max, a, m_max)
-    p2 = np.arange(first, p_max + 1, dtype=float) ** 2 / p_side**2
+    # a torus side whose square underflows would make its row or column 0 a 0/0
+    p2 = np.arange(first, p_max + 1, dtype=float) ** 2 / _square(p_side, "side")
     # the columns, read in windows of 16 whose last entries past the grid are +inf
     q2 = np.arange(first, q_max + 17, dtype=float)
     q2[-16:] = np.inf
     q2 **= 2
-    q2 /= q_side**2
+    q2 /= _square(q_side, "side")
     tops = [cutoff]
     if grid > _blocks.BLOCK:
         # the count below x, estimated per row at about two x per band

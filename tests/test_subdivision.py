@@ -231,9 +231,13 @@ def test_charge_near_25_is_refused_by_name(seed):
             subdivision.regime_protocol(f, 24.999999999)
 
 
-def test_capped_regime_run_matches_per_level_reference():
+@pytest.mark.parametrize("block", [None, 200], indirect=True)
+def test_capped_regime_run_matches_per_level_reference(block):
     # c = 23.5 on a 1024^2 field keeps more than a quarter of each level's
-    # squares live down to the cap, so its deep levels take the dense route
+    # squares live down to the cap, so its deep levels take the dense route;
+    # the cap level, more than one block of squares, goes in two passes, and
+    # at a block of 200 squares those run over many ragged blocks whose
+    # parents' children are split between kept and flagged squares
     f = gff.sample_dgff(1024, 17)
     part = subdivision.regime_protocol(f, 23.5)
     assert not part.terminated
@@ -241,13 +245,23 @@ def test_capped_regime_run_matches_per_level_reference():
     assert 4 * sum(n for l, n in hist.items() if l == f.level) >= 4**f.level
     q_eff = charge_to_params(23.5).Q * math.sqrt(2.0 * math.pi)
     root = math.exp(gff.square_average(f, 0, 0, 0) / q_eff)
-    _assert_same_partition(part, reference_subdivide(f, q_eff, 2.0**-12 * root))
+    want = reference_subdivide(f, q_eff, 2.0**-12 * root)
+    _assert_same_partition(part, want)
+    levels, rows, cols, flags = want
+    at_cap = levels == f.level
+    assert at_cap.sum() > block and at_cap.sum() % block
+    parent = (rows[at_cap] // 2).astype(np.int64) << 32 | cols[at_cap] // 2
+    split = np.intersect1d(parent[~flags[at_cap]], parent[flags[at_cap]])
+    assert len(split) > 0
 
 
-def test_capped_regime_run_holds_at_most_twice_its_partition():
+def test_capped_regime_run_holds_its_partition_and_a_cap_mask():
     # a partition is 10 B a square (int8 level, int32 i and j, bool flag);
-    # past the field and its prefix sums, the capped run holds at most twice
-    # that and one block of the averages' temporaries, four arrays of 8 B
+    # past the field and its prefix sums, the capped run holds its i and j
+    # columns, the cap level's parents (2 B a square there) and its mask
+    # (1 B), 11 B a square, and one block of the averages' temporaries, four
+    # arrays of 8 B; it held twice the partition, whole levels of averages
+    # and children and a concatenated copy of them
     f = gff.sample_dgff(1024, 17)
     f.prefix
     tracemalloc.start()
@@ -257,7 +271,7 @@ def test_capped_regime_run_holds_at_most_twice_its_partition():
     finally:
         tracemalloc.stop()
     assert not part.terminated
-    assert peak <= 2 * 10 * len(part) + 4 * 8 * _blocks.BLOCK
+    assert peak <= 11 * len(part) + 4 * 8 * _blocks.BLOCK
 
 
 @pytest.mark.parametrize("block", [None, 200], indirect=True)

@@ -515,6 +515,25 @@ def test_spectral_gap_at_a_cutoff_near_the_float_maximum_is_found_without_a_warn
         assert FlatTorus(1.06e-153, 1.06e-153).spectral_gap() == 3.513565112527361e307
 
 
+@pytest.mark.parametrize("surface", [FlatTorus(1e-170, 1.0), FlatTorus(1.0, 1e-170)],
+                         ids=repr)
+def test_torus_side_whose_square_underflows_is_refused_by_name(surface):
+    # m^2 / a^2 at m = 0 was 0/0: `invalid value encountered in divide`, and
+    # an empty stream that dropped the zero mode; the gap search warned on
+    # each of its doublings before the budget refused it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: surface.eigen_stream(10.0), surface.spectral_gap):
+            with pytest.raises(ValueError, match="^side 1e-170 is too small: its square"
+                                                 " underflows float64$"):
+                call()
+        # the rectangle has no mode below any finite cutoff there, and says so
+        rect = RectangleDirichlet(surface.side_a, surface.side_b)
+        assert rect.eigen_stream(10.0).eigenvalues.size == 0
+        with pytest.raises(ValueError, match="no nonzero eigenvalue below any finite cutoff"):
+            rect.spectral_gap()
+
+
 def test_spectral_gap_of_a_surface_past_the_float_range_is_refused():
     # 200 / L^2 underflows to 0 there, which eigen_stream would refuse as
     # "cutoff must be positive"

@@ -8,12 +8,16 @@ Two source trees are compared on one host by a diff of two runs:
 
 The script takes no options. It imports whichever loopzeta comes first on
 sys.path and writes that package's path to stderr, so a run shows which tree
-it read. It calls the public API and the CLI only, so it also runs on trees
-with other private names. No hash is kept in the repository: BLAS kernels
-differ between CPUs, so only runs on one host compare.
+it read. It calls the public API and the CLI only, and reads no private
+name but a partition's four raw columns (`_levels`, `_rows`, `_cols`,
+`_flags`), so it also runs on trees with other private names. No hash is
+kept in the repository: BLAS kernels differ between CPUs, so only runs on
+one host compare.
 
 What is hashed:
 - an array: its dtype, shape and bytes;
+- a partition: its canonical columns, its raw columns in the order
+  `subdivide` emits them, and whether it terminated;
 - a float, string or other scalar: its repr; a report or tuple: each part;
 - a CLI run, made in this process through `cli.main(argv)`: its exit code
   and the bytes of each file that its --out, --json-out or --svg names;
@@ -112,7 +116,10 @@ def _spectral():
 
 
 def _partition(partition):
-    return partition.canonical_columns(), partition.terminated
+    """The canonical columns, and the raw ones in the order `subdivide` emits
+    them, which `project_onto_partition`'s sums read."""
+    raw = partition._levels, partition._rows, partition._cols, partition._flags
+    return partition.canonical_columns(), raw, partition.terminated
 
 
 def _projection():
@@ -144,6 +151,12 @@ _FIELDS = [
       for size in (128, 256)],
     ("regime_protocol 256 0 c=0",
      lambda: _partition(lz.regime_protocol(lz.sample_dgff(256, 0), 0.0))),
+    ("regime_protocol 256 0 c=23.5",
+     lambda: _partition(lz.regime_protocol(lz.sample_dgff(256, 0), 23.5))),
+    # an epsilon of one cap-level square's side caps the run at level 6
+    ("subdivide 64 11 eps=2^-6",
+     lambda: _partition(lz.subdivide(lz.sample_dgff(64, 11), lz.charge_to_params(0.0).Q,
+                                     2.0**-6))),
     ("project_onto_partition 64 11 eps=0.45", _projection),
 ]
 
