@@ -190,7 +190,7 @@ def cmd_gff_sample(args) -> int:
     field = gff.sample_dgff(args.size, args.seed)
     gff.write_field(field, sys.stdout.buffer if args.out == "-" else args.out)
     log.info("field variance %.4f, dirichlet energy %.1f",
-             float(field.values.var()), gff.dirichlet_energy(field))
+             gff.variance(field), gff.dirichlet_energy(field))
     return EXIT_OK
 
 

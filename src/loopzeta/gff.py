@@ -237,11 +237,37 @@ def square_average(field: GridField, level: int, i: int, j: int) -> float:
 
 
 def dirichlet_energy(field: GridField) -> float:
-    """(2 pi)^-1-normalized discrete Dirichlet energy of the field."""
-    full = field.padded()
-    dx = np.diff(full, axis=0)
-    dy = np.diff(full, axis=1)
-    return float((np.sum(dx * dx) + np.sum(dy * dy)) / TWO_PI)
+    """(2 pi)^-1-normalized discrete Dirichlet energy of the field: the
+    squared differences along every edge of the lattice, zero on the
+    boundary. One row block at a time, a zero-bordered copy of the lattice
+    rows start .. stop gives the differences down from rows start .. stop - 1
+    and those along rows start + 1 .. stop, so the peak is one block."""
+    size, values = field.size, field.values
+    total = 0.0
+    for rows in _blocks.row_blocks(size, _row_width(size)):
+        sites = np.zeros((rows.stop - rows.start + 1, size + 1))
+        lo, hi = max(rows.start, 1), min(rows.stop, size - 1)
+        sites[lo - rows.start:hi - rows.start + 1, 1:-1] = values[lo - 1:hi]
+        diff = np.diff(sites, axis=0)
+        total += np.sum(np.square(diff, out=diff))
+        del diff
+        diff = np.diff(sites[1:], axis=1)
+        total += np.sum(np.square(diff, out=diff))
+        del sites, diff  # before the next block's copy
+    return float(total / TWO_PI)
+
+
+def variance(field: GridField) -> float:
+    """The variance of the field's values, their mean square deviation from
+    their mean, one row block at a time."""
+    values = field.values
+    blocks = _blocks.row_blocks(len(values), _row_width(field.size))
+    mean = sum(float(values[rows].sum()) for rows in blocks) / values.size
+    total = 0.0
+    for rows in blocks:
+        deviation = values[rows] - mean
+        total += float(np.sum(np.square(deviation, out=deviation)))
+    return total / values.size
 
 
 def green_oracle(size: int) -> np.ndarray:

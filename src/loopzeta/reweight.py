@@ -129,6 +129,10 @@ def project_onto_partition(field: GridField, partition: DyadicPartition,
     )
 
 
+# least relative accuracy of a `density_ratio_check` result: 8 correct digits
+_RATIO_RTOL = 1e-8
+
+
 def det_weight(coefficient_energy: float, c_prime: float) -> float:
     """log of the determinant reweighting factor, (c'/12) Sigma x_S^2."""
     return (c_prime / 12.0) * coefficient_energy
@@ -140,8 +144,12 @@ def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:
     Per coordinate the base law is x ~ N(0, 1/Q^2) and the target is
     N(0, 1/Q_new^2); the result must not depend on x. ValueError unless x
     is finite with its sum of squares, times Q^2 and Q_new^2, in the float
-    range, and where the weight (c'/12) x^2 and log base - log target, which
-    cancel to n log(Q / Q_new), exceed it by more than 1/eps.
+    range, and where the cancellation leaves fewer than 8 correct digits
+    (relative error `_RATIO_RTOL`): the weight (c'/12) x^2 and log base -
+    log target cancel to n log(Q / Q_new), and the result's rounding error
+    is taken as 2 eps times the sum of the sizes of the weight and of both
+    log densities (about 1e-8 of the result at c' = -1e8, x = [3]).  At
+    c' = 0 the result is an exact 0.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
@@ -157,11 +165,13 @@ def density_ratio_check(c: float, c_prime: float, x: np.ndarray) -> float:
     log_target = float(np.sum(np.log(q_new / math.sqrt(TWO_PI)) - 0.5 * q_new**2 * x**2))
     weight = det_weight(energy, c_prime)
     ratio = weight + log_base - log_target
-    # the two terms cancel to n log(Q / Q_new); past 1/eps times it, only
-    # their rounding error is left
-    if max(abs(weight), abs(log_base - log_target)) * np.finfo(float).eps > abs(ratio):
+    # the terms cancel to n log(Q / Q_new), keeping their rounding error and
+    # that of Q_new^2 in log_target, even where Q_new rounds to Q
+    error = 2.0 * np.finfo(float).eps * (abs(weight) + abs(log_base) + abs(log_target))
+    if c_prime != 0 and not error <= _RATIO_RTOL * abs(ratio):
         raise ValueError("c' = %g: the weight (c'/12) x^2 = %g and the log-density"
-                         " difference cancel past float64 precision" % (c_prime, weight))
+                         " difference cancel to fewer than 8 correct digits"
+                         % (c_prime, weight))
     return ratio
 
 

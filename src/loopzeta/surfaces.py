@@ -626,16 +626,25 @@ class RoundSphere(ModelSurface):
     def _heat_traces(self, t):
         # the sum at t runs over l <= l_max(t); every row of a block takes the
         # block's widest range, but sums only its own first l_max(t) + 1
-        # terms, formed in the same operand order as a sum at that t alone.
-        # A row counts twice its terms, as a block holds two such temporaries.
+        # terms, formed in the same operand order as a sum at that t alone:
+        # ((-t) l) (l + 1) / r^2, exp, times 2 l + 1, in place in one buffer
+        # that every block reuses. A row counts twice its terms, which keeps
+        # a block to half a memory block and few neighbouring t.
         r2 = _square(self.radius)
         ell_max = np.ceil(np.sqrt(_TAIL_EXPONENT * r2 / t)) + 2
         _budgeted(_count(ell_max.max(initial=0.0)) + 1)
         ell_max = ell_max.astype(int)
         out = np.empty(t.size)
-        for rows in _blocks.row_blocks(t.size, 2 * (int(ell_max.max(initial=0)) + 1)):
+        blocks = _blocks.row_blocks(t.size, 2 * (int(ell_max.max(initial=0)) + 1))
+        if blocks:
+            buffer = np.empty((blocks[0].stop - blocks[0].start) * (ell_max.max() + 1))
+        for rows in blocks:
             ell = np.arange(0, ell_max[rows].max() + 1, dtype=float)
-            terms = np.exp(-t[rows, None] * ell * (ell + 1) / r2)
+            terms = buffer[:(rows.stop - rows.start) * ell.size].reshape(-1, ell.size)
+            np.multiply(-t[rows, None], ell, out=terms)
+            terms *= ell + 1
+            terms /= r2
+            np.exp(terms, out=terms)
             terms *= 2 * ell + 1
             out[rows] = [row[:top + 1].sum() for row, top in zip(terms, ell_max[rows])]
         return out

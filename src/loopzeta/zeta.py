@@ -12,24 +12,27 @@ The small-t integral runs over the octave panels [delta/2^(k+1), delta/2^k]
 down to a cut t_lo <= delta / 4, below which a fitted expansion takes over.
 `mellin_zeta` derives its start t0 from the surface's `head_cut_floor`.
 Each panel's pair of 24- and 48-point Gauss values is memoized, keyed by
-(surface, lo, hi, s), in an LRU cache of `_HEAD_PANEL_CACHE_SIZE` entries.
-Surfaces compare by value and halving is exact in binary, so a sweep over
-split points delta, delta/2, ... computes each shared panel once, and the
-panels are added in the same top-down order, so every sum is unchanged.
+(surface, lo, hi, s), in a bounded memo of `_HEAD_PANEL_CACHE_SIZE` entries
+that drops its oldest first.  Surfaces compare by value and halving is exact
+in binary, so a sweep over split points delta, delta/2, ... computes each
+shared panel once, and the panels are added in the same top-down order, so
+every sum is unchanged.
 
 Each quadrature calls its integrand once: `_geometric_quadrature` (the loop
 mass and the Mellin body) on the nodes of both rules of all its octave
-panels, and each head panel on the 24 + 48 nodes of its two rules.  This is
-exact: the integrands, t^{s-1} r(t) and e^{-kappa t} tr / t, act
-elementwise, and a heat trace or residual on a batch of t equals its scalar
-calls bit for bit, so each rule's value, reduced from its own slice, is the
-one that a call of the integrand on that rule alone gives.
+panels, and `head_integral` makes one residual call per head, on the 8 nodes
+of its stub's fit and the 24 + 48 nodes of each panel that the memo does not
+hold.  This is exact: the integrands, t^{s-1} r(t) and e^{-kappa t} tr / t,
+act elementwise, and a heat trace or residual on a batch of t equals its
+scalar calls bit for bit, so each rule's value, reduced from its own slice,
+is the one that a call of the integrand on that rule alone gives.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -83,25 +86,35 @@ def _gauss_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
 
 
-def _gauss_panel(f, lo: float, hi: float, n: int) -> float:
-    """n-point Gauss value of int_lo^hi f: half w . f(`_gauss_nodes`)."""
-    _, w = _leggauss(n)
-    return float(0.5 * (hi - lo) * np.dot(w, f(_gauss_nodes(lo, hi, n))))
+def _gauss_sum(lo: float, hi: float, values: np.ndarray) -> float:
+    """Gauss value half w . values of int_lo^hi f, from the values of f at
+    the `_gauss_nodes` of the rule with values.size points."""
+    _, w = _leggauss(values.size)
+    return float(0.5 * (hi - lo) * np.dot(w, values))
+
+
+def _rule_nodes(panels) -> list:
+    """The nodes of the 24-point and then the 48-point rule of each panel
+    (a, b), in panel order: 72 a panel."""
+    return [_gauss_nodes(a, b, n) for a, b in panels for n in (24, 48)]
+
+
+def _rule_pairs(panels, values: np.ndarray) -> list:
+    """(24-point, 48-point) Gauss values of each panel (a, b), from the
+    values of f at its `_rule_nodes` joined: each rule reduces its own slice
+    in place of a call of f, so that, f acting elementwise, every value is
+    the one that a call of f on that rule alone gives."""
+    pairs = []
+    for k, (a, b) in enumerate(panels):
+        coarse, fine = values[72 * k:72 * k + 24], values[72 * k + 24:72 * k + 72]
+        pairs.append((_gauss_sum(a, b, coarse), _gauss_sum(a, b, fine)))
+    return pairs
 
 
 def _gauss_pairs(f, panels):
     """(24-point, 48-point) Gauss values of int_a^b f on each panel (a, b),
-    from one call of f on the nodes of every rule of every panel.
-
-    Each rule's `_gauss_panel` then reduces its own slice of the values in
-    place of a call of f: f acts elementwise, so every value is the one that
-    a call of f on that rule alone gives."""
-    rules = [(a, b, n) for a, b in panels for n in (24, 48)]
-    nodes = [_gauss_nodes(*rule) for rule in rules]
-    values = np.split(f(np.concatenate(nodes)),
-                      np.cumsum([t.size for t in nodes[:-1]]))
-    sums = [_gauss_panel(lambda _, v=v: v, *rule) for rule, v in zip(rules, values)]
-    return list(zip(sums[0::2], sums[1::2]))
+    from one call of f on the nodes of every rule of every panel."""
+    return _rule_pairs(panels, f(np.concatenate(_rule_nodes(panels))))
 
 
 def _octave_panels(lo: float, hi: float):
@@ -132,18 +145,45 @@ def _geometric_quadrature(f, lo: float, hi: float):
     return _panel_sum(_gauss_pairs(f, _octave_panels(lo, hi)))
 
 
-@functools.lru_cache(maxsize=_HEAD_PANEL_CACHE_SIZE)
-def _head_panel(surface: ModelSurface, lo: float, hi: float, s: float):
-    """24- and 48-point Gauss values of int_lo^hi t^{s-1} r(t) dt.
+_CacheInfo = namedtuple("CacheInfo", "misses maxsize currsize")
 
-    They depend on the key alone, so they can be held across calls: the
-    disk's trace at each t does not depend on how far the Bessel-zero cache
-    has grown, since a grown cache equals a cold build."""
 
-    def integrand(t):
-        return t ** (s - 1.0) * heat_trace_residual(surface, t)
+class _PanelMemo:
+    """Bounded memo of head panels: (surface, lo, hi, s) -> their 24- and
+    48-point Gauss values, which depend on the key alone, so they can be
+    held across calls (the disk's trace at each t does not depend on how far
+    the Bessel-zero cache has grown, since a grown cache equals a cold
+    build).  `lookup` reads every panel of a head, one dict lookup a panel,
+    before any trace is computed; `store` adds the computed ones and drops
+    the oldest past `maxsize`.  `cache_info` (misses, maxsize, currsize)
+    and `cache_clear` read as on a `functools.lru_cache`."""
 
-    return _gauss_pairs(integrand, [(lo, hi)])[0]
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._pairs = OrderedDict()
+        self._misses = 0
+
+    def lookup(self, keys) -> list:
+        """The held pair of each key, None where it is not held."""
+        get = self._pairs.get
+        pairs = [get(key) for key in keys]
+        self._misses += pairs.count(None)
+        return pairs
+
+    def store(self, items) -> None:
+        self._pairs.update(items)
+        while len(self._pairs) > self.maxsize:
+            self._pairs.popitem(last=False)
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._misses, self.maxsize, len(self._pairs))
+
+    def cache_clear(self) -> None:
+        self._pairs.clear()
+        self._misses = 0
+
+
+_head_panel = _PanelMemo(_HEAD_PANEL_CACHE_SIZE)
 
 
 def _head_cut(surface: ModelSurface, delta: float) -> float:
@@ -157,15 +197,25 @@ def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
 
     Returns (value, error_estimate).  Below a surface-dependent cut t_lo <=
     delta / 4 the residual is extrapolated by a fitted leading-power
-    expansion; the fit runs first, so that an enumeration too large for the
-    smallest t is refused before any panel is computed.
+    expansion.  One residual call serves the head: the nodes of each octave
+    panel that `_head_panel` does not hold, top down, then the fit's 8
+    nodes, next to the lowest panel's, so that a sphere row block holds
+    neighbouring t.  An enumeration too large for the smallest t is still
+    refused before any trace is summed: the sphere checks its budget on the
+    whole batch first, and the disk enumerates its lowest octave first.
     """
     t_lo = _head_cut(surface, delta)
+    panels = _octave_panels(t_lo, delta)
+    keys = [(surface, a, b, s) for a, b in panels]
+    pairs = _head_panel.lookup(keys)
+    missed = [k for k, pair in enumerate(pairs) if pair is None]
+    t_fit = np.geomspace(t_lo, min(4.0 * t_lo, delta), 8)
+    t = np.concatenate(_rule_nodes(panels[k] for k in missed) + [t_fit])
+    r = heat_trace_residual(surface, t)
     # stub below t_lo via a fit of the residual's leading powers as t -> 0:
     # sqrt(t) with boundary, t when closed
     powers = (1.0, 2.0, 3.0) if surface.is_closed else (0.5, 1.0, 1.5)
-    t_fit = np.geomspace(t_lo, min(4.0 * t_lo, delta), 8)
-    r_fit = heat_trace_residual(surface, t_fit)
+    r_fit = r[-t_fit.size:]
     design = np.vstack([t_fit**p for p in powers]).T
     coef, *_ = np.linalg.lstsq(design, r_fit, rcond=None)
     # a fit past the float range (a surface below L ~ 1e-152) gives a stub
@@ -177,8 +227,13 @@ def head_integral(surface: ModelSurface, delta: float, s: float = 0.0):
         stub_err = abs(coef[-1]) * t_lo ** (powers[-1] + s) / (powers[-1] + s) + 1e-14
     if not np.isfinite(stub):
         stub, stub_err = 0.0, abs(r_fit[0])
-    body, body_err = _panel_sum(
-        _head_panel(surface, a, b, s) for a, b in _octave_panels(t_lo, delta))
+    if missed:
+        n = t.size - t_fit.size
+        computed = _rule_pairs([panels[k] for k in missed], t[:n] ** (s - 1.0) * r[:n])
+        for k, pair in zip(missed, computed):
+            pairs[k] = pair
+        _head_panel.store((keys[k], pair) for k, pair in zip(missed, computed))
+    body, body_err = _panel_sum(pairs)
     return body + stub, body_err + abs(stub_err)
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,40 @@ def test_dirichlet_energy_expectation():
     n_modes = (size - 1) ** 2
     se = np.std(energies, ddof=1) / math.sqrt(m)
     assert abs(np.mean(energies) - n_modes) < 5 * se
+
+
+def reference_dirichlet_energy(field):
+    """The energy from the whole padded field's differences at once."""
+    padded = field.padded()
+    dx, dy = np.diff(padded, axis=0), np.diff(padded, axis=1)
+    return float((np.sum(dx * dx) + np.sum(dy * dy)) / gff.TWO_PI)
+
+
+def test_dirichlet_energy_and_variance_peak_at_one_block_above_a_1024_field():
+    # the energy held the padded field, both differences and their squares,
+    # and the variance a copy: some five fields, 40 MB at 1024^2, where one
+    # block of lattice rows is 0.5 MB
+    field = gff.sample_dgff(1024, 3)
+    want = reference_dirichlet_energy(field)
+    for measure, value in ((gff.dirichlet_energy, want), (gff.variance, field.values.var())):
+        tracemalloc.start()
+        try:
+            got = measure(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * _blocks.BLOCK
+        assert got == pytest.approx(value, rel=1e-13)
+
+
+@pytest.mark.parametrize("block", [None, 100], indirect=True)
+@pytest.mark.parametrize("size", [16, 64])
+def test_blocked_dirichlet_energy_and_variance_match_whole_field_sums(block, size):
+    # a block boundary between any two lattice rows counts each edge once
+    field = gff.sample_dgff(size, 8)
+    want = reference_dirichlet_energy(field)
+    assert gff.dirichlet_energy(field) == pytest.approx(want, rel=1e-14)
+    assert gff.variance(field) == pytest.approx(field.values.var(), rel=1e-14)
 
 
 def test_field_io_round_trip(tmp_path):

@@ -210,6 +210,43 @@ def test_density_ratio_check_refuses_charges_whose_terms_cancel_past_float_preci
             reweight.density_ratio_check(c, c_prime, np.array(x))
 
 
+@pytest.mark.parametrize("c_prime", [-1e14, -1e16])
+def test_density_ratio_check_refuses_few_correct_digits_below_its_old_cut(c_prime):
+    # below the cut at 1/eps the cancellation still ate the digits: -14.48
+    # against n log(Q / Q_new) = -14.51 at c' = -1e14, and -16.0 against
+    # -16.81 at -1e16
+    with pytest.raises(ValueError, match=re.escape("c' = %g" % c_prime)):
+        reweight.density_ratio_check(0.0, c_prime, np.array([3.0]))
+
+
+def _exact_density_ratio(c, c_prime, n):
+    """n log(Q / Q_new) at 40 digits, Q^2 = (25 - c) / 6 from the exact c."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c, c_prime = mpmath.mpf(c), mpmath.mpf(c_prime)
+        return float(n * mpmath.log((25 - c) / (25 - c - c_prime)) / 2)
+
+
+@pytest.mark.parametrize("c", [0.0, -12.5])
+def test_density_ratio_check_keeps_its_stated_digits_or_refuses(c):
+    # every value returned has the relative accuracy that the function
+    # states, across c' from 1e-12 to 1e16 in size, of both signs
+    rng = np.random.default_rng(9)
+    sizes = np.geomspace(1e-12, 1e16, 57)
+    kept = 0
+    for c_prime in np.concatenate([-sizes, sizes[sizes < 24.9 - c]]):
+        for x in (np.array([3.0]), rng.standard_normal(7)):
+            try:
+                value = reweight.density_ratio_check(c, c_prime, x)
+            except ValueError as exc:
+                assert ("c' = %g" % c_prime) in str(exc)
+                continue
+            want = _exact_density_ratio(c, c_prime, x.size)
+            assert value == pytest.approx(want, rel=reweight._RATIO_RTOL, abs=0.0)
+            kept += 1
+    assert kept > 40
+
+
 def test_pooled_chi_square_basics():
     counts = np.array([40.0, 30.0, 20.0, 10.0])
     stat, p = reweight._pooled_chi_square(counts, counts, 100.0, 100.0)

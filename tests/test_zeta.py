@@ -20,7 +20,6 @@ from loopzeta.surfaces import (
 )
 from loopzeta.zeta import (
     EULER_GAMMA,
-    _gauss_panel,
     _head_panel,
     heat_trace_residual,
     log_det_zeta,
@@ -506,6 +505,12 @@ def test_interval_zeta_matches_an_extended_precision_value(length, s):
 # ---------------------------------------------------------------------------
 # the octave-panel memo of head_integral
 # ---------------------------------------------------------------------------
+
+def _gauss_panel(f, lo, hi, n):
+    """n-point Gauss value of int_lo^hi f from its own call of f."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return float(0.5 * (hi - lo) * np.dot(w, f(0.5 * (hi + lo) + 0.5 * (hi - lo) * x)))
+
 
 def reference_head_integral(surface, delta, s=0.0):
     """head_integral computing every octave panel afresh on every call, the

@@ -10,7 +10,8 @@ The script takes no options. It imports whichever loopzeta comes first on
 sys.path and writes that package's path to stderr, so a run shows which tree
 it read. It calls the public API and the CLI only, and reads no private
 name but a partition's four raw columns (`_levels`, `_rows`, `_cols`,
-`_flags`), so it also runs on trees with other private names. No hash is
+`_flags`) and the head-panel memo's `cache_clear` (`zeta._head_panel`), so
+it also runs on trees with other private names. No hash is
 kept in the repository: BLAS kernels differ between CPUs, so only runs on
 one host compare.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import logging
 import os
 import sys
@@ -42,6 +44,9 @@ import numpy as np
 import loopzeta as lz
 from loopzeta import cli, graphs
 from loopzeta.zeta import zeta_continued
+
+# the package binds `loopzeta.zeta` to the function; this is the module
+_zeta_module = importlib.import_module("loopzeta.zeta")
 
 _OUTPUT_FLAGS = ("--out", "--json-out", "--svg")
 
@@ -115,6 +120,22 @@ def _spectral():
     return entries
 
 
+def _cold_sweep(surface, deltas):
+    """log_det_zeta at each delta in turn, from a cold head-panel memo: a
+    descending sweep reuses the first head's panels, an ascending one finds
+    each head's lower panels held."""
+    _zeta_module._head_panel.cache_clear()
+    return [lz.log_det_zeta(surface, delta) for delta in deltas]
+
+
+_SWEEPS = [("log_det_zeta %s sweep %r" % (order, surface),
+            lambda surface=surface, deltas=deltas: _cold_sweep(surface, deltas))
+           for surface in (lz.RoundSphere(0.93), lz.DiskDirichlet(0.81),
+                           lz.FlatTorus(1.07, 1.07))
+           for order, deltas in (("descending", (0.4, 0.2, 0.1, 0.05)),
+                                 ("ascending", (0.05, 0.1, 0.2, 0.4)))]
+
+
 def _partition(partition):
     """The canonical columns, and the raw ones in the order `subdivide` emits
     them, which `project_onto_partition`'s sums read."""
@@ -160,7 +181,7 @@ _FIELDS = [
     ("project_onto_partition 64 11 eps=0.45", _projection),
 ]
 
-API = _ci_spectra() + _spectral() + _ZETA + _GRAPHS + _FIELDS
+API = _ci_spectra() + _spectral() + _SWEEPS + _ZETA + _GRAPHS + _FIELDS
 
 # every argv that CI compared with the base commit's, then the README's
 # commands at small sizes
