@@ -13,8 +13,8 @@ equals scalar calls bit for bit.  The disk enumerates its eigenvalues once
 per octave of t / min(t), at the cutoff of that octave's smallest t, so
 that a batch over many octaves scans no more terms per row than calls of
 one octave each would.  The rectangle and the torus share one
-lattice spectrum, `_grid_spectrum`, which enumerates it in sorted value
-bands of about one memory block each.  The disk's eigenvalues come from a
+lattice spectrum, `_grid_spectrum`, and one closed form of their zeta sum,
+`_quarter_lattice_zeta`.  The disk's eigenvalues come from a
 process-wide cache of Bessel zeros, which one thread at a time grows under a
 lock and which refines each new band on two threads where two cores are
 available (see `_BesselZeroCache`).
@@ -28,18 +28,18 @@ returns as they are, so that the zero modes, exact zeros, are its first
 `zero_modes` entries, the ones `nonzero_spectrum` drops; the disk's come in
 Bessel-cache order, which its own `eigen_stream` sorts; an infinite cutoff, or
 a count that fails the one budget gate `_budgeted`, raises
-EnumerationBudgetError before allocating), `_bands(cutoff)` (the same stream
-as blocks that joined end to end are the stream, refused on the call as
-`_enumerate` is: one block here, the value bands on the lattices, whose
-`_enumerate` joins them; `zeta_series` reads them one at a time) and
-`_heat_traces(t)` on a 1-D array of t, which `heat_trace` calls after it
-refuses any t that is not finite and > 0 (the sphere's sum over l passes
-its term count through `_budgeted` too).  Optional overrides: an exact
+EnumerationBudgetError before allocating), `_heat_traces(t)` on a 1-D
+array of t, which `heat_trace` calls after it refuses any t that is not
+finite and > 0 (the sphere's sum over l passes its term count through
+`_budgeted` too), and `zeta_series(s)`: a closed form on the interval and
+the lattices, a sum with its Euler-Maclaurin tail on the sphere, and on the
+disk a Weyl-tail series over its spectrum up to a band of cutoffs topped by
+its own `zeta_series_cutoff`.  Optional overrides: an exact
 `heat_trace_residual(t)` (the lattice ones refuse the same t, t / L^2 >
-`_POISSON_T_MAX` for a side L, and L^2 / t past the float range) and a
-closed-form `zeta_series(s)`; optional class constants: `zero_modes`,
-`smooth_boundary`, `head_cut_ratio`, `head_cut_floor` (from which the Mellin
-route derives its start, see `zeta.mellin_zeta`) and `zeta_series_cutoff`.
+`_POISSON_T_MAX` for a side L, and L^2 / t past the float range); optional
+class constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio` and
+`head_cut_floor` (from which the Mellin route derives its start, see
+`zeta.mellin_zeta`).
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
-class _CountPastFloatRange(ValueError, OverflowError):
-    """A zeta series refused because its band's eigenvalue count, a Python
-    int, is past the float range: a ValueError to callers of `zeta_series`,
-    and the OverflowError that `zeta.zeta` reads as a sum past float64."""
-
-
 @dataclass(frozen=True)
 class HeatCoefficients:
     """Coefficients (a, b, c) of the small-t trace expansion a/t + b/sqrt(t) + c."""
@@ -148,8 +142,6 @@ class ModelSurface:
     #: lattice residuals decay faster than any power, so it goes almost to 0
     head_cut_ratio = 2.0**-40
     head_cut_floor = 0.0
-    #: top of the band of cutoffs of the Weyl-band zeta series
-    zeta_series_cutoff = 4.0e7
 
     def __post_init__(self):
         for fd in fields(self):
@@ -202,14 +194,6 @@ class ModelSurface:
     def _enumerate(self, cutoff: float):
         raise NotImplementedError
 
-    def _bands(self, cutoff: float):
-        """`eigen_stream(cutoff)` as an iterator of (eigenvalues,
-        multiplicities) blocks that joined end to end are the stream; any
-        refusal is raised on the call, before a block is built.  Here the
-        whole stream is one block."""
-        stream = self.eigen_stream(cutoff)
-        return iter([(stream.eigenvalues, stream.multiplicities)])
-
     def heat_trace(self, t):
         """tr e^{-t Lap}, including the zero mode on closed surfaces: a float
         at a scalar t, elementwise at an array of t; ValueError unless every
@@ -229,81 +213,7 @@ class ModelSurface:
         return self.heat_trace(t) - hc.a_coef / t - hc.b_coef / np.sqrt(t) - hc.c_coef
 
     def zeta_series(self, s: float) -> float:
-        """Spectral zeta sum over nonzero eigenvalues, for s > 1.
-
-        Partial sum plus smoothed Weyl tail: the estimator partial(L) +
-        tail(L) is averaged over a band of cutoffs L, which cancels the
-        constant Weyl offset and damps counting oscillations.  Where the band
-        would need more eigenvalues than the enumeration budget, its top is
-        lowered until they fit: the eigenvalue count, not the cutoff, sets
-        the estimator's accuracy, since scaling a surface scales its spectrum.
-        For the same reason a surface whose `largest_length` L is below 1 has
-        its band raised by 1 / L^2, so that it holds as many eigenvalues as
-        at unit size.  ValueError if the band holds no nonzero eigenvalue, if
-        its top overflows (L below about 5e-151), or if lowering it reaches 0
-        (a side so long that its eigenvalue count overflows) or meets a count
-        past the float range.  OverflowError,
-        before the band is built, where the term of the spectral gap
-        overflows.  The band's eigenvalues are read from `_bands` one block
-        at a time, each turned into its running sum in place, so a lattice's
-        series holds one value band of about one memory block, not its
-        spectrum; the disk's band is one block.
-        """
-        hc = self.heat_coefficients()
-        length = self.largest_length
-        cutoff = self.zeta_series_cutoff * max(1.0, 1.0 / length / length)
-        if cutoff == math.inf:
-            raise ValueError("surface too small: the zeta series band's top"
-                             " overflows float64 at largest length %g" % length)
-        # the sum is at least its first term; math.pow raises even for numpy s.
-        # A gap past the budget's reach is left to the band's own refusal.
-        try:
-            math.pow(self.spectral_gap(), -s)
-        except EnumerationBudgetError:
-            pass
-        while True:
-            try:
-                bands = self._bands(cutoff)
-                break
-            except EnumerationBudgetError as exc:
-                try:
-                    cutoff *= 0.85 * exc.budget / exc.required
-                except OverflowError:  # an int count past the float range
-                    raise _CountPastFloatRange(
-                        "zeta series at s = %g needs an eigenvalue count past the"
-                        " float64 range at largest length %g" % (s, length)) from None
-                if not cutoff > 0.0:  # 0 or nan where the count is not finite
-                    raise ValueError(
-                        "zeta series at s = %g needs more than the budget of %d"
-                        " eigenvalues at every band cutoff, at largest length %g"
-                        % (s, exc.budget, length)) from None
-        cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
-        partials = np.zeros(cuts.size)
-        # the bands are ours: each one's eigenvalues become the running sum of
-        # mult lam^-s in place, the first term carrying the sum of the bands
-        # before it, by the adds of one cumsum(mult * lam ** -s) over them all;
-        # a cut's partial sum is read from the band that holds its index
-        skip, carry = self.zero_modes, None
-        for lam, mult in bands:
-            lam, mult, skip = lam[skip:], mult[skip:], max(0, skip - lam.size)
-            if not lam.size:
-                continue
-            idx = np.searchsorted(lam, cuts, side="right")
-            csum = np.power(lam, -s, out=lam)
-            csum *= mult
-            if carry is not None:
-                csum[0] += carry
-            np.cumsum(csum, out=csum)
-            carry = csum[-1]
-            held = idx > 0
-            partials[held] = csum[idx[held] - 1]
-        if carry is None:
-            raise ValueError("zeta series: no nonzero eigenvalue below the band's"
-                             " top cutoff %g" % cutoff)
-        tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
-            hc.b_coef / math.sqrt(math.pi)
-        ) * cuts ** (0.5 - s) / (s - 0.5)
-        return float(np.mean(partials + tails))
+        raise NotImplementedError
 
 
 def _square(length: float, name: str = "radius") -> float:
@@ -333,110 +243,118 @@ def _budgeted(count):
 
 
 def _grid_spectrum(cutoff: float, a: float, b: float, unit: float, periodic: bool):
-    """The eigenvalues unit^2 (m^2 / a^2 + n^2 / b^2) <= cutoff, each of
-    multiplicity 1 (m, n in Z on the torus, unit 2 pi; m, n >= 1 on the
-    Dirichlet rectangle, unit pi, none there when a side has no mode), as an
-    iterator of sorted value bands: the eigenvalues in (lo, hi], about one
-    memory block (`_blocks`) of them a band, from lo = -inf up to hi =
-    cutoff.  The budget counts the whole grid and is checked on the call,
-    before any band is built.
-
-    Rows run along the side with fewer modes, over m >= 0 and n >= 0 on the
-    torus, where (+-m, +-n) share one value.  A row's candidates in a band
-    are a run bounded by a float sqrt widened by one; each is formed by the
-    one expression unit^2 (m^2 / a^2 + n^2 / b^2), whose sum is the same
-    float in either order, and kept if it lies in (lo, hi].  Each band is
-    sorted, and the sorted values of a multiset are unique, so the bands
-    joined end to end equal a stable sort of the whole grid bit for bit.
-    The edges between bands interpolate an estimate of the count below x,
-    taken on a grid quadratic in x, where the count grows about evenly both
-    on a two-dimensional lattice and on one so thin that it counts as
-    sqrt(x)."""
+    """Eigenvalues unit^2 (m^2 / a^2 + n^2 / b^2) <= cutoff in increasing
+    order, each of multiplicity 1: m, n in Z on the torus (unit 2 pi), m, n >=
+    1 on the Dirichlet rectangle (unit pi), empty there when a side has no
+    mode.  The budget counts the whole grid; it is formed and filtered one
+    row block at a time, a row counted twice for the temporaries that form
+    it, so that N eigenvalues take at most 16 N bytes, their filtered
+    blocks and their concatenation, and sorted in place.  The sorted values
+    of a multiset are unique, so they equal a stable sort of the whole grid
+    bit for bit; the multiplicities are a read-only broadcast of 1.0."""
     m_max = _count(a / unit * math.sqrt(cutoff))
     n_max = _count(b / unit * math.sqrt(cutoff))
     if not periodic and 0 in (m_max, n_max):
-        return iter(())
+        return np.empty(0), np.empty(0)
     m0, n0 = (-m_max, -n_max) if periodic else (1, 1)
-    grid = _budgeted((m_max - m0 + 1) * (n_max - n0 + 1))
-    first = 0 if periodic else 1
-    p_side, p_max, q_side, q_max = (a, m_max, b, n_max) if m_max <= n_max else (b, n_max, a, m_max)
+    _budgeted((m_max - m0 + 1) * (n_max - n0 + 1))
     # a torus side whose square underflows would make its row or column 0 a 0/0
-    p2 = np.arange(first, p_max + 1, dtype=float) ** 2 / _square(p_side, "side")
-    # the columns, read in windows of 16 whose last entries past the grid are +inf
-    q2 = np.arange(first, q_max + 17, dtype=float)
-    q2[-16:] = np.inf
-    q2 **= 2
-    q2 /= _square(q_side, "side")
-    tops = [cutoff]
-    if grid > _blocks.BLOCK:
-        # the count below x, estimated per row at about two x per band
-        steps = 2 * grid // _blocks.BLOCK + 2
-        xs = cutoff * (np.arange(1, steps + 1) / steps) ** 2
-        below = np.zeros(steps + 1)
-        for rows in _blocks.row_blocks(p2.size, 2 * steps):
-            cols = q_side * np.sqrt(np.fmax(xs / unit**2 - p2[rows, None], 0.0))
-            below[1:] += np.minimum(cols, q_max).sum(axis=0)
-        bands = math.ceil(below[-1] * (4 if periodic else 1) / _blocks.BLOCK)
-        edges = np.interp(below[-1] * np.arange(1, bands) / bands, below, np.r_[0.0, xs])
-        tops = [*np.unique(edges[edges < cutoff]).tolist(), cutoff]
-    return (_grid_band(lo, hi, p2, q2, q_side, unit, periodic)
-            for lo, hi in zip([-math.inf] + tops[:-1], tops))
-
-
-def _grid_band(lo, hi, p2, q2, q_side, unit, periodic):
-    """The band (lo, hi] of `_grid_spectrum`, sorted: rows p^2 / p_side^2 in
-    `p2`, columns n^2 / q_side^2 in `q2`, each from index 0 on the torus and
-    1 on the rectangle, the columns followed by 16 entries of +inf.  A
-    row's candidates run from its first column whose value may exceed lo to
-    its last whose value may reach hi, each bound a float sqrt widened by
-    one.  The first band reads every row from column 0 as far as row 0
-    runs, the farthest; later bands read each row's run in windows of 16
-    columns.  A value past a row's run is above hi, or +inf past the last
-    column, and the filter drops it."""
-    first = 0 if periodic else 1
-    columns = q2.size - 16
-    # rows past the top hold none of the band; one more covers rounding
-    row2 = p2[:int(p2.searchsorted(hi / unit**2, side="right")) + 1]
-    if lo == -math.inf:
-        width = int(q_side * math.sqrt(max(0.0, hi / unit**2 - row2[0]))) + 2 - first
-        head, row0_chunks = 0, 1
-        lam = q2[:min(width, columns + 1)] + row2[:, None]
-    else:
-        stop = np.sqrt(np.fmax(hi / unit**2 - row2, 0.0))
-        stop *= q_side
-        start = np.sqrt(np.fmax(lo / unit**2 - row2, 0.0))
-        start *= q_side
-        start = np.maximum(np.ceil(start, out=start) - (1 + first), 0.0)
-        count = np.minimum(np.floor(stop, out=stop) + (2 - first), columns) - start
-        per_row = np.maximum(count + 15, 0.0).astype(np.intp) // 16
-        start = start.astype(np.intp)
-        ends = per_row.cumsum()
-        head = np.arange(ends[-1])
-        head -= (ends - per_row).repeat(per_row)
-        head *= 16
-        head += start.repeat(per_row)
-        windows = np.ndarray((columns + 1, 16), buffer=q2, strides=2 * q2.strides)
-        lam = windows[head]
-        lam += row2.repeat(per_row)[:, None]
-        row0_chunks = per_row[0]
+    a2, b2 = _square(a, "side"), _square(b, "side")
+    m = np.arange(m0, m_max + 1, dtype=float)
+    n_terms = np.arange(n0, n_max + 1, dtype=float) ** 2 / b2
+    blocks = (unit**2 * (m[rows, None] ** 2 / a2 + n_terms)
+              for rows in _blocks.row_blocks(m.size, 2 * n_terms.size))
     # at a cutoff near the float64 maximum an entry may overflow to inf,
     # which the filter drops
     with np.errstate(over="ignore"):
-        lam *= unit**2
-    keep = lam <= hi
-    if lo > -math.inf:
-        keep &= lam > lo
-    if periodic:
-        # (m, n) stands for (+-m, +-n): twice for n > 0, twice again for m > 0
-        weight = keep.view(np.int8)
-        weight <<= 2
-        weight[:row0_chunks] >>= 1  # m = 0
-        weight[:, 0] >>= head == 0  # n = 0
-        band = lam.ravel().repeat(weight.ravel())
+        lam = np.concatenate([block[block <= cutoff] for block in blocks])
+    lam.sort()
+    return lam, np.broadcast_to(1.0, lam.shape)
+
+
+def _bessel_weight(nu: float, x: float) -> float:
+    """2 (x/2)^nu K_nu(x) / Gamma(nu), which falls from 1 at x = 0, taken in
+    logs, since each factor leaves float64 at large nu; nan where
+    `scipy.special.kve` gives up (x above about 1e9), which ends a sum."""
+    with np.errstate(divide="ignore"):
+        return math.exp(math.log(2.0) + nu * math.log(x / 2.0) - x
+                        - scipy.special.gammaln(nu) + np.log(scipy.special.kve(nu, x)))
+
+
+def _quarter_lattice_zeta(s: float, a: float, b: float, unit: float) -> float:
+    """sum_{m, n >= 1} (unit^2 (m^2 / a^2 + n^2 / b^2))^-s for s > 1, row by
+    row after Chowla and Selberg (J. reine angew. Math. 227 (1967) 86).
+
+    With a >= b, r = a / b and rho = 1 + 1 / r^2, it is its (1, 1) term
+    (unit^2 rho / b^2)^-s, a Python power whose overflow raises
+    OverflowError, times sum_{n >= 1} (n^2 / rho)^-s D(r n), where D(q) =
+    sum_{m >= 1} (1 + m^2 / q^2)^-s: a sum of positive terms that depends on
+    the aspect alone, so that the scaling law holds exactly.  From the first
+    row n1 with q^2 >= s / 3 whose first Bessel term below stays in float64,
+    D is Poisson-summed over m, D(q) = -1/2 + C q (1 + 2 sum_{k >= 1}
+    `_bessel_weight`(s - 1/2, 2 pi k q)) with C = B(s - 1/2, 1/2) / 2: its
+    first two terms sum over n to Hurwitz zetas at 2s and 2s - 1 from n1,
+    and its Bessel terms, which fall in k and in n, run until one is below
+    eps of the total.  A row before n1 (only at s > 3) is summed over m
+    until an integral bound on the rest is below eps of the total, and they
+    stop where C r n (1 + n / (2s - 2)) (n^2 / rho)^-s, a bound on all the
+    rows from n on, is, so that at large s a row or two are summed.  A short
+    side whose square underflows, which puts the eigenvalues past float64,
+    is refused by name."""
+    s = float(s)
+    eps = np.finfo(float).eps
+    a, b = max(a, b), min(a, b)
+    t = (b / a) ** 2
+    rho = t + 1.0
+    first = ((b / unit) ** 2 / rho) ** s
+    _square(b, "side")  # refuses a b whose square underflows
+    r = a / b
+    nu = s - 0.5
+    # C = int_0^inf (1 + x^2)^-s dx; scipy's beta loses digits where Gamma(s)
+    # leaves float64 (1e-13 at s = 200), and Stirling's series for log
+    # Gamma(s - 1/2) - log Gamma(s) holds to 1e-15 there
+    if scipy.special.gamma(s) < math.inf:
+        half = scipy.special.beta(nu, 0.5) / 2.0
     else:
-        band = lam[keep]
-    band.sort()
-    return band
+        half = math.sqrt(math.pi) / 2.0 * math.exp(
+            (s - 1.0) * math.log1p(-0.5 / s) - 0.5 * math.log(s) + 0.5
+            + (1.0 / nu - 1.0 / s) / 12.0 - (nu**-3 - s**-3) / 360.0)
+    total, n = 0.0, 1
+    while True:
+        q = r * n
+        if n > 1 and not (half * q * (1.0 + n / (2.0 * s - 2.0)) * (n * n / rho) ** -s
+                          >= eps * total):
+            return float(first * total)
+        if q * q >= s / 3.0 and scipy.special.kve(nu, 2.0 * math.pi * q) != math.inf:
+            break
+        size = 16
+        while True:
+            m = np.arange(1.0, size + 1.0)
+            terms = ((m * m * t + n * n) / rho) ** -s
+            row = terms.sum()
+            # the terms past m = size sum to at most this, by an integral
+            rest = terms[-1] * (size * size + q * q) / (2.0 * size * (s - 1.0))
+            if not rest >= eps * (total + row):
+                break
+            size *= 2
+        total += row
+        n += 1
+    total += rho ** s * (half * r * scipy.special.zeta(2.0 * s - 1.0, n)
+                         - 0.5 * scipy.special.zeta(2.0 * s, n))
+    while True:
+        q = r * n
+        weight = 2.0 * half * q * (n * n / rho) ** -s
+        row, k = 0.0, 1
+        while True:
+            term = weight * _bessel_weight(nu, 2.0 * math.pi * k * q)
+            if not term >= eps * total:
+                break
+            row += term
+            k += 1
+        if not row:
+            return float(first * total)
+        total += row
+        n += 1
 
 
 def _times(t) -> np.ndarray:
@@ -533,28 +451,8 @@ class IntervalDirichlet(ModelSurface):
         return float((self.length / math.pi) ** (2 * s) * scipy.special.zeta(2 * s))
 
 
-class _LatticeSurface(ModelSurface):
-    """The Dirichlet rectangle (unit pi) and the flat torus (unit 2 pi, the
-    closed one), whose spectrum is `_grid_spectrum`'s value bands: read one
-    at a time by `_bands`, and joined by `_enumerate`, with a read-only
-    broadcast of 1.0 as the multiplicities."""
-
-    def _grid(self, cutoff):
-        unit = 2 * math.pi if self.is_closed else math.pi
-        return _grid_spectrum(cutoff, self.side_a, self.side_b, unit, self.is_closed)
-
-    def _bands(self, cutoff):
-        return ((lam, np.broadcast_to(1.0, lam.shape)) for lam in self._grid(cutoff))
-
-    def _enumerate(self, cutoff):
-        # the bands and their join: at most 16 N bytes for N eigenvalues
-        bands = list(self._grid(cutoff))
-        lam = bands[0] if len(bands) == 1 else np.concatenate([np.empty(0), *bands])
-        return lam, np.broadcast_to(1.0, lam.shape)
-
-
 @dataclass(frozen=True)
-class RectangleDirichlet(_LatticeSurface):
+class RectangleDirichlet(ModelSurface):
     side_a: float = 1.0
     side_b: float = 1.0
     smooth_boundary = False
@@ -568,6 +466,9 @@ class RectangleDirichlet(_LatticeSurface):
             0.25,
         )
 
+    def _enumerate(self, cutoff):
+        return _grid_spectrum(cutoff, self.side_a, self.side_b, math.pi, False)
+
     def _heat_traces(self, t):
         return _sine_trace(t, self.side_a) * _sine_trace(t, self.side_b)
 
@@ -579,9 +480,14 @@ class RectangleDirichlet(_LatticeSurface):
         b2 = self.side_b / (2.0 * math.sqrt(math.pi))
         return r1 * (b2 / np.sqrt(t) - 0.5) + r2 * (b1 / np.sqrt(t) - 0.5) + r1 * r2
 
+    def zeta_series(self, s: float) -> float:
+        """pi^-2s sum_{m, n >= 1} (m^2 / a^2 + n^2 / b^2)^-s in closed form
+        (`_quarter_lattice_zeta`)."""
+        return _quarter_lattice_zeta(s, self.side_a, self.side_b, math.pi)
+
 
 @dataclass(frozen=True)
-class FlatTorus(_LatticeSurface):
+class FlatTorus(ModelSurface):
     side_a: float = 1.0
     side_b: float = 1.0
     zero_modes = 1
@@ -589,6 +495,9 @@ class FlatTorus(_LatticeSurface):
     def heat_coefficients(self) -> HeatCoefficients:
         """a = Vol / (4 pi), b = 0 (no boundary), c = chi/6 = 0."""
         return HeatCoefficients(self.side_a * self.side_b / (4.0 * math.pi), 0.0, 0.0)
+
+    def _enumerate(self, cutoff):
+        return _grid_spectrum(cutoff, self.side_a, self.side_b, 2 * math.pi, True)
 
     def _heat_traces(self, t):
         # sum_{m in Z} exp(-t (2 pi m / P)^2) = 1 + 2 S(t; P / 2)
@@ -602,6 +511,16 @@ class FlatTorus(_LatticeSurface):
         ub = _poisson_tail(2.0, self.side_b, four_t)
         lead = self.side_a * self.side_b / (4.0 * math.pi * t)
         return lead * (ua + ub + ua * ub)
+
+    def zeta_series(self, s: float) -> float:
+        """(2 pi)^-2s [2 (a^2s + b^2s) zeta(2s) + 4 Q]: the axes m = 0 or n = 0,
+        then the four quarters Q = sum_{m, n >= 1} (m^2 / a^2 + n^2 / b^2)^-s
+        in closed form (`_quarter_lattice_zeta`); every term is positive,
+        and a Python power that overflows raises OverflowError."""
+        s = float(s)
+        axes = sum((side / (2.0 * math.pi)) ** (2.0 * s) for side in (self.side_a, self.side_b))
+        return (2.0 * float(scipy.special.zeta(2.0 * s)) * axes
+                + 4.0 * _quarter_lattice_zeta(s, self.side_a, self.side_b, 2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -923,6 +842,60 @@ class DiskDirichlet(ModelSurface):
                 start += run.size
             out[rows] = sums
         return out
+
+    def zeta_series(self, s: float) -> float:
+        """Spectral zeta sum over nonzero eigenvalues, for s > 1.
+
+        Partial sum plus smoothed Weyl tail: the estimator partial(L) +
+        tail(L) is averaged over a band of cutoffs L up to
+        `zeta_series_cutoff`, which cancels the constant Weyl offset and
+        damps counting oscillations.  Where the band would need more
+        eigenvalues than the enumeration budget, its top is lowered until
+        they fit: the eigenvalue count, not the cutoff, sets the estimator's
+        accuracy, since scaling a surface scales its spectrum.  For the same
+        reason a radius L below 1 has its band raised by 1 / L^2, so that it
+        holds as many eigenvalues as at unit size.  ValueError if its top
+        overflows (L below about 1e-151), or if lowering it reaches 0 (a
+        radius so large, about 1e151 or more, that its eigenvalue count
+        overflows).  OverflowError, before the band is built, where the term
+        of the spectral gap overflows.  The band's eigenvalues are turned
+        into their running sum in place.
+        """
+        hc = self.heat_coefficients()
+        length = self.largest_length
+        cutoff = self.zeta_series_cutoff * max(1.0, 1.0 / length / length)
+        if cutoff == math.inf:
+            raise ValueError("surface too small: the zeta series band's top"
+                             " overflows float64 at largest length %g" % length)
+        # the sum is at least its first term; math.pow raises even for numpy s.
+        # A gap past the budget's reach is left to the band's own refusal.
+        try:
+            math.pow(self.spectral_gap(), -s)
+        except EnumerationBudgetError:
+            pass
+        while True:
+            try:
+                lam, mult = self.nonzero_spectrum(cutoff)
+                break
+            except EnumerationBudgetError as exc:
+                cutoff *= 0.85 * exc.budget / exc.required
+                if not cutoff > 0.0:  # 0 where the count is not finite
+                    raise ValueError(
+                        "zeta series at s = %g needs more than the budget of %d"
+                        " eigenvalues at every band cutoff, at largest length %g"
+                        % (s, exc.budget, length)) from None
+        cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
+        idx = np.searchsorted(lam, cuts, side="right")
+        # the stream is ours: its eigenvalues become the running sum of
+        # mult lam^-s in place, by the operations of cumsum(mult * lam ** -s)
+        csum = np.power(lam, -s, out=lam)
+        csum *= mult
+        np.cumsum(csum, out=csum)
+        partials = np.where(idx > 0, csum[np.minimum(idx, len(csum)) - 1], 0.0)
+        tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
+            hc.b_coef / math.sqrt(math.pi)
+        ) * cuts ** (0.5 - s) / (s - 0.5)
+        return float(np.mean(partials + tails))
 
 
 def parse_surface(spec: str) -> ModelSurface:

@@ -87,11 +87,12 @@ def test_delta_domain():
 
 
 def test_zeta_series_vs_mellin():
-    for surface in (RectangleDirichlet(1.0, 1.0), RoundSphere(1.0),
-                    IntervalDirichlet(1.0)):
+    # the rectangle's trace is an exact theta sum and its zeta a closed form
+    for surface, tolerance in ((RectangleDirichlet(1.0, 1.0), {"rel": 1e-13, "abs": 0.0}),
+                               (RoundSphere(1.0), {"abs": 1e-8}),
+                               (IntervalDirichlet(1.0), {"abs": 1e-8})):
         for s in (2.0, 3.0):
-            assert zeta(surface, s) == pytest.approx(
-                mellin_zeta(surface, s), abs=1e-8)
+            assert zeta(surface, s) == pytest.approx(mellin_zeta(surface, s), **tolerance)
 
 
 @pytest.mark.parametrize("s", [1.0005, 1.0, 0.5, math.nan])
@@ -125,6 +126,100 @@ def test_sphere_zeta_matches_an_extended_precision_sum(radius, s):
         warnings.simplefilter("error")
         assert zeta(RoundSphere(radius), s) == pytest.approx(
             float(unit) * radius ** (2 * s), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 3.0])
+def test_unit_square_lattice_zeta_is_its_closed_form(s):
+    # sum_{(m, n) != 0} (m^2 + n^2)^-s = 4 zeta(s) beta(s), Dirichlet's beta,
+    # and the rectangle's quarter leaves out the axes' 4 zeta(2s); the
+    # smoothed-Weyl series was 1.2e-9 off the torus at s = 1.5 and 2.2e-8
+    # at s = 1.01
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        big_s = mpmath.mpf(s)
+        zeta_beta = mpmath.zeta(big_s) * mpmath.dirichlet(big_s, [0, 1, 0, -1])
+        torus = (2 * mpmath.pi) ** (-2 * big_s) * 4 * zeta_beta
+        rect = mpmath.pi ** (-2 * big_s) * (zeta_beta - mpmath.zeta(2 * big_s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta(FlatTorus(1.0, 1.0), s) == pytest.approx(float(torus), rel=1e-14, abs=0.0)
+        assert zeta(RectangleDirichlet(1.0, 1.0), s) == pytest.approx(
+            float(rect), rel=1e-14, abs=0.0)
+
+
+def _direct_lattice_zeta(surface, s, mpmath):
+    """The 30-digit sum of lam^-s over the lattice's nonzero eigenvalues, cut
+    where a term falls below 1e-34 of the first: m, n >= 0 on the torus, each
+    (m, n) standing for (+-m, +-n), and m, n >= 1 on the rectangle."""
+    periodic = surface.is_closed
+    with mpmath.workdps(30):
+        unit = 2 * mpmath.pi if periodic else mpmath.pi
+        a2, b2 = mpmath.mpf(surface.side_a) ** 2, mpmath.mpf(surface.side_b) ** 2
+        big_s = mpmath.mpf(s)
+
+        def term(m, n):
+            return (unit**2 * (m * m / a2 + n * n / b2)) ** -big_s
+
+        first = max(term(1, 0), term(0, 1)) if periodic else term(1, 1)
+        cut = first * mpmath.mpf(10) ** -34
+        low = 0 if periodic else 1
+        total, n = mpmath.mpf(0), low
+        # a row's terms fall in m, and its first in n; the torus's row 0 starts at m = 1
+        while n == 0 or term(low, n) >= cut:
+            m = 1 if n == 0 else low
+            while (value := term(m, n)) >= cut:
+                total += value * (2 if periodic and m else 1) * (2 if periodic and n else 1)
+                m += 1
+            n += 1
+        return float(total)
+
+
+@pytest.mark.parametrize("s", [20.0, 50.0, 150.0])
+@pytest.mark.parametrize("surface", [
+    RectangleDirichlet(1.0, 1.0), RectangleDirichlet(1.5, 0.7), RectangleDirichlet(0.01, 1.0),
+    RectangleDirichlet(1.0, 30.0), FlatTorus(1.0, 2.0), FlatTorus(0.01, 1.0)], ids=repr)
+def test_lattice_zeta_at_large_s_is_the_direct_sum(surface, s):
+    # where the first few eigenvalues carry the sum, a form that subtracts
+    # the axes from a whole-lattice sum cancels: the unit square at s = 50
+    # read -5.6e-65 against 1.71e-65, and 0.01 x 1 at s = 5 read 0.0
+    mpmath = pytest.importorskip("mpmath")
+    want = _direct_lattice_zeta(surface, s, mpmath)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta(surface, s) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("surface, s", [
+    (RectangleDirichlet(1.0, 8.5), 200.0), (RectangleDirichlet(1.0, 9.0), 200.0),
+    (RectangleDirichlet(1.0, 30.0), 200.0), (RectangleDirichlet(39.0, 3.0), 500.0)], ids=repr)
+def test_lattice_zeta_past_gamma_s_range_is_the_direct_sum(surface, s):
+    # at s = 200 every row is Poisson-summed, and the first row's C q - 1/2
+    # cancels to about a tenth; scipy's beta(s - 1/2, 1/2) for C, 1e-13 off
+    # past Gamma's range, put the value up to 8.5e-13 off. At s = 500 the
+    # first row's Bessel term K_{s-1/2}(2 pi q) leaves float64, and the row
+    # is summed over m
+    mpmath = pytest.importorskip("mpmath")
+    want = _direct_lattice_zeta(surface, s, mpmath)
+    assert zeta(surface, s) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("surface", [FlatTorus(1.0, 1.0), RectangleDirichlet(1.0, 1.5)],
+                         ids=repr)
+def test_lattice_zeta_past_gamma_s_range_underflows_to_zero(surface):
+    # Gamma(s) leaves float64 at s = 171.6; the value does not until later,
+    # and then underflows
+    for s in (170.0, 171.7):
+        assert 0.0 < zeta(surface, s) < math.inf
+    for s in (1e6, math.inf):
+        assert zeta(surface, s) == 0.0
+
+
+@pytest.mark.parametrize("s", [170.0, 171.7, 1e6, math.inf])
+def test_thin_torus_past_the_float_range_at_large_s_is_refused_by_name(s):
+    # its axis term (1e3 / 2 pi)^2s overflows
+    with pytest.raises(ValueError, match="at s = %s is past the float64 range at largest"
+                                         " length 1000$" % re.escape("%g" % s)):
+        zeta(FlatTorus(1e-3, 1e3), s)
 
 
 def test_zeta_series_domain():
@@ -264,8 +359,8 @@ def test_zeta_continued_interval_at_one():
 @pytest.mark.parametrize("surface", [FlatTorus(1.2, 1.2), RectangleDirichlet(1.2, 1.2)],
                          ids=lambda s: type(s).__name__)
 def test_zeta_series_within_budget(surface):
-    # the fixed top cutoff 4e7 would need ~5.8 M eigenvalues here, above the
-    # enumeration budget of 5 M
+    # the Weyl series' fixed top cutoff 4e7 would have needed ~5.8 M
+    # eigenvalues here, above the enumeration budget of 5 M
     for s in (2.0, 3.0):
         assert zeta(surface, s) == pytest.approx(mellin_zeta(surface, s), abs=1e-8)
 
@@ -450,12 +545,10 @@ def test_zeta_band_past_the_budget_at_every_cutoff_is_refused_by_name(surface):
 
 @pytest.mark.parametrize("surface", [FlatTorus(1e200, 1e200), RectangleDirichlet(1e200, 1e200)],
                          ids=repr)
-def test_zeta_series_band_count_past_the_float_range_is_refused_by_name(surface):
-    # both side counts are finite Python ints whose product is past the float
-    # range, so the budget loop's scale raised "int too large to convert to
-    # float"; zeta() still reads the refusal as a sum past float64
-    with pytest.raises(ValueError, match="at s = 2 .* largest length 1e\\+200"):
-        surface.zeta_series(2.0)
+def test_zeta_of_a_huge_lattice_is_refused_by_name(surface):
+    # both side counts were finite Python ints whose product is past the
+    # float range, so the series' budget loop raised "int too large to
+    # convert to float"; the closed form's power overflows
     with pytest.raises(ValueError, match="past the float64 range at largest length 1e\\+200"):
         zeta(surface, 2.0)
 

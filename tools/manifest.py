@@ -67,8 +67,10 @@ def _seeded_t(count):
 
 
 def _ci_spectra():
-    """The lattice zeta values, eigen streams and batch heat traces that CI
-    compared with the base commit's."""
+    """The outputs that CI compared with the base commit's before this
+    manifest: zeta at s = 1.5, 2 and 3 on the unit square and the 1 x 2
+    torus (closed forms) and the disk's series at s = 2, two lattice eigen
+    streams, and batch heat traces on the sphere and the disk."""
     entries = []
     for spec in ("rect:1x1", "torus:1x2"):
         for s in (1.5, 2.0, 3.0):
@@ -149,13 +151,18 @@ def _projection():
     return lz.project_onto_partition(field, lz.subdivide(field, q, 0.45), q)
 
 
-# the interval's zeta is its closed form, the sphere's a series; the lattice
-# series sums ~3.3 M eigenvalues in about 50 value bands, here on a
-# rectangle that is not square and a torus above unit size
+# the interval's zeta is its closed form, the sphere's a series, and the
+# lattices' a closed form by rows: on a rectangle that is not square and a
+# torus above unit size; at large s, where a row or two carry the sum; and
+# on thin rectangles, whose rows are all Poisson-summed (1e-4 x 1e4 has no
+# eigenvalue below 1e9)
 _ZETA = [("zeta %s 2.0" % spec, lambda spec=spec: lz.zeta(lz.parse_surface(spec), 2.0))
          for spec in ("interval:1", "sphere:1")]
 _ZETA += [("zeta %s %r" % (spec, s), lambda spec=spec, s=s: lz.zeta(lz.parse_surface(spec), s))
           for spec in ("rect:1x1.5", "torus:1.5x0.7") for s in (1.5, 2.0, 3.0)]
+_ZETA += [("zeta %s %r" % (spec, s), lambda spec=spec, s=s: lz.zeta(lz.parse_surface(spec), s))
+          for spec, s in (("rect:1x1", 50.0), ("torus:1x2", 150.0), ("rect:0.01x1", 2.0),
+                          ("rect:1e-4x1e4", 2.0))]
 
 _GRAPHS = [
     ("transition_matrix grid4", lambda: graphs.transition_matrix(lz.grid_graph(4))),
