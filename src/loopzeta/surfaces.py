@@ -33,12 +33,11 @@ array of t, which `heat_trace` calls after it refuses any t that is not
 finite and > 0 (the sphere's sum over l passes its term count through
 `_budgeted` too), and `zeta_series(s)`: a closed form on the interval and
 the lattices, a sum with its Euler-Maclaurin tail on the sphere, and on the
-disk a Weyl-tail series over its spectrum up to a band of cutoffs topped by
-its own `zeta_series_cutoff`.  Optional overrides: an exact
-`heat_trace_residual(t)` (the lattice ones refuse the same t, t / L^2 >
-`_POISSON_T_MAX` for a side L, and L^2 / t past the float range); optional
-class constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio` and
-`head_cut_floor` (from which the Mellin route derives its start, see
+disk r^(2s) times the unit disk's `zeta.zeta_continued`.  Optional overrides:
+an exact `heat_trace_residual(t)` (the lattice ones refuse the same t, t /
+L^2 > `_POISSON_T_MAX` for a side L, and L^2 / t past the float range);
+optional class constants: `zero_modes`, `smooth_boundary`, `head_cut_ratio`
+and `head_cut_floor` (from which the Mellin route derives its start, see
 `zeta.mellin_zeta`).
 """
 
@@ -779,7 +778,6 @@ class DiskDirichlet(ModelSurface):
     radius: float = 1.0
     head_cut_ratio = 2.0**-8
     head_cut_floor = 1e-4
-    zeta_series_cutoff = 2.0e6
 
     def heat_coefficients(self) -> HeatCoefficients:
         """a = Vol / (4 pi), b = -Len / (8 sqrt(pi)); the boundary is smooth,
@@ -844,58 +842,19 @@ class DiskDirichlet(ModelSurface):
         return out
 
     def zeta_series(self, s: float) -> float:
-        """Spectral zeta sum over nonzero eigenvalues, for s > 1.
-
-        Partial sum plus smoothed Weyl tail: the estimator partial(L) +
-        tail(L) is averaged over a band of cutoffs L up to
-        `zeta_series_cutoff`, which cancels the constant Weyl offset and
-        damps counting oscillations.  Where the band would need more
-        eigenvalues than the enumeration budget, its top is lowered until
-        they fit: the eigenvalue count, not the cutoff, sets the estimator's
-        accuracy, since scaling a surface scales its spectrum.  For the same
-        reason a radius L below 1 has its band raised by 1 / L^2, so that it
-        holds as many eigenvalues as at unit size.  ValueError if its top
-        overflows (L below about 1e-151), or if lowering it reaches 0 (a
-        radius so large, about 1e151 or more, that its eigenvalue count
-        overflows).  OverflowError, before the band is built, where the term
-        of the spectral gap overflows.  The band's eigenvalues are turned
-        into their running sum in place.
-        """
-        hc = self.heat_coefficients()
-        length = self.largest_length
-        cutoff = self.zeta_series_cutoff * max(1.0, 1.0 / length / length)
-        if cutoff == math.inf:
-            raise ValueError("surface too small: the zeta series band's top"
-                             " overflows float64 at largest length %g" % length)
-        # the sum is at least its first term; math.pow raises even for numpy s.
-        # A gap past the budget's reach is left to the band's own refusal.
-        try:
-            math.pow(self.spectral_gap(), -s)
-        except EnumerationBudgetError:
-            pass
-        while True:
-            try:
-                lam, mult = self.nonzero_spectrum(cutoff)
-                break
-            except EnumerationBudgetError as exc:
-                cutoff *= 0.85 * exc.budget / exc.required
-                if not cutoff > 0.0:  # 0 where the count is not finite
-                    raise ValueError(
-                        "zeta series at s = %g needs more than the budget of %d"
-                        " eigenvalues at every band cutoff, at largest length %g"
-                        % (s, exc.budget, length)) from None
-        cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
-        idx = np.searchsorted(lam, cuts, side="right")
-        # the stream is ours: its eigenvalues become the running sum of
-        # mult lam^-s in place, by the operations of cumsum(mult * lam ** -s)
-        csum = np.power(lam, -s, out=lam)
-        csum *= mult
-        np.cumsum(csum, out=csum)
-        partials = np.where(idx > 0, csum[np.minimum(idx, len(csum)) - 1], 0.0)
-        tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
-            hc.b_coef / math.sqrt(math.pi)
-        ) * cuts ** (0.5 - s) / (s - 0.5)
-        return float(np.mean(partials + tails))
+        """r^s times the unit disk's `zeta_continued` times r^s, in Python
+        floats: the scaling law exactly, an overflow of r^s an OverflowError,
+        and a ValueError above unit radius where the unit value is below the
+        normal floats (s above about 370), whose lost digits r^2s would scale up."""
+        # zeta.py imports this module
+        from .zeta import zeta_continued
+        _square(self.radius)  # refuses a radius whose square underflows
+        half = self.radius ** float(s)
+        unit = float(zeta_continued(DiskDirichlet(1.0), s))
+        if self.radius > 1.0 and unit < np.finfo(float).tiny:
+            raise ValueError("zeta at s = %g: the unit disk's value is below the normal"
+                             " floats at radius %g > 1" % (s, self.radius))
+        return half * unit * half
 
 
 def parse_surface(spec: str) -> ModelSurface:

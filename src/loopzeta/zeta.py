@@ -251,12 +251,13 @@ def zeta(surface: ModelSurface, s: float) -> float:
     """Spectral zeta sum over nonzero eigenvalues, for s in the series region:
     the surface's `zeta_series`, a closed form on the interval, the rectangle
     and the torus (the lattices' within about s eps of the lattice sum, in
-    0.1-1 ms), a sum with its Euler-Maclaurin tail on the sphere, and a
-    smoothed-Weyl series over some 2.5e5 of its eigenvalues on the disk.
+    0.1-1 ms), a sum with its Euler-Maclaurin tail on the sphere, and on the
+    disk r^(2s) times the unit disk's `zeta_continued`.
 
     ValueError, naming s and the surface's largest length, where the value is
     not finite: past the float64 range the closed forms' Python powers raise
-    OverflowError and the eigenvalue sums read inf or nan."""
+    OverflowError and the sphere's sum reads inf or nan; and on a disk above
+    unit radius where the unit disk's value is not a normal float."""
     _check_series_domain(s)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -333,8 +334,8 @@ def mellin_zeta(surface: ModelSurface, s: float) -> float:
 
 
 def zeta_continued(surface: ModelSurface, s: float) -> float:
-    """The analytically continued zeta for finite s >= 0, in particular for
-    0 < s < 1, split at t = _SPLIT_DELTA.
+    """The analytically continued zeta for finite s >= 0, split at t =
+    _SPLIT_DELTA: for 0 < s < 1, and the disk's `zeta` at s > 1.
 
     At the poles of `HeatCoefficients.mellin_head` it raises ValueError, and
     at negative s, where the tail's incomplete gamma function Q(s, x) is not

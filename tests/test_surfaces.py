@@ -388,40 +388,6 @@ def test_disk_stream_is_the_stable_sort_of_its_cache_order(cutoff):
     assert stream.multiplicities.tobytes() == mult[order].tobytes()
 
 
-def former_zeta_series(surface, s):
-    """The former `ModelSurface.zeta_series`: cumsum(mult * lam ** (-s)) over
-    the band, formed in new arrays."""
-    hc = surface.heat_coefficients()
-    length = surface.largest_length
-    cutoff = surface.zeta_series_cutoff * max(1.0, 1.0 / length / length)
-    while True:
-        try:
-            lam, mult = surface.nonzero_spectrum(cutoff)
-            break
-        except EnumerationBudgetError as exc:
-            cutoff *= 0.85 * exc.budget / exc.required
-    csum = np.cumsum(mult * lam ** (-s))
-    cuts = np.geomspace(cutoff / 2.0, cutoff, 257)
-    idx = np.searchsorted(lam, cuts, side="right")
-    partials = np.where(idx > 0, csum[np.minimum(idx, len(csum)) - 1], 0.0)
-    tails = hc.a_coef * cuts ** (1 - s) / (s - 1) + (
-        hc.b_coef / math.sqrt(math.pi)
-    ) * cuts ** (0.5 - s) / (s - 0.5)
-    return float(np.mean(partials + tails))
-
-
-# the disk's series; the lattices' zeta is a closed form
-@pytest.mark.parametrize("block", [None, 200], indirect=True)
-@pytest.mark.parametrize("surface", [DiskDirichlet(1.0)], ids=repr)
-def test_zeta_series_summed_in_place_equals_the_former_route(surface, block, monkeypatch):
-    if block == 200:
-        # a band top 100 times lower keeps this quick
-        monkeypatch.setattr(type(surface), "zeta_series_cutoff",
-                            surface.zeta_series_cutoff / 100.0)
-    for s in (1.5, 2.0, 3.0, 7.5):
-        assert surface.zeta_series(s) == former_zeta_series(surface, s)
-
-
 # either side longer, lattices so thin that a side has one or two modes,
 # and sizes below and above 1, each over several row blocks of the block
 @pytest.mark.parametrize("block", [None, 200], indirect=True)

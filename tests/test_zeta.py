@@ -89,6 +89,7 @@ def test_delta_domain():
 def test_zeta_series_vs_mellin():
     # the rectangle's trace is an exact theta sum and its zeta a closed form
     for surface, tolerance in ((RectangleDirichlet(1.0, 1.0), {"rel": 1e-13, "abs": 0.0}),
+                               (DiskDirichlet(1.0), {"rel": 1e-13, "abs": 0.0}),
                                (RoundSphere(1.0), {"abs": 1e-8}),
                                (IntervalDirichlet(1.0), {"abs": 1e-8})):
         for s in (2.0, 3.0):
@@ -126,6 +127,54 @@ def test_sphere_zeta_matches_an_extended_precision_sum(radius, s):
         warnings.simplefilter("error")
         assert zeta(RoundSphere(radius), s) == pytest.approx(
             float(unit) * radius ** (2 * s), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 2.5, 10.0])
+def test_disk_zeta_is_its_rayleigh_sum_times_radius_to_the_2s(radius, s):
+    # Rayleigh's sums (Watson, Bessel Functions, section 15.51):
+    # sum_k j_{nu,k}^-4 = 1 / (16 (nu+1)^2 (nu+2)) and sum_k j_{nu,k}^-6 =
+    # 1 / (32 (nu+1)^3 (nu+2) (nu+3)), each order once at nu = 0 and twice
+    # above; the smoothed-Weyl series was 1.1e-11 off at s = 2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        if s == 2.0:
+            def order(nu):
+                return 1 / (16 * (nu + 1) ** 2 * (nu + 2))
+        else:
+            def order(nu):
+                return 1 / (32 * (nu + 1) ** 3 * (nu + 2) * (nu + 3))
+        unit = order(0) + 2 * mpmath.nsum(order, [1, mpmath.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta(DiskDirichlet(radius), s) == pytest.approx(
+            float(unit) * radius ** (2 * s), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("radius, s", [(1.0, 20.0), (1.0, 50.0), (1.0, 150.0),
+                                       (15.0, 150.0)])
+def test_disk_zeta_at_large_s_is_its_first_bessel_zeros(radius, s):
+    # j_{0,1} = 2.40 leads the sum; every zero past nu, k <= 6 is above
+    # j_{7,1} = 11.1 or j_{0,7} = 21.2, and adds below 1e-26 of it at s = 20.
+    # At radius 15, r^2s overflows though the value, 3.2e238, does not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = sum((1 if nu == 0 else 2)
+                   * (mpmath.mpf(radius) / mpmath.besseljzero(nu, k)) ** (2 * mpmath.mpf(s))
+                   for nu in range(7) for k in range(1, 7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta(DiskDirichlet(radius), s) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("radius", [1.5, 3.0])
+def test_disk_zeta_whose_unit_value_underflows_is_refused_above_unit_radius(radius):
+    # the unit disk's zeta at s = 500, about 1e-381, is 0.0 in float64, so
+    # r^s times it times r^s read 0.0 where the value is 1e-205 at radius 1.5
+    with pytest.raises(ValueError, match="at s = 500: the unit disk.s value .* radius %g > 1"
+                       % radius):
+        zeta(DiskDirichlet(radius), 500.0)
+    assert zeta(DiskDirichlet(1.0 / radius), 500.0) == 0.0
 
 
 @pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 3.0])
@@ -554,8 +603,8 @@ def test_zeta_of_a_huge_lattice_is_refused_by_name(surface):
 
 
 def test_disk_zeta_past_the_float_range_is_refused_before_its_band_is_built(monkeypatch):
-    # the first eigenvalue's power already overflows; the band would take
-    # about 5 M Bessel zeros, some 30 s on a cold cache
+    # r^s already overflows; the smoothed-Weyl series' band would have
+    # taken about 5 M Bessel zeros, some 30 s on a cold cache
     monkeypatch.setattr(surfaces, "_BESSEL_CACHE", surfaces._BesselZeroCache())
     start = time.perf_counter()
     with pytest.raises(ValueError, match="past the float64 range"):

@@ -69,8 +69,9 @@ def _seeded_t(count):
 def _ci_spectra():
     """The outputs that CI compared with the base commit's before this
     manifest: zeta at s = 1.5, 2 and 3 on the unit square and the 1 x 2
-    torus (closed forms) and the disk's series at s = 2, two lattice eigen
-    streams, and batch heat traces on the sphere and the disk."""
+    torus (closed forms) and the unit disk's at s = 2 (its continued zeta),
+    two lattice eigen streams, and batch heat traces on the sphere and the
+    disk."""
     entries = []
     for spec in ("rect:1x1", "torus:1x2"):
         for s in (1.5, 2.0, 3.0):
@@ -151,13 +152,16 @@ def _projection():
     return lz.project_onto_partition(field, lz.subdivide(field, q, 0.45), q)
 
 
-# the interval's zeta is its closed form, the sphere's a series, and the
-# lattices' a closed form by rows: on a rectangle that is not square and a
-# torus above unit size; at large s, where a row or two carry the sum; and
-# on thin rectangles, whose rows are all Poisson-summed (1e-4 x 1e4 has no
-# eigenvalue below 1e9)
+# the interval's zeta is its closed form, the sphere's a series, the disk's
+# r^(2s) times the unit disk's continued zeta, below unit size, at large s
+# and where the power underflows; and the lattices' a closed form by rows:
+# on a rectangle that is not square and a torus above unit size; at large
+# s, where a row or two carry the sum; and on thin rectangles, whose rows
+# are all Poisson-summed (1e-4 x 1e4 has no eigenvalue below 1e9)
 _ZETA = [("zeta %s 2.0" % spec, lambda spec=spec: lz.zeta(lz.parse_surface(spec), 2.0))
          for spec in ("interval:1", "sphere:1")]
+_ZETA += [("zeta %s %r" % (spec, s), lambda spec=spec, s=s: lz.zeta(lz.parse_surface(spec), s))
+          for spec, s in (("disk:0.45", 1.5), ("disk:1", 50.0), ("disk:1e-100", 2.0))]
 _ZETA += [("zeta %s %r" % (spec, s), lambda spec=spec, s=s: lz.zeta(lz.parse_surface(spec), s))
           for spec in ("rect:1x1.5", "torus:1.5x0.7") for s in (1.5, 2.0, 3.0)]
 _ZETA += [("zeta %s %r" % (spec, s), lambda spec=spec, s=s: lz.zeta(lz.parse_surface(spec), s))
